@@ -80,9 +80,9 @@ def perf_block(run: ShardedRun) -> dict:
     ``speedup_vs_serial_est`` is that sum over the observed wall clock.
     Per-task seconds are wall-clock spans, so when workers timeshare
     fewer cores than ``jobs`` each span is stretched by descheduled time
-    and the estimate inflates toward ``jobs`` even though no real
-    speedup is possible -- always read it against the recorded
-    ``cpu_count``; the genuine multi-core number comes from CI runners.
+    and the ratio would inflate toward ``jobs`` with no real speedup
+    behind it -- on such a machine the estimate is ``None`` (JSON
+    ``null``); the genuine multi-core number comes from CI runners.
     """
     return {
         "jobs": run.jobs,

@@ -532,10 +532,12 @@ def _cmd_faults(args, out) -> int:
     agg = document["aggregates"]
     perf = document.get("perf")
     if perf is not None:
+        speedup = perf["speedup_vs_serial_est"]
+        speedup_text = "n/a" if speedup is None else f"~{speedup:.2f}x"
         out.write(
             f"{agg['tasks']} cells in {perf['wall_s']:.2f}s wall "
             f"({args.jobs} job(s), {perf['worker_efficiency']:.0%} worker "
-            f"efficiency, ~{perf['speedup_vs_serial_est']:.2f}x vs serial "
+            f"efficiency, {speedup_text} vs serial "
             f"est.); results in {args.output}\n"
         )
     else:

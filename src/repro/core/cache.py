@@ -1,4 +1,5 @@
-"""Memoized buffers for the offline dual-module tooling.
+"""Process-wide memo caches: the offline dual-module tooling and the
+simulator's layer costs.
 
 The threshold-tuning flows (:mod:`repro.core.thresholds`,
 :meth:`repro.models.dualize.DualizedCNN.set_thresholds_by_fraction`) sweep
@@ -36,6 +37,15 @@ Two tiers back the memo:
   misreading them.  Writes are atomic (temp file + ``os.replace``) and
   the store is size-bounded with oldest-first eviction.
 
+A fourth, in-process-only memo serves the simulator:
+:data:`LAYER_COST_CACHE` holds the Executor cost of each *sampled* CONV
+layer, keyed on the workload's recipe (the sparsity-model fields, the
+layer spec and its index, which fully determine the maps) plus the
+hardware knobs the cost reads.  Early-exit campaigns price the same
+backbone prefix once per exit; with this memo each layer is priced once
+per process and a hit never draws the maps.  Workloads built from
+explicit arrays carry no recipe and always bypass it.
+
 Caches are bounded LRU and enabled by default; ``set_cache_enabled(False)``
 restores the uncached behaviour, e.g. for microbenchmarking the raw
 kernels.  The disk tier alone can be disabled with
@@ -68,6 +78,7 @@ __all__ = [
     "IM2COL_CACHE",
     "SWITCHING_CACHE",
     "THRESHOLD_CACHE",
+    "LAYER_COST_CACHE",
     "DISK_CACHE",
 ]
 
@@ -305,10 +316,17 @@ IM2COL_CACHE = MemoCache("im2col", capacity=32)
 SWITCHING_CACHE = MemoCache("switching_map", capacity=256)
 THRESHOLD_CACHE = MemoCache("threshold", capacity=4096)
 
-#: The shared disk tier behind all three memo functions.
+#: Executor costs of sampled CONV layers, keyed on ``(workload recipe,
+#: cost-knob key)`` by :meth:`repro.sim.executor.ExecutorModel.cnn_layer`.
+#: A campaign re-prices a layer within a few hundred entries (every exit
+#: of a backbone shares its prefix), so 1,024 covers the reuse distance
+#: while bounding memory on sweeps that never repeat a layer.
+LAYER_COST_CACHE = MemoCache("layer_cost", capacity=1024)
+
+#: The shared disk tier behind the three array memo functions.
 DISK_CACHE = PersistentCache()
 
-_ALL_CACHES = (IM2COL_CACHE, SWITCHING_CACHE, THRESHOLD_CACHE)
+_ALL_CACHES = (IM2COL_CACHE, SWITCHING_CACHE, THRESHOLD_CACHE, LAYER_COST_CACHE)
 _enabled = True
 _disk_enabled: bool | None = None  # None = consult the environment
 

@@ -121,8 +121,15 @@ class ShardedRun:
         return self.worker_busy_s / (self.wall_s * self.jobs)
 
     @property
-    def speedup_vs_serial_est(self) -> float:
-        """Estimated speedup over running the same tasks serially."""
+    def speedup_vs_serial_est(self) -> float | None:
+        """Estimated speedup over running the same tasks serially.
+
+        None when the machine has fewer CPUs than workers: per-task spans
+        then include descheduled time, so the ratio would inflate toward
+        ``jobs`` without any real speedup behind it.
+        """
+        if self.cpu_count < self.jobs:
+            return None
         if self.wall_s <= 0.0:
             return 0.0
         return self.worker_busy_s / self.wall_s

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.cache import LAYER_COST_CACHE, caches_enabled
 from repro.models.layer_spec import RNNSpec
 from repro.sim.config import DuetConfig
 from repro.sim.mapping import adaptive_schedule, naive_schedule, schedule_cycles
@@ -161,7 +162,12 @@ class ExecutorModel:
           ceil(R/cols)`` exactly;
         - the finished :class:`CnnExecutionCost` is memoized on the
           workload keyed by every config knob it depends on, so stage
-          sweeps and repeated runs over shared workloads pay once.
+          sweeps and repeated runs over shared workloads pay once; a
+          sampled workload's cost also goes into the process-wide
+          :data:`~repro.core.cache.LAYER_COST_CACHE` under its recipe,
+          so a fresh workload drawn from the same recipe (an early exit
+          re-running its backbone prefix) pays nothing and never draws
+          its maps.  ``set_cache_enabled(False)`` turns that memo off.
 
         The returned cost object is shared between callers; treat it as
         immutable.
@@ -186,6 +192,15 @@ class ExecutorModel:
         cached = workload._slice_cache.get(key)
         if cached is not None:
             return cached
+        # a sampled workload's recipe names its (read-only) maps, so its
+        # cost is shared by every workload object drawn from that recipe
+        memo_key = None
+        if workload.recipe is not None and caches_enabled():
+            memo_key = (workload.recipe, key)
+            cached = LAYER_COST_CACHE.get(memo_key)
+            if cached is not None:
+                workload._slice_cache[key] = cached
+                return cached
 
         if not out_sw:
             # uniform layer: every channel row has identical per-tile cost,
@@ -248,6 +263,8 @@ class ExecutorModel:
             schedule=schedule,
         )
         workload._slice_cache[key] = cost
+        if memo_key is not None:
+            LAYER_COST_CACHE.put(memo_key, cost)
         return cost
 
     def fc_layer(self, spec, sensitive_rows: int, input_nonzeros: int | None = None):

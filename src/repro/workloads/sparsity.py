@@ -22,7 +22,7 @@ against measured proxy-model maps in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -39,7 +39,6 @@ __all__ = [
 ]
 
 
-@dataclass
 class CnnLayerWorkload:
     """Simulator input for one CONV layer (one image).
 
@@ -51,25 +50,80 @@ class CnnLayerWorkload:
     nonzero count over the per-PE slices -- the within-row imbalance the
     paper attributes to input sparsity (Section IV-A).
 
+    A workload is built either from explicit arrays (the constructor) or
+    from a sampling recipe (:meth:`SparsityModel.cnn_layer`).  A sampled
+    workload draws its maps on first access to :attr:`omap` / :attr:`imap`
+    and freezes them read-only, so its :attr:`recipe` always names its
+    contents -- which is what lets the Executor memoize layer costs across
+    workload objects (:data:`repro.core.cache.LAYER_COST_CACHE`).
+
     Attributes:
         spec: the layer shape.
         omap: switching map of shape ``(C_out, H', W')`` (1 = sensitive).
         imap: input sparsity map of shape ``(C_in, H, W)`` (1 = nonzero).
+        recipe: ``(astuple(sparsity model), spec, layer_index)`` for a
+            sampled workload -- it fully determines both maps -- or None
+            for one built from explicit arrays.
     """
 
-    spec: ConvSpec
-    omap: np.ndarray
-    imap: np.ndarray
-    _imap_cols: np.ndarray | None = field(default=None, repr=False)
-    _slice_cache: dict = field(default_factory=dict, repr=False)
+    def __init__(self, spec: ConvSpec, omap: np.ndarray, imap: np.ndarray):
+        self._init(spec, omap, imap, recipe=None)
+        self._check_shapes()
 
-    def __post_init__(self):
+    @classmethod
+    def sampled(
+        cls, sampler: "SparsityModel", spec: ConvSpec, layer_index: int
+    ) -> "CnnLayerWorkload":
+        """A workload whose maps ``sampler`` draws on first access.
+
+        The recipe snapshots the sampler's fields, so mutating it
+        afterwards leaves this workload's maps unchanged; the snapshot
+        (not a closure) is what an undrawn workload pickles.
+        """
+        workload = cls.__new__(cls)
+        workload._init(spec, None, None, (astuple(sampler), spec, layer_index))
+        return workload
+
+    def _init(self, spec, omap, imap, recipe) -> None:
+        self.spec = spec
+        self.recipe = recipe
+        self._omap = omap
+        self._imap = imap
+        self._imap_cols: np.ndarray | None = None
+        self._slice_cache: dict = {}
+
+    def _check_shapes(self) -> None:
         expected_o = (self.spec.out_channels, self.spec.out_h, self.spec.out_w)
-        if self.omap.shape != expected_o:
-            raise ValueError(f"omap shape {self.omap.shape} != {expected_o}")
+        if self._omap.shape != expected_o:
+            raise ValueError(f"omap shape {self._omap.shape} != {expected_o}")
         expected_i = (self.spec.in_channels, self.spec.in_h, self.spec.in_w)
-        if self.imap.shape != expected_i:
-            raise ValueError(f"imap shape {self.imap.shape} != {expected_i}")
+        if self._imap.shape != expected_i:
+            raise ValueError(f"imap shape {self._imap.shape} != {expected_i}")
+
+    def _draw(self) -> None:
+        fields, spec, layer_index = self.recipe
+        omap, imap = SparsityModel(*fields)._cnn_maps(spec, layer_index)
+        omap.flags.writeable = False
+        imap.flags.writeable = False
+        self._omap, self._imap = omap, imap
+        self._check_shapes()
+
+    @property
+    def omap(self) -> np.ndarray:
+        """Switching map ``(C_out, H', W')``; drawn on first access."""
+        if self._omap is None:
+            self._draw()
+        return self._omap
+
+    @property
+    def imap(self) -> np.ndarray:
+        """Input sparsity map ``(C_in, H, W)``; drawn on first access."""
+        if self._imap is None:
+            self._draw()
+        return self._imap
+
+    def __repr__(self) -> str:
+        return f"CnnLayerWorkload(spec={self.spec!r}, recipe={self.recipe!r})"
 
     @property
     def sensitive_fraction(self) -> float:
@@ -455,13 +509,24 @@ class SparsityModel:
         return np.random.default_rng((self.seed, layer_index))
 
     def cnn_layer(self, spec: ConvSpec, layer_index: int) -> CnnLayerWorkload:
-        """Sample the OMap/IMap workload for one CONV layer."""
+        """The OMap/IMap workload for one CONV layer, drawn lazily.
+
+        The maps are a pure function of ``(self, spec, layer_index)`` --
+        the per-layer stream is ``default_rng((seed, layer_index))`` -- so
+        the workload carries that recipe and samples on first access.
+        """
+        return CnnLayerWorkload.sampled(self, spec, layer_index)
+
+    def _cnn_maps(
+        self, spec: ConvSpec, layer_index: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Draw ``(omap, imap)`` for one CONV layer."""
         rng = self._rng(layer_index)
         dense = self.first_layer_dense and layer_index == 0
         if dense:
             omap = np.ones((spec.out_channels, spec.out_h, spec.out_w), dtype=np.uint8)
             imap = np.ones((spec.in_channels, spec.in_h, spec.in_w), dtype=np.uint8)
-            return CnnLayerWorkload(spec, omap, imap)
+            return omap, imap
         mean = self.cnn_sensitive_mean
         conc = self.cnn_channel_concentration
         p_channels = rng.beta(mean * conc, (1.0 - mean) * conc, size=spec.out_channels)
@@ -478,7 +543,7 @@ class SparsityModel:
             rng.random((spec.in_channels, spec.in_h, spec.in_w))
             < p_inputs[:, None, None]
         ).astype(np.uint8)
-        return CnnLayerWorkload(spec, omap, imap)
+        return omap, imap
 
     def rnn_layer(self, spec: RNNSpec, layer_index: int) -> RnnLayerWorkload:
         """Sample per-step per-gate sensitive counts for one RNN layer."""

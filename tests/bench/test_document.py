@@ -64,6 +64,24 @@ class TestPerfBlock:
         assert perf["cache"] == {"disk": {"hits": 5}}
         assert perf["start_method"] == "fork"
 
+    def test_speedup_is_null_on_fewer_cpus_than_jobs(self, tmp_path):
+        perf = perf_block(_run(cpu_count=1))
+        assert perf["speedup_vs_serial_est"] is None
+        document = {"schema": "duet-faults/1", "perf": perf}
+        path = tmp_path / "doc.json"
+        append_history(
+            document, path, FAULTS_SCHEMA,
+            {"speedup_vs_serial_est": perf["speedup_vs_serial_est"]},
+        )
+        write_document(document, path, FAULTS_SCHEMA)
+        on_disk = json.loads(path.read_text())
+        assert on_disk["perf"]["speedup_vs_serial_est"] is None
+        assert '"speedup_vs_serial_est": null' in path.read_text()
+        # a null entry carries over into the next run's trail
+        again = {"schema": "duet-faults/1"}
+        append_history(again, path, FAULTS_SCHEMA, {})
+        assert again["history"][0]["speedup_vs_serial_est"] is None
+
 
 class TestHistory:
     def test_entry_picks_present_keys(self):

@@ -18,6 +18,7 @@ from repro.bench import (
     run_dynamic_bench,
 )
 from repro.bench import dynamic as bench_dynamic
+from repro.core import cache
 
 
 @pytest.fixture(scope="module")
@@ -106,3 +107,54 @@ class TestDocument:
             dominance["quality_goodput_rps"] > dominance["ladder_goodput_rps"]
         )
         assert by_name["overload_ladder"]["early_exits"] == 0
+
+    def test_perf_block_reports_layer_cost_memo(self, document):
+        """Exits re-run their backbone prefix, so the layer-cost memo
+        serves most CONV layers after the first pricing."""
+        doc, _ = document
+        memo = doc["perf"]["cache"]["layer_cost"]
+        assert memo["hits"] > 0
+        assert memo["hits"] / (memo["hits"] + memo["misses"]) >= 0.5
+
+
+class TestLayerCostMemo:
+    """The campaign's tasks price identically with the memo off."""
+
+    SEEDS = [11, 12, 13]
+
+    @pytest.fixture
+    def caches_off_then_on(self):
+        cache.clear_caches()
+        yield
+        cache.set_cache_enabled(True)
+        cache.clear_caches()
+
+    def _both(self, fn, **kwargs):
+        cache.set_cache_enabled(False)
+        off = fn(**kwargs)
+        assert cache.LAYER_COST_CACHE.stats()["misses"] == 0
+        cache.set_cache_enabled(True)
+        on = fn(**kwargs)
+        assert cache.LAYER_COST_CACHE.stats()["hits"] > 0
+        return off, on
+
+    def test_pareto_sweep(self, caches_off_then_on):
+        off, on = self._both(
+            bench_dynamic._pareto_sweep,
+            model_name="alexnet",
+            thresholds=(0.0, 0.6, 1.0),
+            input_seeds=self.SEEDS,
+            width=0.5,
+            fast_path=True,
+        )
+        assert off == on
+
+    def test_parity_check(self, caches_off_then_on):
+        off, on = self._both(
+            bench_dynamic._parity_check,
+            models=("alexnet", "lstm"),
+            input_seeds=self.SEEDS,
+            fast_path=True,
+        )
+        assert off == on
+        assert on["static_parity"] is True

@@ -180,6 +180,20 @@ class TestShardedRunMetrics:
         assert run.worker_efficiency == 0.0
         assert run.speedup_vs_serial_est == 0.0
 
+    def test_no_speedup_estimate_on_fewer_cpus_than_jobs(self):
+        """Timeshared workers stretch every span, so the ratio would be
+        an artefact; the estimate is withheld instead."""
+        run = ShardedRun(
+            results=[], jobs=4, tasks=8, wall_s=2.0, worker_busy_s=7.0,
+            cpu_count=1, start_method="fork",
+        )
+        assert run.speedup_vs_serial_est is None
+        assert run.worker_efficiency == pytest.approx(7.0 / 8.0)
+        assert (
+            ShardedRun(**{**vars(run), "cpu_count": 4}).speedup_vs_serial_est
+            == pytest.approx(3.5)
+        )
+
 
 class TestWarmCache:
     def test_runs_lowest_index_task_inline(self):

@@ -69,6 +69,21 @@ class TestFaultsCommand:
         assert "values-never-corrupted invariant: PASS across" in out
         assert (tmp_path / "m.json").exists()
 
+    def test_matrix_summary_without_speedup_estimate(self, tmp_path, monkeypatch):
+        """On fewer CPUs than jobs the perf block carries a null speedup
+        estimate; the summary line prints ``n/a`` for it."""
+        from repro.parallel import ShardedRun
+
+        monkeypatch.setattr(
+            ShardedRun, "speedup_vs_serial_est", property(lambda self: None)
+        )
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(
+            "faults", "--smoke", "--output", str(tmp_path / "m.json")
+        )
+        assert code == 0 and err == ""
+        assert "n/a vs serial est." in out
+
     def test_no_guards_requires_a_model(self):
         code, _, err = run_cli("faults", "--no-guards")
         assert code == 2

@@ -131,10 +131,13 @@ class TestAccountingUnderFaults:
     def test_flipped_maps_keep_accounting_consistent(self, rng):
         """Whatever the map, executed MACs never exceed dense MACs."""
         spec = get_model_spec("alexnet")
-        workloads = cnn_workloads(spec)
-        for w in workloads:
+        workloads = []
+        for w in cnn_workloads(spec):
             flips = rng.random(w.omap.shape) < 0.3
-            w.omap[...] = np.where(flips, 1 - w.omap, w.omap)
+            flipped = np.where(flips, 1 - w.omap, w.omap)
+            # sampled maps are read-only; a rewritten map is a new
+            # workload without a recipe
+            workloads.append(CnnLayerWorkload(w.spec, flipped, w.imap))
         report = DuetAccelerator(stage="DUET").run(spec, workloads=workloads)
         assert 0 <= report.executed_macs <= report.dense_macs
         for layer in report.layers:

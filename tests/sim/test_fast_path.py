@@ -10,6 +10,7 @@ Also includes the bench-harness regression: ``repro bench --smoke`` must
 emit a valid ``BENCH_duet.json`` whose equivalence checks pass.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -18,7 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import cli
+from repro.core import cache
 from repro.models import ConvSpec, get_model_spec
+from repro.sim import executor as executor_module
 from repro.sim import DuetAccelerator
 from repro.sim.config import STAGES, DuetConfig, stage_config
 from repro.sim.executor import ExecutorModel
@@ -116,6 +119,128 @@ class TestExecutorFastPath:
         second = model.cnn_layer(workload)
         assert first.cycles == second.cycles
         assert first.executed_macs == second.executed_macs
+
+
+@pytest.fixture
+def fresh_layer_memo():
+    """An empty, enabled layer-cost memo; restored afterwards."""
+    cache.clear_caches()
+    cache.set_cache_enabled(True)
+    yield cache.LAYER_COST_CACHE
+    cache.clear_caches()
+    cache.set_cache_enabled(True)
+
+
+class TestLayerCostMemo:
+    """The recipe-keyed layer-cost memo of ``_cnn_layer_fast``: a hit is
+    the same account as a miss and as the slow-path oracle."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        conv_shapes,
+        st.sampled_from(STAGES),
+        hw_knobs,
+        st.floats(0.05, 0.95),
+        st.floats(0.05, 0.95),
+        st.integers(0, 10_000),
+        st.integers(0, 30),
+    )
+    def test_hit_equals_miss_equals_slow(
+        self, shape, stage, knobs, sensitive, density, seed, layer_index
+    ):
+        cache.set_cache_enabled(True)
+        memo = cache.LAYER_COST_CACHE
+        memo.clear()
+        c_in, c_out, k, hw = shape
+        spec = ConvSpec("c", c_in, c_out, k, 1, k // 2, hw, hw)
+        model = SparsityModel(
+            cnn_sensitive_mean=sensitive, cnn_input_density=density, seed=seed
+        )
+        fast_cfg, slow_cfg = _configs(stage, *knobs)
+        miss = ExecutorModel(fast_cfg).cnn_layer(model.cnn_layer(spec, layer_index))
+        assert (memo.hits, memo.misses, len(memo)) == (0, 1, 1)
+
+        fresh = model.cnn_layer(spec, layer_index)
+        hit = ExecutorModel(fast_cfg).cnn_layer(fresh)
+        assert (memo.hits, memo.misses) == (1, 1)
+        assert fresh._omap is None  # a hit never draws the maps
+
+        slow = ExecutorModel(slow_cfg).cnn_layer(model.cnn_layer(spec, layer_index))
+        assert (memo.hits, memo.misses, len(memo)) == (1, 1, 1)
+        for cost in (hit, slow):
+            assert cost.cycles == miss.cycles
+            assert cost.executed_macs == miss.executed_macs
+            assert cost.dense_macs == miss.dense_macs
+            assert cost.utilization == miss.utilization
+            assert cost.schedule == miss.schedule
+
+    def test_model_reports_identical_on_hits(self, fresh_layer_memo):
+        """Whole-model reports: memo hits ≡ misses ≡ the slow path."""
+        spec = get_model_spec("resnet18")
+        sparsity = SparsityModel(seed=4)
+        cfg = stage_config("DUET")
+        miss = DuetAccelerator(config=cfg, sparsity=sparsity).run(spec)
+        hit = DuetAccelerator(config=cfg, sparsity=sparsity).run(spec)
+        slow = DuetAccelerator(
+            config=dataclasses.replace(cfg, fast_path=False), sparsity=sparsity
+        ).run(spec)
+        assert fresh_layer_memo.hits == len(spec.conv_layers)
+        assert hit.layers == miss.layers == slow.layers
+
+    def test_reliability_rewritten_workload_bypasses_memo(self, fresh_layer_memo):
+        """A map rewritten by a ReliabilityContext has no recipe, so the
+        memo neither serves nor stores it."""
+        from repro.reliability import ReliabilityContext
+
+        memo = fresh_layer_memo
+        spec = get_model_spec("alexnet")
+        sparsity = SparsityModel(seed=2)
+        DuetAccelerator(stage="DUET", sparsity=sparsity).run(spec)
+        before = memo.hits + memo.misses
+        seen = []
+        context = ReliabilityContext("smoke", seed=0)
+        process = context.process_cnn_workload
+
+        def spy(index, workload, cfg):
+            out = process(index, workload, cfg)
+            seen.append(out)
+            return out
+
+        context.process_cnn_workload = spy
+        DuetAccelerator(
+            stage="DUET", sparsity=sparsity, reliability=context
+        ).run(spec)
+        rewritten = [w for w in seen if w.recipe is None]
+        assert rewritten, "the guards must rewrite at least one layer"
+        # only the workloads that kept their recipe consulted the memo
+        assert memo.hits + memo.misses - before == len(seen) - len(rewritten)
+
+    def test_disabled_caches_bypass_memo(self, fresh_layer_memo):
+        cache.set_cache_enabled(False)
+        spec = get_model_spec("alexnet")
+        sparsity = SparsityModel(seed=2)
+        first = DuetAccelerator(sparsity=sparsity).run(spec)
+        second = DuetAccelerator(sparsity=sparsity).run(spec)
+        assert first.layers == second.layers
+        assert fresh_layer_memo.stats()["hits"] == 0
+        assert len(fresh_layer_memo) == 0
+
+    def test_lru_bound_respected(self, monkeypatch):
+        """More distinct layers than the capacity: the memo stays at its
+        bound, evicting least-recently-used entries."""
+        assert cache.LAYER_COST_CACHE.capacity == 1024
+        memo = cache.MemoCache("layer_cost", capacity=8)
+        monkeypatch.setattr(executor_module, "LAYER_COST_CACHE", memo)
+        monkeypatch.setattr(cache, "_enabled", True)
+        spec = ConvSpec("c", 2, 4, 3, 1, 1, 5, 5)
+        executor = ExecutorModel(stage_config("DUET"))
+        for seed in range(20):
+            executor.cnn_layer(SparsityModel(seed=seed).cnn_layer(spec, 1))
+            assert len(memo) <= 8
+        assert memo.evictions == 12
+        executor.cnn_layer(SparsityModel(seed=19).cnn_layer(spec, 1))
+        executor.cnn_layer(SparsityModel(seed=0).cnn_layer(spec, 1))
+        assert (memo.hits, memo.misses) == (1, 21)
 
 
 class TestPeFastPath:
