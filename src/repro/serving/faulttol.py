@@ -1,11 +1,14 @@
 """Fault-tolerant serving: retries, hedging, breakers, health-checked pool.
 
 The plain :class:`~repro.serving.server.ServingSimulator` assumes immortal
-workers.  This module re-runs the same discrete-event design against a
-fleet whose workers **crash**, **hang**, and **straggle** (fates drawn per
-dispatch from :mod:`repro.reliability.workerfaults` streams) and layers
-the client- and server-side machinery production serving needs to survive
-that:
+workers.  :class:`FaultTolerantSimulator` runs on the same event core
+(``repro.serving.server._EventCore``: arrival admission, max-wait
+flushes, pricing, record closure) against a fleet whose workers
+**crash**, **hang**, and **straggle** (fates drawn per dispatch from
+:mod:`repro.reliability.workerfaults` streams).  It registers the event
+kinds of the client- and server-side machinery production serving needs
+to survive that -- done, timeout, hedge, retry, deadline, beat, respawn,
+crash and wake:
 
 - **timeouts + bounded retries** with seeded exponential backoff jitter
   (:class:`RetryPolicy`): an attempt that outlives its timeout is
@@ -44,15 +47,16 @@ applies to arrivals only; re-queued retries may transiently push the
 pending depth past it (recorded in ``max_queue_depth_seen``), and the
 overload ladder responds to that pressure exactly as it does to arrivals.
 
-With zero fault rates and the ``none`` policy this simulator reproduces
-the plain :class:`~repro.serving.server.ServingSimulator` record for
-record (property-tested in ``tests/serving/test_faulttol.py``): same
-batches, same stages, same cycle times.
+With zero fault rates, the ``none`` policy and a deadline past the
+makespan this simulator reproduces the plain
+:class:`~repro.serving.server.ServingSimulator` record for record, on
+every field but ``attempts`` (property-tested in
+``tests/serving/test_parity.py``): same batches, same stages, same cycle
+times.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 from repro.reliability.workerfaults import (
@@ -62,9 +66,6 @@ from repro.reliability.workerfaults import (
     WorkerFaultModel,
     spawn_worker_streams,
 )
-from repro.dynamic.executor import DynamicBatchExecutor
-from repro.serving.admission import AdmissionController
-from repro.serving.batcher import DynamicBatcher
 from repro.serving.loadgen import TraceConfig, generate_trace
 from repro.serving.overload import SERVING_LADDER
 from repro.serving.quality import decision_record_fields
@@ -77,8 +78,15 @@ from repro.serving.request import (
     Request,
     RequestRecord,
 )
-from repro.serving.server import ServerConfig
-from repro.serving.slo import percentile
+from repro.serving.server import _ARRIVAL, ServerConfig, _EventCore, _cycles
+from repro.serving.slo import (
+    _distribution,
+    _duration_cycles,
+    _exit_means,
+    _reason_counts,
+    _stage_counts,
+    percentile,
+)
 from repro.sim.batching import BatchExecutor
 
 __all__ = [
@@ -94,11 +102,6 @@ __all__ = [
     "FaultTolerantSimulator",
     "simulate_chaos",
 ]
-
-
-def _cycles(us: float, clock_hz: float) -> int:
-    """Simulated microseconds -> integer cycles."""
-    return int(round(us * 1e-6 * clock_hz))
 
 
 @dataclass(frozen=True)
@@ -331,18 +334,20 @@ def policy_named(name: str, deadline_us: float = 2_000_000.0) -> FaultToleranceP
 
 # -- internal event-loop state -------------------------------------------
 
-_ARRIVAL, _DONE, _TIMEOUT, _HEDGE, _RETRY, _DEADLINE = 0, 1, 2, 3, 4, 5
-_FLUSH, _BEAT, _RESPAWN, _CRASH, _WAKE = 6, 7, 8, 9, 10
+_DONE, _TIMEOUT, _HEDGE, _RETRY, _DEADLINE = 2, 3, 4, 5, 6
+_BEAT, _RESPAWN, _CRASH, _WAKE = 7, 8, 9, 10  # _WAKE only triggers dispatch
 
-_IDLE, _BUSY, _HUNG, _DEAD, _RESTARTING = (
-    "idle",
-    "busy",
-    "hung",
-    "dead",
-    "restarting",
-)
+_IDLE, _BUSY, _HUNG, _DEAD, _RESTARTING = "idle", "busy", "hung", "dead", "restarting"
 
 _CLOSED, _OPEN, _HALF_OPEN = "closed", "open", "half-open"
+
+#: Event counters of one run, reported by name in :class:`ChaosSummary`.
+_COUNTERS = (
+    "dispatches", "retries", "hedges", "hedge_wins", "hedges_skipped",
+    "timeouts", "late_completions", "redundant", "crashes", "hangs",
+    "straggles", "evictions", "respawns_warm", "respawns_cold",
+    "handed_back", "breaker_opens", "breaker_probes",
+)
 
 
 class _Breaker:
@@ -372,17 +377,14 @@ class _Worker:
 
 
 class _Attempt:
-    """One dispatched batch: requests, worker, fate, and liveness."""
+    """One dispatched batch: requests, worker, and liveness."""
 
     __slots__ = (
-        "aid",
         "requests",
         "worker",
         "generation",
         "dispatch_cycle",
         "stage",
-        "service_cycles",
-        "fate",
         "is_hedge",
         "decisions",
         "live",
@@ -390,20 +392,17 @@ class _Attempt:
     )
 
     def __init__(
-        self, aid, requests, worker, generation, dispatch_cycle, stage,
-        service_cycles, fate, is_hedge, decisions=None,
+        self, requests, worker, generation, dispatch_cycle, stage, is_hedge,
+        decisions,
     ):
-        self.aid = aid
         self.requests = requests
         self.worker = worker
         self.generation = generation
         self.dispatch_cycle = dispatch_cycle
         self.stage = stage
-        self.service_cycles = service_cycles
-        self.fate = fate
         self.is_hedge = is_hedge
         # rid -> ExitDecision of the quality axis (empty when static)
-        self.decisions = decisions if decisions is not None else {}
+        self.decisions = decisions
         self.live = True
         self.abandoned = False
 
@@ -571,7 +570,7 @@ class ChaosResult:
     simulated_cycles: int
 
 
-class FaultTolerantSimulator:
+class FaultTolerantSimulator(_EventCore):
     """Replays arrival traces against a faulty fleet under one policy.
 
     Args:
@@ -594,41 +593,26 @@ class FaultTolerantSimulator:
         seed: int = 0,
         executor: BatchExecutor | None = None,
     ):
-        self.config = config if config is not None else ServerConfig()
+        super().__init__(config if config is not None else ServerConfig(), executor)
         self.faults = faults if faults is not None else WorkerFaultModel()
         self.policy = policy if policy is not None else policy_named("none")
         self.seed = seed
-        if executor is None:
-            if self.config.quality.enabled:
-                executor = DynamicBatchExecutor(config=self.config.hardware)
-            else:
-                executor = BatchExecutor(config=self.config.hardware)
-        self.executor = executor
 
     # -- lifecycle ---------------------------------------------------------
 
     def _reset(self, trace: list[Request]) -> None:
+        self._start()
         cfg = self.config
         clock_hz = cfg.hardware.clock_hz
         policy = self.policy
-        self._batcher = DynamicBatcher(cfg.batch, clock_hz=clock_hz)
-        self._admission = AdmissionController(cfg.admission, clock_hz=clock_hz)
-        streams, jitter_rng = spawn_worker_streams(
+        self._streams, self._jitter_rng = spawn_worker_streams(
             self.seed, cfg.workers, self.faults
         )
-        self._streams = streams
-        self._jitter_rng = jitter_rng
         self._workers = [_Worker(w) for w in range(cfg.workers)]
         self._trackers: dict[int, _Tracker] = {}
-        self._records: dict[int, RequestRecord] = {}
-        self._events: list[tuple[int, int, int, object]] = []
-        self._seq = 0
         self._open_requests = 0
         self._arrivals_remaining = len(trace)
         self._attempt_latencies: list[int] = []
-        self._next_aid = 0
-        self._max_depth = 0
-        self._last_cycle = 0
         self._deadline_cycles = _cycles(policy.deadline_us, clock_hz)
         self._timeout_cycles = (
             _cycles(policy.retry.timeout_us, clock_hz) if policy.retry else 0
@@ -637,37 +621,9 @@ class FaultTolerantSimulator:
             _cycles(policy.health.heartbeat_us, clock_hz) if policy.health else 0
         )
         self._reset_cycles = (
-            _cycles(policy.breaker.reset_timeout_us, clock_hz)
-            if policy.breaker
-            else 0
+            _cycles(policy.breaker.reset_timeout_us, clock_hz) if policy.breaker else 0
         )
-        self._counts = {
-            key: 0
-            for key in (
-                "dispatches",
-                "retries",
-                "hedges",
-                "hedge_wins",
-                "hedges_skipped",
-                "timeouts",
-                "late_completions",
-                "redundant",
-                "crashes",
-                "hangs",
-                "straggles",
-                "evictions",
-                "respawns_warm",
-                "respawns_cold",
-                "handed_back",
-                "breaker_opens",
-                "breaker_probes",
-                "duplicates",
-            )
-        }
-
-    def _push(self, cycle: int, kind: int, payload: object = None) -> None:
-        heapq.heappush(self._events, (cycle, self._seq, kind, payload))
-        self._seq += 1
+        self._counts = dict.fromkeys(_COUNTERS, 0)
 
     def run(self, trace: list[Request]) -> ChaosResult:
         """Simulate one trace to termination (every request closed)."""
@@ -676,44 +632,28 @@ class FaultTolerantSimulator:
             self._push(request.arrival_cycle, _ARRIVAL, request)
         if self._heartbeat_cycles:
             self._push(self._heartbeat_cycles, _BEAT)
-
-        handlers = {
-            _ARRIVAL: self._on_arrival,
-            _DONE: self._on_done,
-            _TIMEOUT: self._on_timeout,
-            _HEDGE: self._on_hedge,
-            _RETRY: self._on_retry,
-            _DEADLINE: self._on_deadline,
-            _BEAT: self._on_beat,
-            _RESPAWN: self._on_respawn,
-            _CRASH: self._on_crash,
-        }
-        while self._events:
-            now, _, kind, payload = heapq.heappop(self._events)
-            self._last_cycle = max(self._last_cycle, now)
-            handler = handlers.get(kind)
-            if handler is not None:
-                handler(now, payload)
-            # _FLUSH and _WAKE exist only to trigger the dispatch pass
-            self._dispatch_pass(now)
-
-        return self._close(trace)
+        self._run_events(
+            {
+                _DONE: self._on_done,
+                _TIMEOUT: self._on_timeout,
+                _HEDGE: self._on_hedge,
+                _RETRY: self._on_retry,
+                _DEADLINE: self._on_deadline,
+                _BEAT: self._on_beat,
+                _RESPAWN: self._on_respawn,
+                _CRASH: self._on_crash,
+            }
+        )
+        return self._finish(trace)
 
     # -- event handlers ----------------------------------------------------
 
     def _on_arrival(self, now: int, request: Request) -> None:
         self._arrivals_remaining -= 1
-        reason = self._admission.admit(now, self._batcher.depth)
-        if reason is not None:
-            self._records[request.rid] = RequestRecord(
-                request, REJECTED, reject_reason=reason
-            )
-            return
-        self._trackers[request.rid] = _Tracker(request)
-        self._open_requests += 1
-        self._batcher.push(request)
-        self._max_depth = max(self._max_depth, self._batcher.depth)
-        self._push(now + self._deadline_cycles, _DEADLINE, request.rid)
+        if super()._on_arrival(now, request):
+            self._trackers[request.rid] = _Tracker(request)
+            self._open_requests += 1
+            self._push(now + self._deadline_cycles, _DEADLINE, request.rid)
 
     def _on_done(self, now: int, attempt: _Attempt) -> None:
         worker = self._workers[attempt.worker]
@@ -743,13 +683,12 @@ class FaultTolerantSimulator:
                 self._counts["late_completions"] += 1
             self._complete(now, tracker, attempt)
 
+    def _pending(self, attempt: _Attempt) -> list[Request]:
+        """The attempt's requests that still await a terminal record."""
+        return [r for r in attempt.requests if not self._trackers[r.rid].done]
+
     def _on_timeout(self, now: int, attempt: _Attempt) -> None:
-        if not attempt.live:
-            return
-        pending = [
-            r for r in attempt.requests if not self._trackers[r.rid].done
-        ]
-        if not pending:
+        if not attempt.live or not self._pending(attempt):
             return
         attempt.live = False
         attempt.abandoned = True
@@ -769,9 +708,7 @@ class FaultTolerantSimulator:
     def _on_hedge(self, now: int, attempt: _Attempt) -> None:
         if self.policy.hedge is None or not attempt.live:
             return
-        pending = [
-            r for r in attempt.requests if not self._trackers[r.rid].done
-        ]
+        pending = self._pending(attempt)
         if not pending:
             return
         wid = self._select_worker(now, exclude=attempt.worker)
@@ -787,8 +724,7 @@ class FaultTolerantSimulator:
         if tracker.done:
             return
         self._counts["retries"] += 1
-        self._batcher.push(tracker.request)
-        self._max_depth = max(self._max_depth, self._batcher.depth)
+        self._enqueue(tracker.request)
 
     def _on_deadline(self, now: int, rid: int) -> None:
         tracker = self._trackers[rid]
@@ -848,62 +784,34 @@ class FaultTolerantSimulator:
 
     def _backoff(self, tries: int) -> int:
         retry = self.policy.retry
-        base = retry.backoff_base_us * retry.backoff_multiplier ** max(
-            tries - 1, 0
-        )
+        base = retry.backoff_base_us * retry.backoff_multiplier ** max(tries - 1, 0)
         jitter = 1.0 + retry.jitter_fraction * float(self._jitter_rng.random())
         return max(1, _cycles(base * jitter, self.config.hardware.clock_hz))
 
     def _start_attempt(
         self, now: int, wid: int, batch: list[Request], is_hedge: bool
     ) -> None:
-        cfg = self.config
         worker = self._workers[wid]
-        pressure = self._batcher.depth + len(batch)
-        stage = cfg.overload.stage_for(pressure, cfg.admission.max_queue_depth)
-        if cfg.quality.enabled and isinstance(
-            self.executor, DynamicBatchExecutor
-        ):
-            threshold = cfg.quality.threshold_for(
-                pressure, cfg.admission.max_queue_depth
-            )
-            result = self.executor.execute(
-                batch[0].model,
-                [r.workload_seed for r in batch],
-                stage=stage,
-                threshold=threshold,
-            )
-        else:
-            result = self.executor.execute(
-                batch[0].model, [r.workload_seed for r in batch], stage=stage
-            )
-        batch_decisions = getattr(result, "decisions", None)
-        decisions = (
-            {
-                request.rid: decision
-                for request, decision in zip(batch, batch_decisions)
-                if decision is not None
-            }
-            if batch_decisions
-            else {}
-        )
+        stage, result = self._price(batch, self._batcher.depth + len(batch))
+        exits = getattr(result, "decisions", None) or ()
+        decisions = {
+            request.rid: decision
+            for request, decision in zip(batch, exits)
+            if decision is not None
+        }
         fate = self._streams[wid].draw_fate()
         service = result.service_cycles
         if fate.kind == FATE_STRAGGLE:
             service = int(service * self.faults.straggle_multiplier)
         attempt = _Attempt(
-            aid=self._next_aid,
             requests=batch,
             worker=wid,
             generation=worker.generation,
             dispatch_cycle=now,
             stage=stage,
-            service_cycles=service,
-            fate=fate,
             is_hedge=is_hedge,
             decisions=decisions,
         )
-        self._next_aid += 1
         self._counts["dispatches"] += 1
         worker.attempt = attempt
         breaker = worker.breaker
@@ -938,18 +846,12 @@ class FaultTolerantSimulator:
 
     def _hedge_delay(self) -> int:
         hedge = self.policy.hedge
-        if len(self._attempt_latencies) >= hedge.min_samples:
-            return max(
-                1,
-                int(
-                    percentile(
-                        sorted(self._attempt_latencies), hedge.latency_percentile
-                    )
-                ),
-            )
+        latencies = self._attempt_latencies
+        if len(latencies) >= hedge.min_samples:
+            return max(1, int(percentile(sorted(latencies), hedge.latency_percentile)))
         return max(1, _cycles(hedge.initial_delay_us, self.config.hardware.clock_hz))
 
-    def _dispatch_pass(self, now: int) -> None:
+    def _dispatch(self, now: int) -> None:
         worker_free = False
         while True:
             wid = self._select_worker(now)
@@ -970,10 +872,10 @@ class FaultTolerantSimulator:
                 worker_free = True
                 break
             self._start_attempt(now, wid, batch, is_hedge=False)
+        # arm on "a selectable worker found no batch", not on idle
+        # workers: an open breaker can leave an idle worker unselectable
         if worker_free and self._batcher.depth:
-            flush = self._batcher.next_flush_cycle()
-            if flush is not None:
-                self._push(max(flush, now + 1), _FLUSH)
+            self._arm_flush(now)
 
     # -- recovery machinery ------------------------------------------------
 
@@ -1019,23 +921,17 @@ class FaultTolerantSimulator:
                     tracker.tries = max(tracker.tries - 1, 0)
                 tracker.handed_back += 1
                 self._counts["handed_back"] += 1
-                self._batcher.push_front(request)
-                self._max_depth = max(self._max_depth, self._batcher.depth)
+                self._enqueue(request, front=True)
         worker.attempt = None
         worker.state = _RESTARTING
         worker.generation += 1
         worker.misses = 0
         self._counts["evictions"] += 1
-        if cold:
-            self._counts["respawns_cold"] += 1
-            restart = _cycles(
-                health.cold_restart_us, self.config.hardware.clock_hz
-            )
-        else:
-            self._counts["respawns_warm"] += 1
-            restart = _cycles(
-                health.warm_restart_us, self.config.hardware.clock_hz
-            )
+        self._counts["respawns_cold" if cold else "respawns_warm"] += 1
+        restart = _cycles(
+            health.cold_restart_us if cold else health.warm_restart_us,
+            self.config.hardware.clock_hz,
+        )
         self._push(now + max(1, restart), _RESPAWN, (worker.wid, worker.generation))
 
     # -- closure -----------------------------------------------------------
@@ -1045,36 +941,40 @@ class FaultTolerantSimulator:
         self._open_requests -= 1
         if attempt.is_hedge:
             self._counts["hedge_wins"] += 1
-        self._records[tracker.request.rid] = RequestRecord(
-            tracker.request,
-            COMPLETED,
-            stage=attempt.stage,
-            batch_size=len(attempt.requests),
-            dispatch_cycle=attempt.dispatch_cycle,
-            completion_cycle=now,
-            attempts=tracker.attempts,
-            hedged=tracker.hedged,
-            handed_back=tracker.handed_back,
-            **decision_record_fields(
-                tracker.request.model,
-                attempt.decisions.get(tracker.request.rid),
-            ),
+        self._close(
+            RequestRecord(
+                tracker.request,
+                COMPLETED,
+                stage=attempt.stage,
+                batch_size=len(attempt.requests),
+                dispatch_cycle=attempt.dispatch_cycle,
+                completion_cycle=now,
+                attempts=tracker.attempts,
+                hedged=tracker.hedged,
+                handed_back=tracker.handed_back,
+                **decision_record_fields(
+                    tracker.request.model,
+                    attempt.decisions.get(tracker.request.rid),
+                ),
+            )
         )
 
     def _fail(self, now: int, tracker: _Tracker, reason: str) -> None:
         tracker.done = True
         self._open_requests -= 1
-        self._records[tracker.request.rid] = RequestRecord(
-            tracker.request,
-            FAILED,
-            reject_reason=reason,
-            completion_cycle=now,  # when the client stopped waiting
-            attempts=tracker.attempts,
-            hedged=tracker.hedged,
-            handed_back=tracker.handed_back,
+        self._close(
+            RequestRecord(
+                tracker.request,
+                FAILED,
+                reject_reason=reason,
+                completion_cycle=now,  # when the client stopped waiting
+                attempts=tracker.attempts,
+                hedged=tracker.hedged,
+                handed_back=tracker.handed_back,
+            )
         )
 
-    def _close(self, trace: list[Request]) -> ChaosResult:
+    def _finish(self, trace: list[Request]) -> ChaosResult:
         lost = 0
         for rid, tracker in self._trackers.items():
             if not tracker.done:
@@ -1084,14 +984,13 @@ class FaultTolerantSimulator:
                 lost += 1
                 self._fail(self._last_cycle, tracker, FAIL_DEADLINE)
         records = [self._records[request.rid] for request in trace]
-        summary = self._summarize(records, lost)
         return ChaosResult(
             config=self.config,
             faults=self.faults,
             policy=self.policy,
             seed=self.seed,
             records=records,
-            summary=summary,
+            summary=self._summarize(records, lost),
             max_queue_depth_seen=self._max_depth,
             simulated_cycles=self._last_cycle,
         )
@@ -1102,80 +1001,26 @@ class FaultTolerantSimulator:
         completed = [r for r in records if r.completed]
         rejected = [r for r in records if r.outcome == REJECTED]
         failed = [r for r in records if r.failed]
-        rejects_by_reason: dict = {}
-        for r in rejected:
-            reason = r.reject_reason or "unknown"
-            rejects_by_reason[reason] = rejects_by_reason.get(reason, 0) + 1
-        fails_by_reason: dict = {}
-        for r in failed:
-            reason = r.reject_reason or "unknown"
-            fails_by_reason[reason] = fails_by_reason.get(reason, 0) + 1
-
-        start = min((r.request.arrival_cycle for r in records), default=0)
-        end = max(
-            (
-                r.completion_cycle
-                if r.completion_cycle is not None
-                else r.request.arrival_cycle
-                for r in records
-            ),
-            default=0,
-        )
-        duration_cycles = max(end - start, 0)
+        duration_cycles = _duration_cycles(records)
         duration_s = duration_cycles / clock_hz
-
-        latencies = sorted(to_ms(r.latency_cycles) for r in completed)
-        if latencies:
-            latency_ms = {
-                "p50": percentile(latencies, 50),
-                "p95": percentile(latencies, 95),
-                "p99": percentile(latencies, 99),
-                "mean": sum(latencies) / len(latencies),
-                "max": latencies[-1],
-            }
-        else:
-            latency_ms = {
-                "p50": None, "p95": None, "p99": None, "mean": None, "max": None,
-            }
-
-        stage_counts = {stage: 0 for stage in SERVING_LADDER}
-        for r in completed:
-            if r.stage is not None:
-                stage_counts[r.stage] = stage_counts.get(r.stage, 0) + 1
-
         admitted = len(completed) + len(failed)
-        early_exits = sum(1 for r in completed if r.exited_early)
         return ChaosSummary(
             offered=len(records),
             admitted=admitted,
             completed=len(completed),
             rejected=len(rejected),
             failed=len(failed),
-            rejects_by_reason=rejects_by_reason,
-            fails_by_reason=fails_by_reason,
+            rejects_by_reason=_reason_counts(rejected),
+            fails_by_reason=_reason_counts(failed),
             duration_ms=to_ms(duration_cycles),
             goodput_rps=len(completed) / duration_s if duration_s > 0 else 0.0,
             success_rate=len(completed) / admitted if admitted else 0.0,
-            latency_ms=latency_ms,
-            duplicates=self._counts["duplicates"],
+            latency_ms=_distribution([to_ms(r.latency_cycles) for r in completed]),
+            duplicates=self._duplicates,
             lost=lost,
-            stage_counts=stage_counts,
-            early_exits=early_exits,
-            mean_exit_depth=(
-                sum(r.exit_depth for r in completed) / len(completed)
-                if completed
-                else 1.0
-            ),
-            mean_quality_drop=(
-                sum(r.quality_drop for r in completed) / len(completed)
-                if completed
-                else 0.0
-            ),
-            **{
-                key: self._counts[key]
-                for key in self._counts
-                if key != "duplicates"
-            },
+            stage_counts=_stage_counts(completed, SERVING_LADDER),
+            **_exit_means(completed),
+            **self._counts,
         )
 
 

@@ -40,19 +40,19 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from repro.dynamic.decision import ALWAYS_LATE
 from repro.dynamic.executor import DynamicShardedExecutor
-from repro.serving.admission import AdmissionConfig, AdmissionController
+from repro.serving.admission import AdmissionConfig
 from repro.serving.batcher import BatchPolicy, DynamicBatcher
 from repro.serving.loadgen import ClosedLoopConfig, TraceConfig, generate_trace
 from repro.serving.overload import OverloadPolicy
-from repro.serving.quality import QualityPolicy, decision_record_fields
-from repro.serving.request import COMPLETED, REJECTED, Request, RequestRecord
-from repro.sim.sharding import ShardedExecutor
-from repro.serving.slo import SloSummary, percentile, summarize
+from repro.serving.quality import QualityPolicy
+from repro.serving.request import Request, RequestRecord
+from repro.serving.server import _ARRIVAL, _EventCore, _cycles
+from repro.serving.slo import SloSummary, _distribution, _exit_means, summarize
 from repro.sim.config import DuetConfig
+from repro.sim.sharding import ShardedExecutor
 
 __all__ = [
     "AutoscalerPolicy",
@@ -66,12 +66,7 @@ __all__ = [
     "simulate_fleet",
 ]
 
-_ARRIVAL, _DONE, _FLUSH, _EVAL, _UP = 0, 1, 2, 3, 4
-
-
-def _cycles(us: float, clock_hz: float) -> int:
-    """Microseconds -> integer simulated cycles."""
-    return int(round(us * 1e-6 * clock_hz))
+_DONE, _EVAL, _UP = 2, 3, 4
 
 
 @dataclass(frozen=True)
@@ -397,7 +392,7 @@ class _Server:
             self.shard_busy[index] += busy
 
 
-class FleetSimulator:
+class FleetSimulator(_EventCore):
     """Replays open-loop traces or closed-loop populations against one
     fleet configuration.
 
@@ -409,27 +404,20 @@ class FleetSimulator:
             enabled).
     """
 
+    _executors = (ShardedExecutor, DynamicShardedExecutor)
+
     def __init__(
         self,
         config: FleetConfig | None = None,
         executor: ShardedExecutor | None = None,
     ):
-        self.config = config if config is not None else FleetConfig()
-        if executor is None:
-            colocated = (
-                tuple(self.config.model_classes) if self.config.colocate else ()
-            )
-            executor_cls = (
-                DynamicShardedExecutor
-                if self.config.quality.enabled
-                else ShardedExecutor
-            )
-            executor = executor_cls(
-                plans=self.config.plans,
-                colocated=colocated,
-                config=self.config.hardware,
-            )
-        self.executor = executor
+        config = config if config is not None else FleetConfig()
+        super().__init__(
+            config,
+            executor,
+            plans=config.plans,
+            colocated=tuple(config.model_classes) if config.colocate else (),
+        )
 
     # -- event-loop state helpers -------------------------------------
 
@@ -442,17 +430,15 @@ class FleetSimulator:
     def _active_servers(self) -> int:
         return len(self._idle) + len(self._busy)
 
-    def _push(self, cycle: int, kind: int, payload=None) -> None:
-        heapq.heappush(self._events, (cycle, self._seq, kind, payload))
-        self._seq += 1
+    def _slo_class(self, model: str) -> SloClass:
+        slo = self._classes.get(model)
+        if slo is None:
+            slo = self._classes[model] = self.config.slo_class_for(model)
+        return slo
 
     def _arm_eval(self, now: int) -> None:
         if self._scaling and not self._eval_armed:
-            interval = _cycles(
-                self.config.autoscaler.eval_interval_us,
-                self.config.hardware.clock_hz,
-            )
-            self._push(now + max(interval, 1), _EVAL)
+            self._push(now + self._eval_cycles, _EVAL)
             self._eval_armed = True
 
     # -- the run ------------------------------------------------------
@@ -473,27 +459,26 @@ class FleetSimulator:
             )
         cfg = self.config
         clock_hz = cfg.hardware.clock_hz
+        self._classes: dict[str, SloClass] = {}
         priorities = {
-            model: cfg.slo_class_for(model).priority
+            model: self._slo_class(model).priority
             for model in set(cfg.model_classes)
         }
-        self._batcher = PriorityBatcher(
-            cfg.batch, clock_hz=clock_hz, priorities=priorities
+        self._start(
+            PriorityBatcher(cfg.batch, clock_hz=clock_hz, priorities=priorities)
         )
-        self._admission = AdmissionController(cfg.admission, clock_hz=clock_hz)
-        self._events: list[tuple[int, int, int, object]] = []
-        self._seq = 0
+        self._closed_loop = closed_loop
         self._servers: dict[int, _Server] = {}
         self._idle: list[int] = []
         self._busy: dict[int, int] = {}  # sid -> completion cycle
         self._starting = 0
         self._next_sid = 0
         self._scaling = cfg.autoscaler.enabled
+        self._eval_cycles = max(_cycles(cfg.autoscaler.eval_interval_us, clock_hz), 1)
         self._eval_armed = False
         self._eval_index = 0
         self._last_scale_eval: int | None = None
         self._scale_events: list[dict] = []
-        self._records: dict[int, RequestRecord] = {}
         self._rid_clients: dict[int, int] = {}
         self._next_rid = 0
 
@@ -503,7 +488,7 @@ class FleetSimulator:
         )
         for _ in range(initial):
             self._spawn_server(0)
-        peak_servers = initial
+        self._peak_servers = initial
 
         # clients: per-client generators and remaining budgets
         self._clients: list = []
@@ -513,71 +498,23 @@ class FleetSimulator:
                 self._clients.append(
                     [rng, closed_loop.requests_per_client]
                 )
-                self._issue(closed_loop, client, after_cycle=0)
+                self._issue(client, after_cycle=0)
         else:
-            for request in trace:
-                request = Request(
-                    rid=self._next_rid,
-                    model=request.model,
-                    arrival_cycle=request.arrival_cycle,
-                    workload_seed=request.workload_seed,
-                )
-                self._next_rid += 1
-                self._push(request.arrival_cycle, _ARRIVAL, (request, None))
+            for rid, request in enumerate(trace):
+                request = replace(request, rid=rid)
+                self._push(request.arrival_cycle, _ARRIVAL, request)
+            self._next_rid = len(trace)
 
         self._arm_eval(0)
-        max_depth = 0
-        last_cycle = 0
-        while self._events:
-            now, _, kind, payload = heapq.heappop(self._events)
-            last_cycle = max(last_cycle, now)
-            if kind == _ARRIVAL:
-                request, client = payload
-                reason = self._admission.admit(now, self._batcher.depth)
-                if reason is not None:
-                    self._records[request.rid] = RequestRecord(
-                        request, REJECTED, reject_reason=reason
-                    )
-                    if client is not None:
-                        self._issue(closed_loop, client, after_cycle=now)
-                else:
-                    self._batcher.push(request)
-                    max_depth = max(max_depth, self._batcher.depth)
-                    self._arm_eval(now)
-            elif kind == _DONE:
-                sid, batch, client_map = payload
-                del self._busy[sid]
-                server = self._servers[sid]
-                if server.retire_cycle is None:
-                    heapq.heappush(self._idle, sid)
-                else:
-                    server.retire_cycle = now
-                for request in batch:
-                    client = client_map.get(request.rid)
-                    if client is not None:
-                        self._issue(closed_loop, client, after_cycle=now)
-            elif kind == _UP:
-                self._starting -= 1
-                self._spawn_server(now)
-            elif kind == _EVAL:
-                self._eval_armed = False
-                self._eval_index += 1
-                self._evaluate_scaling(now)
-            # _FLUSH events exist only to trigger the dispatch pass
-            self._dispatch(now, closed_loop)
-            peak_servers = max(
-                peak_servers, self._active_servers() + self._starting
-            )
+        self._run_events({_DONE: self._on_done, _EVAL: self._on_eval, _UP: self._on_up})
 
         for server in self._servers.values():
             if server.retire_cycle is None:
-                server.retire_cycle = last_cycle
+                server.retire_cycle = self._last_cycle
 
         ordered = [self._records[rid] for rid in range(self._next_rid)]
         summary = summarize(ordered, clock_hz=clock_hz)
-        per_class, goodput_rps = self._class_accounts(
-            ordered, summary, clock_hz
-        )
+        per_class, goodput_rps = self._class_accounts(ordered, summary, clock_hz)
         server_stats, shard_utilization = self._server_accounts()
         return FleetResult(
             config=cfg,
@@ -588,23 +525,53 @@ class FleetSimulator:
             scale_events=self._scale_events,
             server_stats=server_stats,
             shard_utilization=shard_utilization,
-            peak_servers=peak_servers,
-            max_queue_depth=max_depth,
-            simulated_cycles=last_cycle,
+            peak_servers=self._peak_servers,
+            max_queue_depth=self._max_depth,
+            simulated_cycles=self._last_cycle,
         )
 
     # -- handlers -----------------------------------------------------
 
-    def _issue(
-        self, closed_loop: ClosedLoopConfig, client: int, after_cycle: int
-    ) -> None:
+    def _on_arrival(self, now: int, request: Request) -> None:
+        if super()._on_arrival(now, request):
+            self._arm_eval(now)
+        else:
+            self._reissue(request, now)
+
+    def _on_done(self, now: int, payload: tuple) -> None:
+        sid, batch = payload
+        del self._busy[sid]
+        server = self._servers[sid]
+        if server.retire_cycle is None:
+            heapq.heappush(self._idle, sid)
+        else:
+            server.retire_cycle = now
+        for request in batch:
+            self._reissue(request, now)
+
+    def _on_up(self, now: int, _payload: object) -> None:
+        self._starting -= 1
+        self._spawn_server(now)
+
+    def _on_eval(self, now: int, _payload: object) -> None:
+        self._eval_armed = False
+        self._eval_index += 1
+        self._evaluate_scaling(now)
+
+    def _reissue(self, request: Request, now: int) -> None:
+        """Closed loop: the client of a just-closed request issues again."""
+        client = self._rid_clients.get(request.rid)
+        if client is not None:
+            self._issue(client, after_cycle=now)
+
+    def _issue(self, client: int, after_cycle: int) -> None:
         """Schedule a closed-loop client's next request, budget allowing."""
         rng, remaining = self._clients[client]
         if remaining <= 0:
             return
         self._clients[client][1] = remaining - 1
-        think = closed_loop.think_cycles(rng)
-        model, workload_seed = closed_loop.draw_request(rng)
+        think = self._closed_loop.think_cycles(rng)
+        model, workload_seed = self._closed_loop.draw_request(rng)
         request = Request(
             rid=self._next_rid,
             model=model,
@@ -613,72 +580,27 @@ class FleetSimulator:
         )
         self._rid_clients[request.rid] = client
         self._next_rid += 1
-        self._push(request.arrival_cycle, _ARRIVAL, (request, client))
+        self._push(request.arrival_cycle, _ARRIVAL, request)
 
-    def _dispatch(self, now: int, closed_loop) -> None:
-        cfg = self.config
+    def _dispatch(self, now: int) -> None:
+        batcher = self._batcher
         while self._idle:
-            batch = self._batcher.pop_batch(now)
+            batch = batcher.pop_batch(now)
             if batch is None:
                 break
-            pressure = self._batcher.depth + len(batch)
-            stage = cfg.overload.stage_for(
-                pressure, cfg.admission.max_queue_depth
-            )
             sid = heapq.heappop(self._idle)
-            if (
-                cfg.quality.enabled
-                and isinstance(self.executor, DynamicShardedExecutor)
-                and cfg.slo_class_for(batch[0].model).sheddable
-            ):
-                threshold = cfg.quality.threshold_for(
-                    pressure, cfg.admission.max_queue_depth
-                )
-            else:
-                threshold = None
-            if threshold is not None:
-                result = self.executor.execute(
-                    batch[0].model,
-                    [r.workload_seed for r in batch],
-                    stage=stage,
-                    threshold=threshold,
-                )
-            else:
-                result = self.executor.execute(
-                    batch[0].model,
-                    [r.workload_seed for r in batch],
-                    stage=stage,
-                )
-            decisions = getattr(result, "decisions", None)
+            stage, result = self._price(
+                batch,
+                batcher.depth + len(batch),
+                sheddable=self._slo_class(batch[0].model).sheddable,
+            )
             done = now + result.service_cycles
             self._servers[sid].add_busy(result.shard_busy_cycles)
-            client_map = {}
-            for index, request in enumerate(batch):
-                self._records[request.rid] = RequestRecord(
-                    request,
-                    COMPLETED,
-                    stage=stage,
-                    batch_size=len(batch),
-                    dispatch_cycle=now,
-                    completion_cycle=done,
-                    **decision_record_fields(
-                        request.model,
-                        decisions[index] if decisions else None,
-                    ),
-                )
-                if closed_loop is not None:
-                    client_map[request.rid] = self._client_of(request.rid)
+            self._close_batch(batch, stage, result, now, done)
             self._busy[sid] = done
-            self._push(done, _DONE, (sid, batch, client_map))
-        if self._idle and self._batcher.depth:
-            flush = self._batcher.next_flush_cycle()
-            if flush is not None:
-                self._push(max(flush, now + 1), _FLUSH)
-
-    def _client_of(self, rid: int) -> int | None:
-        # closed-loop requests record their issuing client on the
-        # arrival event; the map is rebuilt here from the pending set
-        return self._rid_clients.get(rid)
+            self._push(done, _DONE, (sid, batch))
+        if self._idle and batcher.depth:
+            self._arm_flush(now)
 
     def _evaluate_scaling(self, now: int) -> None:
         cfg = self.config
@@ -698,14 +620,7 @@ class FleetSimulator:
             self._last_scale_eval = self._eval_index
             startup = _cycles(policy.startup_us, cfg.hardware.clock_hz)
             self._push(now + startup, _UP)
-            self._scale_events.append(
-                {
-                    "cycle": now,
-                    "action": "scale_out",
-                    "occupancy": occupancy,
-                    "servers": active + self._starting,
-                }
-            )
+            self._scale_event(now, "scale_out", occupancy)
         elif (
             cooled
             and occupancy < policy.scale_in_occupancy
@@ -718,64 +633,53 @@ class FleetSimulator:
             heapq.heapify(self._idle)
             self._servers[victim].retire_cycle = now
             self._last_scale_eval = self._eval_index
-            self._scale_events.append(
-                {
-                    "cycle": now,
-                    "action": "scale_in",
-                    "occupancy": occupancy,
-                    "servers": self._active_servers() + self._starting,
-                }
-            )
+            self._scale_event(now, "scale_in", occupancy)
         # keep evaluating while there is anything to react to
         if self._batcher.depth or self._busy or self._starting:
             self._arm_eval(now)
 
+    def _scale_event(self, now: int, action: str, occupancy: float) -> None:
+        servers = self._active_servers() + self._starting
+        self._peak_servers = max(self._peak_servers, servers)
+        self._scale_events.append(
+            {
+                "cycle": now,
+                "action": action,
+                "occupancy": occupancy,
+                "servers": servers,
+            }
+        )
+
     # -- accounting ---------------------------------------------------
 
     def _class_accounts(self, records, summary, clock_hz):
-        cfg = self.config
         duration_s = (
             summary.duration_ms / 1e3 if summary.duration_ms > 0 else 0.0
         )
+        members: dict[str, list] = {
+            slo.name: [] for slo in self.config.slo_classes
+        }
+        for r in records:
+            members[self._slo_class(r.request.model).name].append(r)
         per_class = {}
         total_good = 0
-        for slo in cfg.slo_classes:
-            members = [
-                r
-                for r in records
-                if cfg.slo_class_for(r.request.model).name == slo.name
-            ]
-            completed = [r for r in members if r.completed]
-            latencies = sorted(
-                r.latency_cycles / clock_hz * 1e3 for r in completed
-            )
+        for slo in self.config.slo_classes:
+            completed = [r for r in members[slo.name] if r.completed]
+            latencies = [r.latency_cycles / clock_hz * 1e3 for r in completed]
             good = sum(1 for value in latencies if value <= slo.target_ms)
             total_good += good
-            early = sum(1 for r in completed if r.exited_early)
+            dist = _distribution(latencies)
             per_class[slo.name] = {
                 "target_ms": slo.target_ms,
                 "priority": slo.priority,
                 "sheddable": slo.sheddable,
-                "offered": len(members),
+                "offered": len(members[slo.name]),
                 "completed": len(completed),
-                "rejected": len(members) - len(completed),
+                "rejected": len(members[slo.name]) - len(completed),
                 "good": good,
                 "goodput_rps": good / duration_s if duration_s > 0 else 0.0,
-                "latency_ms": {
-                    f"p{q}": percentile(latencies, q) if latencies else None
-                    for q in (50, 95, 99)
-                },
-                "early_exits": early,
-                "mean_exit_depth": (
-                    sum(r.exit_depth for r in completed) / len(completed)
-                    if completed
-                    else 1.0
-                ),
-                "mean_quality_drop": (
-                    sum(r.quality_drop for r in completed) / len(completed)
-                    if completed
-                    else 0.0
-                ),
+                "latency_ms": {key: dist[key] for key in ("p50", "p95", "p99")},
+                **_exit_means(completed),
             }
         goodput_rps = total_good / duration_s if duration_s > 0 else 0.0
         return per_class, goodput_rps

@@ -3,14 +3,19 @@
 One :class:`ServingSimulator` replays an arrival trace against a
 configured front end and produces the closed
 :class:`~repro.serving.request.RequestRecord` set plus its
-:class:`~repro.serving.slo.SloSummary`.  The event loop is a classic
-three-event design over integer simulated cycles:
+:class:`~repro.serving.slo.SloSummary`.
+
+It runs on :class:`_EventCore`, the event core every serving simulator
+shares (the fault-tolerant and fleet simulators subclass it too).  The
+core owns a heap of ``(cycle, seq, kind, payload)`` events over integer
+simulated cycles and two event kinds:
 
 - **arrival**: the admission controller either rejects (token bucket /
   queue bound) or hands the request to the dynamic batcher;
-- **worker-done**: a worker returns to the idle pool;
 - **flush**: a queued request's max-wait deadline passed.
 
+Each simulator registers handlers for its own kinds and its own dispatch
+pass; this one adds **worker-done** (a worker returns to the idle pool).
 After every event the dispatcher drains: while a worker is idle and the
 batcher has a dispatchable batch, the batch is priced by the
 :class:`~repro.sim.batching.BatchExecutor` at the overload policy's
@@ -42,7 +47,14 @@ from repro.sim.config import DuetConfig
 
 __all__ = ["ServerConfig", "ServingResult", "ServingSimulator", "simulate_serving"]
 
-_ARRIVAL, _DONE, _FLUSH = 0, 1, 2
+#: Event kinds every simulator shares; subclasses number theirs from 2.
+_ARRIVAL, _FLUSH = 0, 1
+_DONE = 2
+
+
+def _cycles(us: float, clock_hz: float) -> int:
+    """Simulated microseconds -> integer cycles."""
+    return int(round(us * 1e-6 * clock_hz))
 
 
 @dataclass(frozen=True)
@@ -95,7 +107,147 @@ class ServingResult:
     simulated_cycles: int
 
 
-class ServingSimulator:
+class _EventCore:
+    """Event heap, admission, flushes, pricing and record closure.
+
+    A subclass calls :meth:`_start` at the top of each run, pushes its
+    initial events, passes :meth:`_run_events` its own event kinds'
+    handlers, and defines ``_dispatch(now)``, the pass run after every
+    event.  Without an injected ``executor`` one is built from
+    ``config.hardware`` (exit-aware when the quality policy is enabled).
+    """
+
+    #: (static, exit-aware) executor classes; only the exit-aware one is
+    #: ever handed a quality threshold.
+    _executors = (BatchExecutor, DynamicBatchExecutor)
+
+    def __init__(self, config, executor, **executor_kwargs):
+        self.config = config
+        if executor is None:
+            static, exit_aware = self._executors
+            executor_cls = exit_aware if config.quality.enabled else static
+            executor = executor_cls(config=config.hardware, **executor_kwargs)
+        self.executor = executor
+
+    def _start(self, batcher: DynamicBatcher | None = None) -> None:
+        """Reset the per-run state shared by every simulator."""
+        cfg = self.config
+        clock_hz = cfg.hardware.clock_hz
+        if batcher is None:
+            batcher = DynamicBatcher(cfg.batch, clock_hz=clock_hz)
+        self._batcher = batcher
+        self._admission = AdmissionController(cfg.admission, clock_hz=clock_hz)
+        self._events: list[tuple[int, int, int, object]] = []
+        self._seq = 0
+        self._records: dict[int, RequestRecord] = {}
+        self._duplicates = 0
+        self._max_depth = 0
+        self._last_cycle = 0
+
+    def _push(self, cycle: int, kind: int, payload: object = None) -> None:
+        heapq.heappush(self._events, (cycle, self._seq, kind, payload))
+        self._seq += 1
+
+    def _run_events(self, handlers: dict) -> None:
+        """Pop events in (cycle, seq) order until none is left.
+
+        Each event runs the handler registered for its kind (arrivals
+        go to :meth:`_on_arrival`; flush events and unregistered kinds
+        have none), then the subclass's dispatch pass.
+        """
+        handlers = {_ARRIVAL: self._on_arrival, **handlers}
+        events = self._events
+        dispatch = self._dispatch
+        last_cycle = self._last_cycle
+        while events:
+            now, _, kind, payload = heapq.heappop(events)
+            if now > last_cycle:
+                last_cycle = now
+            handler = handlers.get(kind)
+            if handler is not None:
+                handler(now, payload)
+            dispatch(now)
+        self._last_cycle = last_cycle
+
+    def _on_arrival(self, now: int, request: Request) -> bool:
+        """Admit ``request`` to the batcher or close it rejected."""
+        reason = self._admission.admit(now, self._batcher.depth)
+        if reason is not None:
+            self._close(RequestRecord(request, REJECTED, reject_reason=reason))
+            return False
+        self._enqueue(request)
+        return True
+
+    def _enqueue(self, request: Request, front: bool = False) -> None:
+        """Queue ``request`` (at its model queue's head when ``front``)."""
+        if front:
+            self._batcher.push_front(request)
+        else:
+            self._batcher.push(request)
+        self._max_depth = max(self._max_depth, self._batcher.depth)
+
+    def _arm_flush(self, now: int) -> None:
+        """Wake the dispatcher at the earliest max-wait deadline."""
+        flush = self._batcher.next_flush_cycle()
+        if flush is not None:
+            self._push(max(flush, now + 1), _FLUSH)
+
+    def _price(self, batch: list[Request], pressure: int, sheddable: bool = True):
+        """``(stage, result)`` of serving ``batch`` at queue ``pressure``.
+
+        The rung -- and, for a sheddable batch on an exit-aware
+        executor, the early-exit threshold -- is decided at the pressure
+        the dispatcher saw, i.e. the depth including the batch it is
+        about to serve.
+        """
+        cfg = self.config
+        bound = cfg.admission.max_queue_depth
+        stage = cfg.overload.stage_for(pressure, bound)
+        seeds = [r.workload_seed for r in batch]
+        if (
+            sheddable
+            and cfg.quality.enabled
+            and isinstance(self.executor, self._executors[1])
+        ):
+            threshold = cfg.quality.threshold_for(pressure, bound)
+            result = self.executor.execute(
+                batch[0].model, seeds, stage=stage, threshold=threshold
+            )
+        else:
+            result = self.executor.execute(batch[0].model, seeds, stage=stage)
+        return stage, result
+
+    def _close(self, record: RequestRecord) -> None:
+        """File a terminal record; a second one for its rid is a
+        duplicate, counted and dropped (the first record stands)."""
+        rid = record.request.rid
+        if rid in self._records:
+            self._duplicates += 1
+        else:
+            self._records[rid] = record
+
+    def _close_batch(self, batch, stage, result, dispatch: int, done: int) -> None:
+        """Close every request of a batch served from ``dispatch`` to
+        ``done`` (with its early-exit decision, when priced with one)."""
+        decisions = getattr(result, "decisions", None)
+        for index, request in enumerate(batch):
+            self._close(
+                RequestRecord(
+                    request,
+                    COMPLETED,
+                    stage=stage,
+                    batch_size=len(batch),
+                    dispatch_cycle=dispatch,
+                    completion_cycle=done,
+                    **decision_record_fields(
+                        request.model,
+                        decisions[index] if decisions else None,
+                    ),
+                )
+            )
+
+
+class ServingSimulator(_EventCore):
     """Replays arrival traces against one serving configuration.
 
     Args:
@@ -111,116 +263,42 @@ class ServingSimulator:
         config: ServerConfig | None = None,
         executor: BatchExecutor | None = None,
     ):
-        self.config = config if config is not None else ServerConfig()
-        if executor is None:
-            if self.config.quality.enabled:
-                executor = DynamicBatchExecutor(config=self.config.hardware)
-            else:
-                executor = BatchExecutor(config=self.config.hardware)
-        self.executor = executor
+        super().__init__(config if config is not None else ServerConfig(), executor)
 
     def run(self, trace: list[Request]) -> ServingResult:
         """Simulate one trace to completion."""
         cfg = self.config
-        clock_hz = cfg.hardware.clock_hz
-        batcher = DynamicBatcher(cfg.batch, clock_hz=clock_hz)
-        admission = AdmissionController(cfg.admission, clock_hz=clock_hz)
-        pool = WorkerPool(cfg.workers)
-        records: dict[int, RequestRecord] = {}
-        events: list[tuple[int, int, int, object]] = []
-        seq = 0
+        self._start()
+        self._pool = WorkerPool(cfg.workers)
         for request in trace:
-            heapq.heappush(events, (request.arrival_cycle, seq, _ARRIVAL, request))
-            seq += 1
+            self._push(request.arrival_cycle, _ARRIVAL, request)
+        self._run_events({_DONE: self._on_done})
 
-        max_depth = 0
-        last_cycle = 0
-        while events:
-            now, _, kind, payload = heapq.heappop(events)
-            last_cycle = max(last_cycle, now)
-            if kind == _ARRIVAL:
-                reason = admission.admit(now, batcher.depth)
-                if reason is not None:
-                    records[payload.rid] = RequestRecord(
-                        payload, REJECTED, reject_reason=reason
-                    )
-                else:
-                    batcher.push(payload)
-                    max_depth = max(max_depth, batcher.depth)
-            elif kind == _DONE:
-                pool.release(payload)
-            # _FLUSH events exist only to trigger the dispatch pass below
-            seq = self._dispatch(now, batcher, pool, records, events, seq)
-
-        ordered = [records[request.rid] for request in trace]
+        ordered = [self._records[request.rid] for request in trace]
         return ServingResult(
             config=cfg,
             records=ordered,
-            summary=summarize(ordered, clock_hz=clock_hz),
-            max_queue_depth=max_depth,
-            simulated_cycles=last_cycle,
+            summary=summarize(ordered, clock_hz=cfg.hardware.clock_hz),
+            max_queue_depth=self._max_depth,
+            simulated_cycles=self._last_cycle,
         )
 
-    def _dispatch(
-        self,
-        now: int,
-        batcher: DynamicBatcher,
-        pool: WorkerPool,
-        records: dict[int, RequestRecord],
-        events: list,
-        seq: int,
-    ) -> int:
-        cfg = self.config
+    def _on_done(self, now: int, worker: int) -> None:
+        self._pool.release(worker)
+
+    def _dispatch(self, now: int) -> None:
+        batcher, pool = self._batcher, self._pool
         while pool.idle:
             batch = batcher.pop_batch(now)
             if batch is None:
                 break
-            # the rung is decided at the pressure the dispatcher saw,
-            # i.e. the depth including the batch it is about to serve
-            pressure = batcher.depth + len(batch)
-            stage = cfg.overload.stage_for(
-                pressure, cfg.admission.max_queue_depth
-            )
             worker = pool.acquire()
-            if cfg.quality.enabled and isinstance(
-                self.executor, DynamicBatchExecutor
-            ):
-                threshold = cfg.quality.threshold_for(
-                    pressure, cfg.admission.max_queue_depth
-                )
-                result = self.executor.execute(
-                    batch[0].model,
-                    [r.workload_seed for r in batch],
-                    stage=stage,
-                    threshold=threshold,
-                )
-            else:
-                result = self.executor.execute(
-                    batch[0].model, [r.workload_seed for r in batch], stage=stage
-                )
-            decisions = getattr(result, "decisions", None)
+            stage, result = self._price(batch, batcher.depth + len(batch))
             done = now + result.service_cycles
-            for index, request in enumerate(batch):
-                records[request.rid] = RequestRecord(
-                    request,
-                    COMPLETED,
-                    stage=stage,
-                    batch_size=len(batch),
-                    dispatch_cycle=now,
-                    completion_cycle=done,
-                    **decision_record_fields(
-                        request.model,
-                        decisions[index] if decisions else None,
-                    ),
-                )
-            heapq.heappush(events, (done, seq, _DONE, worker))
-            seq += 1
+            self._close_batch(batch, stage, result, now, done)
+            self._push(done, _DONE, worker)
         if pool.idle and batcher.depth:
-            flush = batcher.next_flush_cycle()
-            if flush is not None:
-                heapq.heappush(events, (max(flush, now + 1), seq, _FLUSH, None))
-                seq += 1
-        return seq
+            self._arm_flush(now)
 
 
 def simulate_serving(

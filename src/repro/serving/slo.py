@@ -52,6 +52,53 @@ def _distribution(values_ms: list[float]) -> dict:
     return dist
 
 
+def _reason_counts(records: list[RequestRecord]) -> dict:
+    """Reject/fail reason -> count over ``records``."""
+    counts: dict = {}
+    for r in records:
+        reason = r.reject_reason or "unknown"
+        counts[reason] = counts.get(reason, 0) + 1
+    return counts
+
+
+def _duration_cycles(records: list[RequestRecord]) -> int:
+    """Cycles from the first arrival to the last terminal event."""
+    start = min((r.request.arrival_cycle for r in records), default=0)
+    end = max(
+        (
+            r.completion_cycle if r.completion_cycle is not None
+            else r.request.arrival_cycle
+            for r in records
+        ),
+        default=0,
+    )
+    return max(end - start, 0)
+
+
+def _stage_counts(completed: list[RequestRecord], ladder: tuple[str, ...]) -> dict:
+    """Serving-ladder rung -> completions served there (zeros included)."""
+    counts = {stage: 0 for stage in ladder}
+    for r in completed:
+        if r.stage is not None:
+            counts[r.stage] = counts.get(r.stage, 0) + 1
+    return counts
+
+
+def _exit_means(completed: list[RequestRecord]) -> dict:
+    """Early exits and mean exit depth / quality drop of completions
+    (full depth and no drop when nothing completed)."""
+    n = len(completed)
+    return {
+        "early_exits": sum(1 for r in completed if r.exited_early),
+        "mean_exit_depth": (
+            sum(r.exit_depth for r in completed) / n if n else 1.0
+        ),
+        "mean_quality_drop": (
+            sum(r.quality_drop for r in completed) / n if n else 0.0
+        ),
+    }
+
+
 @dataclass(frozen=True)
 class SloSummary:
     """The SLO account of one serving run.
@@ -177,40 +224,23 @@ def summarize(
     to_ms = lambda cycles: cycles / clock_hz * 1e3  # noqa: E731
     completed = [r for r in records if r.completed]
     rejected = [r for r in records if not r.completed]
-    rejects_by_reason: dict = {}
-    for r in rejected:
-        reason = r.reject_reason or "unknown"
-        rejects_by_reason[reason] = rejects_by_reason.get(reason, 0) + 1
-
-    start = min((r.request.arrival_cycle for r in records), default=0)
-    end = max(
-        (
-            r.completion_cycle if r.completion_cycle is not None
-            else r.request.arrival_cycle
-            for r in records
-        ),
-        default=0,
-    )
-    duration_cycles = max(end - start, 0)
+    duration_cycles = _duration_cycles(records)
     duration_s = duration_cycles / clock_hz
 
     batches = sum(1.0 / r.batch_size for r in completed if r.batch_size)
     batches = int(round(batches))
-    stage_counts = {stage: 0 for stage in ladder}
-    for r in completed:
-        if r.stage is not None:
-            stage_counts[r.stage] = stage_counts.get(r.stage, 0) + 1
+    stage_counts = _stage_counts(completed, ladder)
     degraded = sum(
         count for stage, count in stage_counts.items() if stage != ladder[0]
     )
-    early_exits = sum(1 for r in completed if r.exited_early)
+    exits = _exit_means(completed)
 
     return SloSummary(
         offered=len(records),
         completed=len(completed),
         rejected=len(rejected),
         reject_rate=len(rejected) / len(records) if records else 0.0,
-        rejects_by_reason=rejects_by_reason,
+        rejects_by_reason=_reason_counts(rejected),
         duration_ms=to_ms(duration_cycles),
         throughput_rps=len(completed) / duration_s if duration_s > 0 else 0.0,
         latency_ms=_distribution([to_ms(r.latency_cycles) for r in completed]),
@@ -220,16 +250,8 @@ def summarize(
         stage_counts=stage_counts,
         degraded=degraded,
         degrade_rate=degraded / len(completed) if completed else 0.0,
-        early_exits=early_exits,
-        early_exit_rate=early_exits / len(completed) if completed else 0.0,
-        mean_exit_depth=(
-            sum(r.exit_depth for r in completed) / len(completed)
-            if completed
-            else 1.0
+        early_exit_rate=(
+            exits["early_exits"] / len(completed) if completed else 0.0
         ),
-        mean_quality_drop=(
-            sum(r.quality_drop for r in completed) / len(completed)
-            if completed
-            else 0.0
-        ),
+        **exits,
     )
