@@ -1,6 +1,6 @@
-"""Unified repro bench harness (``python -m repro bench`` / ``loadgen``).
+"""Unified repro bench campaigns (``python -m repro bench``, ``loadgen``, ...).
 
-Three machine-readable bench reports, all sharded across worker
+Six machine-readable bench reports, all sharded across worker
 processes by :mod:`repro.parallel` (``--jobs N``) with byte-identical
 simulated results for any worker count:
 
@@ -31,11 +31,14 @@ Modules:
 - :mod:`repro.bench.suites` -- the registry mapping suite names to
   ``benchmarks/bench_*.py`` files and their simulator-level runners.
 - :mod:`repro.bench.harness` -- discovery, warmup/repeat timing,
-  fast-vs-slow equivalence checking, and JSON emission.
-- :mod:`repro.bench.serving` -- the serving scenario campaign.
-- :mod:`repro.bench.faults` -- the sharded fault-matrix campaign.
-- :mod:`repro.bench.document` -- determinism views, ``perf`` blocks,
-  cross-run ``history``, atomic emission.
+  and fast-vs-slow equivalence checking.
+- :mod:`repro.bench.serving`, :mod:`repro.bench.faults`,
+  :mod:`repro.bench.chaos`, :mod:`repro.bench.fleet`,
+  :mod:`repro.bench.dynamic` -- the other five campaigns; each builds
+  its task list and merge and hands them to ``run_campaign``.
+- :mod:`repro.bench.document` -- ``run_campaign`` (shard, merge,
+  ``perf`` block, cross-run ``history``, atomic emission) and the
+  determinism view.
 
 See ``docs/performance.md`` for how to run the timing harness,
 ``docs/serving.md`` for the serving campaign, and ``docs/benchmarks.md``

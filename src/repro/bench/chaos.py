@@ -45,18 +45,10 @@ Every simulated quantity is a pure function of ``(grid, root seed)``:
 
 from __future__ import annotations
 
-import time
 from pathlib import Path
 
-from repro.bench.document import (
-    append_history,
-    deterministic_view,
-    history_entry,
-    perf_block,
-    write_document,
-)
-from repro.core.cache import cache_stats
-from repro.parallel import CampaignTask, run_sharded, spawn_task_seeds
+from repro.bench.document import run_campaign
+from repro.parallel import CampaignTask, spawn_task_seeds
 from repro.reliability.workerfaults import WorkerFaultModel
 from repro.serving.admission import AdmissionConfig
 from repro.serving.batcher import BatchPolicy
@@ -277,17 +269,8 @@ def run_chaos_bench(
         workers: simulated accelerators in the fleet.
         fast_path: simulate on the vectorized fast path (True) or the
             per-event slow-path oracle (False).
-        jobs: worker processes; cells shard across them via
-            :mod:`repro.parallel` and merge in grid order, so simulated
-            quantities are identical for any value.
-        output: JSON path, or None to skip writing.
-        with_perf: record the ``perf`` block and ``history`` trail;
-            ``False`` (the CLI's ``--no-perf``) emits the
-            :func:`~repro.bench.document.deterministic_view` so
-            documents from different worker counts compare
-            byte-identical.
-        progress: optional callable invoked with each cell record, in
-            grid order, after the shard completes.
+        jobs / output / with_perf / progress: see
+            :func:`~repro.bench.document.run_campaign`.
 
     Returns:
         The full ``duet-chaos/1`` document (also written to ``output``).
@@ -309,84 +292,66 @@ def run_chaos_bench(
         )
         for i, cell in enumerate(cells)
     ]
-    run = run_sharded(tasks, jobs=jobs, clock=time.perf_counter, stats=cache_stats)
-    records = run.results
-    if progress is not None:
-        for record in records:
-            progress(record)
 
-    rates = sorted({r["fault_rate"] for r in records})
-    max_rate = rates[-1]
+    def merge(records: list[dict]) -> dict:
+        rates = sorted({r["fault_rate"] for r in records})
+        max_rate = rates[-1]
 
-    def goodput(policy: str, rate: float) -> float:
-        return next(
-            r["summary"]["goodput_rps"]
-            for r in records
-            if r["policy"] == policy and r["fault_rate"] == rate
-        )
+        def goodput(policy: str, rate: float) -> float:
+            return next(
+                r["summary"]["goodput_rps"]
+                for r in records
+                if r["policy"] == policy and r["fault_rate"] == rate
+            )
 
-    baseline, full_stack = POLICY_LADDER[0], POLICY_LADDER[-1]
-    monotone = _monotone_per_policy(records)
-    document = {
-        "schema": CHAOS_SCHEMA,
-        "smoke": smoke,
-        "root_seed": root_seed,
-        "workers": workers,
-        "fast_path": fast_path,
-        "policies": list(POLICY_LADDER),
-        "fault_rates": rates,
-        "cells": records,
-        "aggregates": {
-            "tasks": len(records),
-            "offered": sum(r["summary"]["offered"] for r in records),
-            "completed": sum(r["summary"]["completed"] for r in records),
-            "failed": sum(r["summary"]["failed"] for r in records),
-            "rejected": sum(r["summary"]["rejected"] for r in records),
-            "retries": sum(r["summary"]["retries"] for r in records),
-            "hedges": sum(r["summary"]["hedges"] for r in records),
-            "breaker_opens": sum(r["summary"]["breaker_opens"] for r in records),
-            "evictions": sum(r["summary"]["evictions"] for r in records),
-            "lost": sum(r["summary"]["lost"] for r in records),
-            "duplicates": sum(r["summary"]["duplicates"] for r in records),
-        },
-        "dominance": {
-            "fault_rate": max_rate,
-            "baseline_policy": baseline,
-            "baseline_goodput_rps": goodput(baseline, max_rate),
-            "full_stack_policy": full_stack,
-            "full_stack_goodput_rps": goodput(full_stack, max_rate),
-        },
-        "verdicts": {
-            "zero_lost": all(r["summary"]["lost"] == 0 for r in records),
-            "zero_duplicates": all(
-                r["summary"]["duplicates"] == 0 for r in records
-            ),
-            "dominance": goodput(full_stack, max_rate) > goodput(baseline, max_rate),
-        },
-        "diagnostics": {
-            "goodput_monotone_per_policy": monotone,
-        },
-    }
-    if with_perf:
-        perf = perf_block(run)
-        document["perf"] = perf
-        append_history(
-            document,
-            output,
-            CHAOS_SCHEMA,
-            {
-                **history_entry(document, ("smoke",)),
-                "zero_lost": document["verdicts"]["zero_lost"],
-                "zero_duplicates": document["verdicts"]["zero_duplicates"],
-                "dominance": document["verdicts"]["dominance"],
-                "jobs": perf["jobs"],
-                "wall_s": perf["wall_s"],
-                "worker_efficiency": perf["worker_efficiency"],
-                "speedup_vs_serial_est": perf["speedup_vs_serial_est"],
+        baseline, full_stack = POLICY_LADDER[0], POLICY_LADDER[-1]
+        return {
+            "schema": CHAOS_SCHEMA,
+            "smoke": smoke,
+            "root_seed": root_seed,
+            "workers": workers,
+            "fast_path": fast_path,
+            "policies": list(POLICY_LADDER),
+            "fault_rates": rates,
+            "cells": records,
+            "aggregates": {
+                "tasks": len(records),
+                "offered": sum(r["summary"]["offered"] for r in records),
+                "completed": sum(r["summary"]["completed"] for r in records),
+                "failed": sum(r["summary"]["failed"] for r in records),
+                "rejected": sum(r["summary"]["rejected"] for r in records),
+                "retries": sum(r["summary"]["retries"] for r in records),
+                "hedges": sum(r["summary"]["hedges"] for r in records),
+                "breaker_opens": sum(r["summary"]["breaker_opens"] for r in records),
+                "evictions": sum(r["summary"]["evictions"] for r in records),
+                "lost": sum(r["summary"]["lost"] for r in records),
+                "duplicates": sum(r["summary"]["duplicates"] for r in records),
             },
-        )
-    else:
-        document = deterministic_view(document)
-    if output is not None:
-        write_document(document, output, CHAOS_SCHEMA)
-    return document
+            "dominance": {
+                "fault_rate": max_rate,
+                "baseline_policy": baseline,
+                "baseline_goodput_rps": goodput(baseline, max_rate),
+                "full_stack_policy": full_stack,
+                "full_stack_goodput_rps": goodput(full_stack, max_rate),
+            },
+            "verdicts": {
+                "zero_lost": all(r["summary"]["lost"] == 0 for r in records),
+                "zero_duplicates": all(
+                    r["summary"]["duplicates"] == 0 for r in records
+                ),
+                "dominance": goodput(full_stack, max_rate) > goodput(baseline, max_rate),
+            },
+            "diagnostics": {
+                "goodput_monotone_per_policy": _monotone_per_policy(records),
+            },
+        }
+
+    return run_campaign(
+        CHAOS_SCHEMA,
+        tasks,
+        merge,
+        jobs=jobs,
+        output=output,
+        with_perf=with_perf,
+        progress=progress,
+    )

@@ -1,8 +1,12 @@
-"""Shared bench-document plumbing: determinism views, history, emission.
+"""Shared bench-document plumbing: one campaign runner and its parts.
 
 Every bench writer (``BENCH_duet.json``, ``BENCH_serving.json``,
-``BENCH_faults.json``) shares three concerns this module centralises:
+``BENCH_faults.json``, ``BENCH_chaos.json``, ``BENCH_fleet.json``,
+``BENCH_dynamic.json``) builds a task list and a merge, then hands both
+to :func:`run_campaign`, which owns everything else:
 
+- **Sharding.**  The tasks run through :func:`repro.parallel.run_sharded`
+  and their records come back in task order, whatever the worker count.
 - **Determinism contract.**  The simulated quantities in a document are
   byte-deterministic functions of the run's inputs; wall-clock timings
   and the cross-run ``history`` trail are not.  :func:`deterministic_view`
@@ -16,29 +20,33 @@ Every bench writer (``BENCH_duet.json``, ``BENCH_serving.json``,
   in the documents: wall clock, summed worker-busy seconds (an estimate
   of the serial wall time), worker efficiency, the estimated speedup,
   and the cache hit/miss/evict counters aggregated across workers.
-- **History + atomic emission.**  :func:`write_document` appends a
+- **History + atomic emission.**  :func:`append_history` appends a
   compact ``history`` entry (carried over from the previous file when
-  its schema matches) so speedups are tracked across PRs, validates the
-  schema, and writes atomically (temp file + ``os.replace``) so a
-  killed run never leaves a torn document.
+  its schema matches) so speedups are tracked across PRs;
+  :func:`write_document` validates the schema and writes atomically
+  (temp file + ``os.replace``) so a killed run never leaves a torn
+  document.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import time
 from pathlib import Path
+from typing import Callable
 
 from repro.analysis.schema import SchemaError, validate_schema
-from repro.parallel import ShardedRun
+from repro.core.cache import cache_stats
+from repro.parallel import CampaignTask, ShardedRun, run_sharded
 
 __all__ = [
     "NONDETERMINISTIC_KEYS",
     "deterministic_view",
     "perf_block",
-    "history_entry",
     "append_history",
     "write_document",
+    "run_campaign",
 ]
 
 #: document keys excluded from the determinism contract: wall-clock
@@ -97,12 +105,6 @@ def perf_block(run: ShardedRun) -> dict:
     }
 
 
-def history_entry(document: dict, keys: tuple[str, ...]) -> dict:
-    """A compact trajectory record: the named top-level keys, if present."""
-    entry = {key: document[key] for key in keys if key in document}
-    return entry
-
-
 def append_history(
     document: dict,
     output: str | Path | None,
@@ -138,3 +140,57 @@ def write_document(document: dict, output: str | Path, schema: str) -> None:
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     tmp.write_text(json.dumps(document, indent=2) + "\n")
     os.replace(tmp, path)
+
+
+def run_campaign(
+    schema: str,
+    tasks: list[CampaignTask],
+    merge: Callable[[list], dict],
+    *,
+    jobs: int,
+    output: str | Path | None,
+    with_perf: bool,
+    progress=None,
+    history_keys: tuple[str, ...] = ("smoke",),
+) -> dict:
+    """Shard ``tasks``, merge their records, and emit one bench document.
+
+    Args:
+        schema: the document's ``name/major`` schema string.
+        tasks: the campaign's work-list; records come back in index
+            order for any ``jobs``.
+        merge: builds the document from the ordered records.
+        jobs: worker processes for :func:`repro.parallel.run_sharded`.
+        output: JSON path, or ``None`` to skip writing.
+        with_perf: attach the ``perf`` block and append a ``history``
+            entry; ``False`` (the CLI's ``--no-perf``) returns the
+            :func:`deterministic_view` instead, so documents from
+            different worker counts compare byte-identical.
+        progress: optional callable invoked with each record, in task
+            order, once the shard completes.
+        history_keys: top-level document keys copied into the history
+            entry (missing keys are skipped); every ``verdicts`` entry
+            and the perf summary follow them.
+
+    Returns:
+        The document (also written to ``output``).
+    """
+    run = run_sharded(tasks, jobs=jobs, clock=time.perf_counter, stats=cache_stats)
+    if progress is not None:
+        for record in run.results:
+            progress(record)
+    document = merge(run.results)
+    if with_perf:
+        perf = perf_block(run)
+        document["perf"] = perf
+        entry = {key: document[key] for key in history_keys if key in document}
+        entry.update(document.get("verdicts", {}))
+        for key in ("tasks", "jobs", "wall_s", "worker_efficiency",
+                    "speedup_vs_serial_est"):
+            entry[key] = perf[key]
+        append_history(document, output, schema, entry)
+    else:
+        document = deterministic_view(document)
+    if output is not None:
+        write_document(document, output, schema)
+    return document

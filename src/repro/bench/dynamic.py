@@ -35,22 +35,14 @@ Every simulated quantity is a pure function of (grid, root seed):
 
 from __future__ import annotations
 
-import time
 from pathlib import Path
 
-from repro.bench.document import (
-    append_history,
-    deterministic_view,
-    history_entry,
-    perf_block,
-    write_document,
-)
-from repro.core.cache import cache_stats
+from repro.bench.document import run_campaign
 from repro.dynamic.costmodel import ExitCostModel
 from repro.dynamic.decision import ALWAYS_LATE
 from repro.dynamic.executor import DynamicBatchExecutor, decision_drop
 from repro.dynamic.exits import early_exit_variants, reduced_width_spec
-from repro.parallel import CampaignTask, run_sharded, spawn_task_seeds
+from repro.parallel import CampaignTask, spawn_task_seeds
 from repro.serving.admission import AdmissionConfig
 from repro.serving.batcher import BatchPolicy
 from repro.serving.fleet import AutoscalerPolicy, FleetConfig, FleetSimulator
@@ -338,17 +330,8 @@ def run_dynamic_bench(
             seeded with it directly (both independent of ``jobs``).
         fast_path: simulate on the vectorized fast path (True) or the
             per-event slow-path oracle (False).
-        jobs: worker processes; tasks shard across them via
-            :mod:`repro.parallel` and merge in enumeration order, so
-            simulated quantities are identical for any value.
-        output: JSON path, or None to skip writing.
-        with_perf: record the ``perf`` block and ``history`` trail;
-            ``False`` (the CLI's ``--no-perf``) emits the
-            :func:`~repro.bench.document.deterministic_view` so
-            documents from different worker counts compare
-            byte-identical.
-        progress: optional callable invoked with each task record, in
-            enumeration order, after the shard completes.
+        jobs / output / with_perf / progress: see
+            :func:`~repro.bench.document.run_campaign`.
 
     Returns:
         The full ``duet-dynamic/1`` document (also written to ``output``).
@@ -397,91 +380,67 @@ def run_dynamic_bench(
         )
         for i, scenario in enumerate(scenarios)
     )
-    run = run_sharded(tasks, jobs=jobs, clock=time.perf_counter, stats=cache_stats)
-    records = run.results
-    if progress is not None:
-        for record in records:
-            progress(record)
 
-    pareto = [r for r in records if r["kind"] == "pareto"]
-    parity = next(r for r in records if r["kind"] == "parity")
-    by_name = {r["name"]: r for r in records if r["kind"] == "scenario"}
-    ladder = by_name["overload_ladder"]
-    quality = by_name["overload_quality"]
-    best = max(pareto, key=lambda r: r["best"]["cycle_reduction_vs_full"])
-    document = {
-        "schema": DYNAMIC_SCHEMA,
-        "smoke": smoke,
-        "root_seed": root_seed,
-        "fast_path": fast_path,
-        "thresholds": list(_THRESHOLDS),
-        "inputs": n_inputs,
-        "pareto": pareto,
-        "parity": parity,
-        "scenarios": [r for r in records if r["kind"] == "scenario"],
-        "aggregates": {
-            "tasks": len(records),
-            "models": len(pareto),
-            "points": sum(len(r["points"]) for r in pareto),
-            "offered": sum(
-                r["summary"]["offered"]
-                for r in records
-                if r["kind"] == "scenario"
-            ),
-            "completed": sum(
-                r["summary"]["completed"]
-                for r in records
-                if r["kind"] == "scenario"
-            ),
-            "early_exits": sum(
-                r["early_exits"] for r in records if r["kind"] == "scenario"
-            ),
-        },
-        "best_tradeoff": {
-            "model": best["model"],
-            **best["best"],
-        },
-        "dominance": {
-            "ladder_goodput_rps": ladder["goodput_rps"],
-            "quality_goodput_rps": quality["goodput_rps"],
-            "gain": (
-                quality["goodput_rps"] / ladder["goodput_rps"]
-                if ladder["goodput_rps"] > 0
-                else None
-            ),
-            "quality_mean_drop": quality["mean_quality_drop"],
-            "quality_mean_exit_depth": quality["mean_exit_depth"],
-        },
-        "verdicts": {
-            "pareto_win": any(r["pareto_win"] for r in pareto),
-            "threshold_monotone": all(r["threshold_monotone"] for r in pareto),
-            "static_parity": parity["static_parity"],
-            "goodput_dominance": (
-                quality["goodput_rps"] > ladder["goodput_rps"]
-            ),
-            "quality_bounded": (
-                quality["mean_quality_drop"] <= PARETO_MAX_DROP
-            ),
-        },
-    }
-    if with_perf:
-        perf = perf_block(run)
-        document["perf"] = perf
-        append_history(
-            document,
-            output,
-            DYNAMIC_SCHEMA,
-            {
-                **history_entry(document, ("smoke",)),
-                **document["verdicts"],
-                "jobs": perf["jobs"],
-                "wall_s": perf["wall_s"],
-                "worker_efficiency": perf["worker_efficiency"],
-                "speedup_vs_serial_est": perf["speedup_vs_serial_est"],
+    def merge(records: list[dict]) -> dict:
+        pareto = [r for r in records if r["kind"] == "pareto"]
+        parity = next(r for r in records if r["kind"] == "parity")
+        served = [r for r in records if r["kind"] == "scenario"]
+        by_name = {r["name"]: r for r in served}
+        ladder = by_name["overload_ladder"]
+        quality = by_name["overload_quality"]
+        best = max(pareto, key=lambda r: r["best"]["cycle_reduction_vs_full"])
+        return {
+            "schema": DYNAMIC_SCHEMA,
+            "smoke": smoke,
+            "root_seed": root_seed,
+            "fast_path": fast_path,
+            "thresholds": list(_THRESHOLDS),
+            "inputs": n_inputs,
+            "pareto": pareto,
+            "parity": parity,
+            "scenarios": served,
+            "aggregates": {
+                "tasks": len(records),
+                "models": len(pareto),
+                "points": sum(len(r["points"]) for r in pareto),
+                "offered": sum(r["summary"]["offered"] for r in served),
+                "completed": sum(r["summary"]["completed"] for r in served),
+                "early_exits": sum(r["early_exits"] for r in served),
             },
-        )
-    else:
-        document = deterministic_view(document)
-    if output is not None:
-        write_document(document, output, DYNAMIC_SCHEMA)
-    return document
+            "best_tradeoff": {
+                "model": best["model"],
+                **best["best"],
+            },
+            "dominance": {
+                "ladder_goodput_rps": ladder["goodput_rps"],
+                "quality_goodput_rps": quality["goodput_rps"],
+                "gain": (
+                    quality["goodput_rps"] / ladder["goodput_rps"]
+                    if ladder["goodput_rps"] > 0
+                    else None
+                ),
+                "quality_mean_drop": quality["mean_quality_drop"],
+                "quality_mean_exit_depth": quality["mean_exit_depth"],
+            },
+            "verdicts": {
+                "pareto_win": any(r["pareto_win"] for r in pareto),
+                "threshold_monotone": all(r["threshold_monotone"] for r in pareto),
+                "static_parity": parity["static_parity"],
+                "goodput_dominance": (
+                    quality["goodput_rps"] > ladder["goodput_rps"]
+                ),
+                "quality_bounded": (
+                    quality["mean_quality_drop"] <= PARETO_MAX_DROP
+                ),
+            },
+        }
+
+    return run_campaign(
+        DYNAMIC_SCHEMA,
+        tasks,
+        merge,
+        jobs=jobs,
+        output=output,
+        with_perf=with_perf,
+        progress=progress,
+    )

@@ -12,31 +12,21 @@ parallel campaign engine (:mod:`repro.parallel`) and writes
 - globally: aggregate counts and the headline
   ``all_guarded_invariants_held`` flag -- the correctness contract of
   the whole grid (guarded cells must never corrupt a computed value;
-  unguarded cells are the foil and are *expected* to);
-- a ``perf`` block (wall clock, worker efficiency, cache counters) and
-  a cross-run ``history`` trail, both excluded from the determinism
-  contract -- every simulated quantity in the document is a pure
-  function of ``(matrix, root seed)``, so ``--jobs 1`` and ``--jobs N``
-  agree byte for byte on the :func:`deterministic view
-  <repro.bench.document.deterministic_view>` (and on the whole file
-  under ``--no-perf``).
+  unguarded cells are the foil and are *expected* to).
+
+Every simulated quantity is a pure function of ``(matrix, root seed)``:
+``--jobs 1`` and ``--jobs N`` agree byte for byte on the
+:func:`deterministic view <repro.bench.document.deterministic_view>`
+(and on the whole file under ``--no-perf``).
 """
 
 from __future__ import annotations
 
-import time
 from pathlib import Path
 
-from repro.bench.document import (
-    append_history,
-    deterministic_view,
-    history_entry,
-    perf_block,
-    write_document,
-)
-from repro.core.cache import cache_stats
+from repro.bench.document import run_campaign
 from repro.models import MODEL_REGISTRY
-from repro.parallel import CampaignTask, run_sharded, spawn_task_seeds
+from repro.parallel import CampaignTask, spawn_task_seeds
 from repro.reliability import CAMPAIGNS, GuardSettings, run_fault_campaign
 
 __all__ = [
@@ -139,13 +129,8 @@ def run_fault_matrix(
         root_seed: root of the per-cell seed derivation
             (``SeedSequence.spawn`` -- cell ``i``'s seed depends only on
             ``(root_seed, i)``, never on ``jobs``).
-        jobs: worker processes for the shard.
-        output: JSON path, or None to skip writing.
-        with_perf: record the ``perf`` block and ``history`` trail;
-            ``False`` (the CLI's ``--no-perf``) omits both so documents
-            from different worker counts compare byte-identical.
-        progress: optional callable invoked with each cell record, in
-            index order, after the shard completes.
+        jobs / output / with_perf / progress: see
+            :func:`~repro.bench.document.run_campaign`.
 
     Returns:
         The full ``duet-faults/1`` document (also written to ``output``).
@@ -160,62 +145,43 @@ def run_fault_matrix(
         )
         for i, cell in enumerate(cells)
     ]
-    run = run_sharded(
-        tasks, jobs=jobs, clock=time.perf_counter, stats=cache_stats
-    )
-    records = run.results
-    if progress is not None:
-        for record in records:
-            progress(record)
 
-    guarded = [r for r in records if r["guards"]]
-    unguarded = [r for r in records if not r["guards"]]
-    document = {
-        "schema": FAULTS_SCHEMA,
-        "smoke": smoke,
-        "root_seed": root_seed,
-        "models": sorted({r["model"] for r in records}),
-        "campaigns": sorted({r["campaign"] for r in records}),
-        "cells": records,
-        "aggregates": {
-            "tasks": len(records),
-            "guarded": len(guarded),
-            "unguarded": len(unguarded),
-            "guarded_invariant_violations": sum(
-                not r["invariant_held"] for r in guarded
-            ),
-            "unguarded_invariant_violations": sum(
-                not r["invariant_held"] for r in unguarded
-            ),
-            "degradation_events": sum(r["degradation_events"] for r in records),
-            "dram_retries": sum(r["dram_retries"] for r in records),
-            "dram_unrecoverable": sum(r["dram_unrecoverable"] for r in records),
-        },
-        "all_guarded_invariants_held": all(r["invariant_held"] for r in guarded),
-    }
-    if with_perf:
-        perf = perf_block(run)
-        document["perf"] = perf
-        append_history(
-            document,
-            output,
-            FAULTS_SCHEMA,
-            {
-                **history_entry(
-                    document, ("smoke", "all_guarded_invariants_held")
+    def merge(records: list[dict]) -> dict:
+        guarded = [r for r in records if r["guards"]]
+        unguarded = [r for r in records if not r["guards"]]
+        return {
+            "schema": FAULTS_SCHEMA,
+            "smoke": smoke,
+            "root_seed": root_seed,
+            "models": sorted({r["model"] for r in records}),
+            "campaigns": sorted({r["campaign"] for r in records}),
+            "cells": records,
+            "aggregates": {
+                "tasks": len(records),
+                "guarded": len(guarded),
+                "unguarded": len(unguarded),
+                "guarded_invariant_violations": sum(
+                    not r["invariant_held"] for r in guarded
                 ),
-                "tasks": perf["tasks"],
-                "jobs": perf["jobs"],
-                "wall_s": perf["wall_s"],
-                "worker_efficiency": perf["worker_efficiency"],
-                "speedup_vs_serial_est": perf["speedup_vs_serial_est"],
+                "unguarded_invariant_violations": sum(
+                    not r["invariant_held"] for r in unguarded
+                ),
+                "degradation_events": sum(r["degradation_events"] for r in records),
+                "dram_retries": sum(r["dram_retries"] for r in records),
+                "dram_unrecoverable": sum(r["dram_unrecoverable"] for r in records),
             },
-        )
-    if output is not None:
-        write_document(document, output, FAULTS_SCHEMA)
-    return document
+            "all_guarded_invariants_held": all(
+                r["invariant_held"] for r in guarded
+            ),
+        }
 
-
-def matrix_views_equal(a: dict, b: dict) -> bool:
-    """Contract equality of two matrix documents (see module docstring)."""
-    return deterministic_view(a) == deterministic_view(b)
+    return run_campaign(
+        FAULTS_SCHEMA,
+        tasks,
+        merge,
+        jobs=jobs,
+        output=output,
+        with_perf=with_perf,
+        progress=progress,
+        history_keys=("smoke", "all_guarded_invariants_held"),
+    )

@@ -37,20 +37,12 @@ seed): ``--jobs 1`` and ``--jobs N`` agree byte for byte on the
 from __future__ import annotations
 
 import json
-import time
 from pathlib import Path
 
 from repro.analysis.schema import SchemaError, validate_schema
-from repro.bench.document import (
-    append_history,
-    deterministic_view,
-    history_entry,
-    perf_block,
-    write_document,
-)
+from repro.bench.document import run_campaign
 from repro.bench.serving import SERVE_SCHEMA
-from repro.core.cache import cache_stats
-from repro.parallel import CampaignTask, run_sharded, spawn_task_seeds
+from repro.parallel import CampaignTask, spawn_task_seeds
 from repro.serving.admission import AdmissionConfig
 from repro.serving.batcher import BatchPolicy
 from repro.serving.fleet import (
@@ -288,19 +280,10 @@ def run_fleet_bench(
             ``SeedSequence.spawn`` child (independent of ``jobs``).
         fast_path: simulate on the vectorized fast path (True) or the
             per-event slow-path oracle (False).
-        jobs: worker processes; scenarios shard across them via
-            :mod:`repro.parallel` and merge in enumeration order, so
-            simulated quantities are identical for any value.
-        output: JSON path, or None to skip writing.
         capacity_source: path of the measured ``BENCH_serving.json``
             feeding placement (None forces the recorded fallback).
-        with_perf: record the ``perf`` block and ``history`` trail;
-            ``False`` (the CLI's ``--no-perf``) emits the
-            :func:`~repro.bench.document.deterministic_view` so
-            documents from different worker counts compare
-            byte-identical.
-        progress: optional callable invoked with each scenario record,
-            in enumeration order, after the shard completes.
+        jobs / output / with_perf / progress: see
+            :func:`~repro.bench.document.run_campaign`.
 
     Returns:
         The full ``duet-fleet/1`` document (also written to ``output``).
@@ -321,83 +304,62 @@ def run_fleet_bench(
         )
         for i, scenario in enumerate(scenarios)
     ]
-    run = run_sharded(tasks, jobs=jobs, clock=time.perf_counter, stats=cache_stats)
-    records = run.results
-    if progress is not None:
-        for record in records:
-            progress(record)
 
-    by_name = {record["name"]: record for record in records}
-    baseline = by_name["single_chip"]
-    sharded = by_name["sharded_fleet"]
-    overload = by_name["overload_autoscale"]
-    closed = by_name["closed_loop"]
-    closed_summary = closed["summary"]
-    document = {
-        "schema": FLEET_SCHEMA,
-        "smoke": smoke,
-        "root_seed": root_seed,
-        "fast_path": fast_path,
-        "capacity_feed": {
-            "source": capacity_from,
-            "server_capacity_rps": capacity_rps,
-            "nominal_rate_rps": _RATE_RPS,
-            "nominal_servers": sharded["params"]["servers"],
-        },
-        "scenarios": records,
-        "aggregates": {
-            "tasks": len(records),
-            "offered": sum(r["summary"]["offered"] for r in records),
-            "completed": sum(r["summary"]["completed"] for r in records),
-            "rejected": sum(r["summary"]["rejected"] for r in records),
-            "scale_outs": sum(r["scale_outs"] for r in records),
-            "scale_ins": sum(r["scale_ins"] for r in records),
-        },
-        "dominance": {
-            "baseline_goodput_rps": baseline["goodput_rps"],
-            "sharded_goodput_rps": sharded["goodput_rps"],
-            "speedup": (
-                sharded["goodput_rps"] / baseline["goodput_rps"]
-                if baseline["goodput_rps"] > 0
-                else None
-            ),
-        },
-        "verdicts": {
-            "goodput_dominance": (
-                sharded["goodput_rps"] >= baseline["goodput_rps"]
-            ),
-            "autoscale_out_observed": overload["scale_outs"] >= 1,
-            "closed_loop_conserved": (
-                closed_summary["offered"] == closed["offered_target"]
-                and closed_summary["completed"] + closed_summary["rejected"]
-                == closed_summary["offered"]
-            ),
-        },
-    }
-    if with_perf:
-        perf = perf_block(run)
-        document["perf"] = perf
-        append_history(
-            document,
-            output,
-            FLEET_SCHEMA,
-            {
-                **history_entry(document, ("smoke",)),
-                "goodput_dominance": document["verdicts"]["goodput_dominance"],
-                "autoscale_out_observed": document["verdicts"][
-                    "autoscale_out_observed"
-                ],
-                "closed_loop_conserved": document["verdicts"][
-                    "closed_loop_conserved"
-                ],
-                "jobs": perf["jobs"],
-                "wall_s": perf["wall_s"],
-                "worker_efficiency": perf["worker_efficiency"],
-                "speedup_vs_serial_est": perf["speedup_vs_serial_est"],
+    def merge(records: list[dict]) -> dict:
+        by_name = {record["name"]: record for record in records}
+        baseline = by_name["single_chip"]
+        sharded = by_name["sharded_fleet"]
+        overload = by_name["overload_autoscale"]
+        closed = by_name["closed_loop"]
+        closed_summary = closed["summary"]
+        return {
+            "schema": FLEET_SCHEMA,
+            "smoke": smoke,
+            "root_seed": root_seed,
+            "fast_path": fast_path,
+            "capacity_feed": {
+                "source": capacity_from,
+                "server_capacity_rps": capacity_rps,
+                "nominal_rate_rps": _RATE_RPS,
+                "nominal_servers": sharded["params"]["servers"],
             },
-        )
-    else:
-        document = deterministic_view(document)
-    if output is not None:
-        write_document(document, output, FLEET_SCHEMA)
-    return document
+            "scenarios": records,
+            "aggregates": {
+                "tasks": len(records),
+                "offered": sum(r["summary"]["offered"] for r in records),
+                "completed": sum(r["summary"]["completed"] for r in records),
+                "rejected": sum(r["summary"]["rejected"] for r in records),
+                "scale_outs": sum(r["scale_outs"] for r in records),
+                "scale_ins": sum(r["scale_ins"] for r in records),
+            },
+            "dominance": {
+                "baseline_goodput_rps": baseline["goodput_rps"],
+                "sharded_goodput_rps": sharded["goodput_rps"],
+                "speedup": (
+                    sharded["goodput_rps"] / baseline["goodput_rps"]
+                    if baseline["goodput_rps"] > 0
+                    else None
+                ),
+            },
+            "verdicts": {
+                "goodput_dominance": (
+                    sharded["goodput_rps"] >= baseline["goodput_rps"]
+                ),
+                "autoscale_out_observed": overload["scale_outs"] >= 1,
+                "closed_loop_conserved": (
+                    closed_summary["offered"] == closed["offered_target"]
+                    and closed_summary["completed"] + closed_summary["rejected"]
+                    == closed_summary["offered"]
+                ),
+            },
+        }
+
+    return run_campaign(
+        FLEET_SCHEMA,
+        tasks,
+        merge,
+        jobs=jobs,
+        output=output,
+        with_perf=with_perf,
+        progress=progress,
+    )

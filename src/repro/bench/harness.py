@@ -21,16 +21,9 @@ import math
 import time
 from pathlib import Path
 
-from repro.bench.document import (
-    append_history,
-    deterministic_view,
-    history_entry,
-    perf_block,
-    write_document,
-)
+from repro.bench.document import run_campaign
 from repro.bench.suites import SUITES, BenchSuite, prepare_models
-from repro.core.cache import cache_stats
-from repro.parallel import CampaignTask, run_sharded
+from repro.parallel import CampaignTask
 from repro.sim.config import DuetConfig
 
 __all__ = [
@@ -172,19 +165,9 @@ def run_bench(
             ``smoke`` else every registered suite.
         smoke: use the reduced model lists and the smoke suite subset.
         warmup / repeat: untimed and timed runs per path.
-        output: JSON path, or ``None`` to skip writing.
         bench_dir: directory scanned for ``bench_*.py`` discovery.
-        progress: optional callable invoked with each finished suite
-            record in suite order, once the shard completes (the CLI
-            uses this to stream a results table).
-        jobs: worker processes; suites shard across them via
-            :mod:`repro.parallel` and merge in suite order, so the
-            document's simulated quantities are identical for any value.
-        with_perf: record the ``perf`` block and ``history`` trail.
-            ``False`` (the CLI's ``--no-perf``) emits the
-            :func:`~repro.bench.document.deterministic_view` instead --
-            wall clocks stripped everywhere -- so documents from
-            different worker counts or machines compare byte-identical.
+        jobs / output / with_perf / progress: see
+            :func:`~repro.bench.document.run_campaign`.
 
     Returns:
         The full ``duet-bench/1`` document (also written to ``output``).
@@ -203,53 +186,36 @@ def run_bench(
         )
         for i, suite in enumerate(selected)
     ]
-    run = run_sharded(
-        tasks, jobs=jobs, clock=time.perf_counter, stats=cache_stats
-    )
-    records = run.results
-    if progress is not None:
-        for record in records:
-            progress(record)
     discovered = discover_bench_files(bench_dir)
     timed_files = {s.bench_file for s in SUITES.values()}
-    speedups = [r["speedup_vs_slow_path"] for r in records]
-    document = {
-        "schema": BENCH_SCHEMA,
-        "smoke": smoke,
-        "warmup": warmup,
-        "repeat": repeat,
-        "suites": records,
-        "discovered_bench_files": discovered,
-        "untimed_bench_files": [
-            f for f in discovered if f not in timed_files
-        ],
-        "geomean_speedup_vs_slow_path": (
-            float(math.exp(sum(math.log(s) for s in speedups) / len(speedups)))
-            if speedups
-            else None
-        ),
-        "all_equivalent": all(r["equivalent"] for r in records),
-    }
-    if with_perf:
-        perf = perf_block(run)
-        document["perf"] = perf
-        append_history(
-            document,
-            output,
-            BENCH_SCHEMA,
-            {
-                **history_entry(
-                    document,
-                    ("smoke", "geomean_speedup_vs_slow_path", "all_equivalent"),
-                ),
-                "jobs": perf["jobs"],
-                "wall_s": perf["wall_s"],
-                "worker_efficiency": perf["worker_efficiency"],
-                "speedup_vs_serial_est": perf["speedup_vs_serial_est"],
-            },
-        )
-    else:
-        document = deterministic_view(document)
-    if output is not None:
-        write_document(document, output, BENCH_SCHEMA)
-    return document
+
+    def merge(records: list[dict]) -> dict:
+        speedups = [r["speedup_vs_slow_path"] for r in records]
+        return {
+            "schema": BENCH_SCHEMA,
+            "smoke": smoke,
+            "warmup": warmup,
+            "repeat": repeat,
+            "suites": records,
+            "discovered_bench_files": discovered,
+            "untimed_bench_files": [
+                f for f in discovered if f not in timed_files
+            ],
+            "geomean_speedup_vs_slow_path": (
+                float(math.exp(sum(math.log(s) for s in speedups) / len(speedups)))
+                if speedups
+                else None
+            ),
+            "all_equivalent": all(r["equivalent"] for r in records),
+        }
+
+    return run_campaign(
+        BENCH_SCHEMA,
+        tasks,
+        merge,
+        jobs=jobs,
+        output=output,
+        with_perf=with_perf,
+        progress=progress,
+        history_keys=("smoke", "geomean_speedup_vs_slow_path", "all_equivalent"),
+    )

@@ -19,29 +19,17 @@ front end (:mod:`repro.serving`) and emits a machine-readable
 
 Every **simulated** quantity in the document is a pure function of
 ``(seed, scale, flags)`` -- identical on the fast path and the slow-path
-oracle, and for any ``--jobs`` value.  The only non-deterministic parts
-are the ``perf`` block (wall clock, worker efficiency, cache counters)
-and the cross-run ``history`` trail, both excluded from the determinism
-contract (:func:`repro.bench.document.deterministic_view`) and omitted
-entirely under ``--no-perf``, where the file is byte-identical across
-runs and worker counts.
+oracle, and for any ``--jobs`` value (see
+:func:`repro.bench.document.run_campaign`).
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
-from repro.bench.document import (
-    append_history,
-    deterministic_view,
-    history_entry,
-    perf_block,
-    write_document,
-)
-from repro.core.cache import cache_stats
-from repro.parallel import CampaignTask, run_sharded
+from repro.bench.document import run_campaign
+from repro.parallel import CampaignTask
 from repro.serving.admission import AdmissionConfig
 from repro.serving.batcher import BatchPolicy
 from repro.serving.loadgen import ARRIVAL_PROCESSES, TraceConfig
@@ -242,18 +230,8 @@ def run_serving_bench(
     Args:
         smoke / seed / workers / max_batch / arrival / scale / fast_path:
             see :func:`serve_scenarios`.
-        output: JSON path, or None to skip writing.
-        progress: optional callable invoked with each finished scenario
-            record in scenario order, once the shard completes (the CLI
-            streams a table through this).
-        jobs: worker processes; scenarios shard across them via
-            :mod:`repro.parallel` and merge in scenario order, so the
-            simulated quantities are identical for any value.
-        with_perf: record the ``perf`` block and ``history`` trail;
-            ``False`` (the CLI's ``--no-perf``) emits the
-            :func:`~repro.bench.document.deterministic_view` so
-            documents from different worker counts compare
-            byte-identical.
+        jobs / output / with_perf / progress: see
+            :func:`~repro.bench.document.run_campaign`.
 
     Returns:
         The full ``duet-serve/1`` document (also written to ``output``).
@@ -276,53 +254,37 @@ def run_serving_bench(
         )
         for i, scenario in enumerate(scenarios)
     ]
-    run = run_sharded(
-        tasks, jobs=jobs, clock=time.perf_counter, stats=cache_stats
-    )
-    records = run.results
-    if progress is not None:
-        for record in records:
-            progress(record)
-    by_name = {record["name"]: record for record in records}
 
-    batch1 = by_name["capacity_batch1"]["summary"]["throughput_rps"]
-    batched = by_name["capacity_batched"]["summary"]["throughput_rps"]
-    document = {
-        "schema": SERVE_SCHEMA,
-        "smoke": smoke,
-        "seed": seed,
-        "arrival": arrival,
-        "workers": workers,
-        "max_batch": max_batch,
-        "scale": scale,
-        "fast_path": fast_path,
-        "requests_offered": sum(r["requests"] for r in records),
-        "scenarios": records,
-        "batching": {
-            "batch1_throughput_rps": batch1,
-            "batched_throughput_rps": batched,
+    def merge(records: list[dict]) -> dict:
+        by_name = {record["name"]: record for record in records}
+        batch1 = by_name["capacity_batch1"]["summary"]["throughput_rps"]
+        batched = by_name["capacity_batched"]["summary"]["throughput_rps"]
+        return {
+            "schema": SERVE_SCHEMA,
+            "smoke": smoke,
+            "seed": seed,
+            "arrival": arrival,
+            "workers": workers,
             "max_batch": max_batch,
-            "speedup": batched / batch1 if batch1 else None,
-        },
-    }
-    if with_perf:
-        perf = perf_block(run)
-        document["perf"] = perf
-        append_history(
-            document,
-            output,
-            SERVE_SCHEMA,
-            {
-                **history_entry(document, ("smoke", "requests_offered")),
-                "batching_speedup": document["batching"]["speedup"],
-                "jobs": perf["jobs"],
-                "wall_s": perf["wall_s"],
-                "worker_efficiency": perf["worker_efficiency"],
-                "speedup_vs_serial_est": perf["speedup_vs_serial_est"],
+            "scale": scale,
+            "fast_path": fast_path,
+            "requests_offered": sum(r["requests"] for r in records),
+            "scenarios": records,
+            "batching": {
+                "batch1_throughput_rps": batch1,
+                "batched_throughput_rps": batched,
+                "max_batch": max_batch,
+                "speedup": batched / batch1 if batch1 else None,
             },
-        )
-    else:
-        document = deterministic_view(document)
-    if output is not None:
-        write_document(document, output, SERVE_SCHEMA)
-    return document
+        }
+
+    return run_campaign(
+        SERVE_SCHEMA,
+        tasks,
+        merge,
+        jobs=jobs,
+        output=output,
+        with_perf=with_perf,
+        progress=progress,
+        history_keys=("smoke", "requests_offered", "batching"),
+    )

@@ -30,12 +30,14 @@ Commands:
 Every command prints a plain-text table; all simulations are seeded and
 deterministic.  Usage errors (unknown model, incompatible flags) exit
 with status 2 and a one-line message on stderr -- never a traceback.
+A campaign whose document fails a check exits with status 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from repro.analysis.cli import cmd_lint, configure_parser as configure_lint_parser
 from repro.baselines import cnvlutin, eyeriss, predict, predict_cnvlutin, snapea
@@ -68,6 +70,42 @@ __all__ = ["main", "build_parser", "CliError"]
 
 class CliError(Exception):
     """A usage error the CLI reports as ``error: <message>`` (exit 2)."""
+
+
+def _add_campaign_flags(
+    parser: argparse.ArgumentParser,
+    output: str,
+    *,
+    seed: bool = True,
+    slow_path: bool = True,
+) -> None:
+    """Add the flags every campaign subcommand shares to ``parser``."""
+    parser.add_argument(
+        "--smoke", action="store_true",
+        help="CI-sized campaign instead of the full one",
+    )
+    if seed:
+        parser.add_argument("--seed", type=int, default=0, help="campaign root seed")
+    if slow_path:
+        parser.add_argument(
+            "--slow-path", action="store_true",
+            help="simulate on the per-event slow-path oracle instead",
+        )
+    parser.add_argument(
+        "--jobs", type=int, default=1,
+        help="worker processes (simulated results identical for any N)",
+    )
+    parser.add_argument(
+        "--output", default=output,
+        help=f"result path (default {output} at the repo root)",
+    )
+    parser.add_argument(
+        "--no-perf", action="store_true",
+        help=(
+            "omit wall-clock fields, the perf block and history so "
+            "documents compare byte-identical across worker counts"
+        ),
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -105,6 +143,10 @@ def build_parser() -> argparse.ArgumentParser:
             "run one fault campaign (--model) or the whole sharded "
             "matrix (no --model), writing BENCH_faults.json"
         ),
+        description=(
+            "--smoke, --jobs, --output and --no-perf apply to the matrix "
+            "(no --model) only."
+        ),
     )
     p_faults.add_argument(
         "--model", choices=sorted(MODEL_REGISTRY), default=None,
@@ -116,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(CAMPAIGNS),
         help="built-in fault campaign to apply (single-campaign mode)",
     )
-    p_faults.add_argument("--seed", type=int, default=0, help="campaign seed")
+    _add_campaign_flags(p_faults, "BENCH_faults.json", slow_path=False)
     p_faults.add_argument(
         "--stage", default="DUET", choices=STAGES,
         help="degradation-ladder rung the run starts at",
@@ -125,34 +167,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-guards", action="store_true",
         help="disable the online guards (show the unprotected failure mode)",
     )
-    p_faults.add_argument(
-        "--smoke", action="store_true",
-        help="matrix mode: CI-sized grid instead of the full matrix",
-    )
-    p_faults.add_argument(
-        "--jobs", type=int, default=1,
-        help="matrix mode: worker processes (results identical for any N)",
-    )
-    p_faults.add_argument(
-        "--output", default="BENCH_faults.json",
-        help="matrix mode: result path (default BENCH_faults.json)",
-    )
-    p_faults.add_argument(
-        "--no-perf", action="store_true",
-        help=(
-            "matrix mode: omit the wall-clock perf block and history so "
-            "documents compare byte-identical across worker counts"
-        ),
-    )
 
     p_bench = sub.add_parser(
         "bench",
         help="time the fast path vs the slow-path oracle, write BENCH_duet.json",
     )
-    p_bench.add_argument(
-        "--smoke", action="store_true",
-        help="reduced suite subset and model lists (CI-sized)",
-    )
+    _add_campaign_flags(p_bench, "BENCH_duet.json", seed=False, slow_path=False)
     p_bench.add_argument(
         "--suite", action="append", choices=sorted(SUITES), default=None,
         help="run only the named suite (repeatable)",
@@ -166,23 +186,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="timed runs per path; the minimum is reported (default 3)",
     )
     p_bench.add_argument(
-        "--output", default="BENCH_duet.json",
-        help="result path (default BENCH_duet.json at the repo root)",
-    )
-    p_bench.add_argument(
         "--list", action="store_true", dest="list_suites",
         help="list registered suites and exit",
-    )
-    p_bench.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes (simulated results identical for any N)",
-    )
-    p_bench.add_argument(
-        "--no-perf", action="store_true",
-        help=(
-            "omit wall-clock fields, the perf block and history so "
-            "documents compare byte-identical across worker counts"
-        ),
     )
 
     p_serve = sub.add_parser(
@@ -230,11 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
         "loadgen",
         help="run the serving scenario campaign, write BENCH_serving.json",
     )
-    p_load.add_argument(
-        "--smoke", action="store_true",
-        help="CI-sized campaign (~2k requests instead of ~10k)",
-    )
-    p_load.add_argument("--seed", type=int, default=0, help="campaign seed")
+    _add_campaign_flags(p_load, "BENCH_serving.json")
     p_load.add_argument(
         "--workers", type=int, default=2, help="simulated accelerator workers"
     )
@@ -250,25 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--scale", type=float, default=1.0,
         help="request-count multiplier (floor 20 per scenario)",
     )
-    p_load.add_argument(
-        "--slow-path", action="store_true",
-        help="simulate on the per-event slow-path oracle instead",
-    )
-    p_load.add_argument(
-        "--output", default="BENCH_serving.json",
-        help="result path (default BENCH_serving.json at the repo root)",
-    )
-    p_load.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes (simulated results identical for any N)",
-    )
-    p_load.add_argument(
-        "--no-perf", action="store_true",
-        help=(
-            "omit the wall-clock perf block and history so documents "
-            "compare byte-identical across worker counts"
-        ),
-    )
 
     p_chaos = sub.add_parser(
         "chaos",
@@ -277,32 +259,9 @@ def build_parser() -> argparse.ArgumentParser:
             "policy), write BENCH_chaos.json"
         ),
     )
-    p_chaos.add_argument(
-        "--smoke", action="store_true",
-        help="CI-sized sweep (2 rates, 120 requests/cell) instead of full",
-    )
-    p_chaos.add_argument("--seed", type=int, default=0, help="campaign root seed")
+    _add_campaign_flags(p_chaos, "BENCH_chaos.json")
     p_chaos.add_argument(
         "--workers", type=int, default=3, help="simulated accelerators in the fleet"
-    )
-    p_chaos.add_argument(
-        "--slow-path", action="store_true",
-        help="simulate on the per-event slow-path oracle instead",
-    )
-    p_chaos.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes (simulated results identical for any N)",
-    )
-    p_chaos.add_argument(
-        "--output", default="BENCH_chaos.json",
-        help="result path (default BENCH_chaos.json at the repo root)",
-    )
-    p_chaos.add_argument(
-        "--no-perf", action="store_true",
-        help=(
-            "omit the wall-clock perf block and history so documents "
-            "compare byte-identical across worker counts"
-        ),
     )
 
     p_fleet = sub.add_parser(
@@ -312,36 +271,13 @@ def build_parser() -> argparse.ArgumentParser:
             "classes, autoscaling, closed loop), write BENCH_fleet.json"
         ),
     )
-    p_fleet.add_argument(
-        "--smoke", action="store_true",
-        help="CI-sized scenarios (150 requests / 6 clients) instead of full",
-    )
-    p_fleet.add_argument("--seed", type=int, default=0, help="campaign root seed")
-    p_fleet.add_argument(
-        "--slow-path", action="store_true",
-        help="simulate on the per-event slow-path oracle instead",
-    )
-    p_fleet.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes (simulated results identical for any N)",
-    )
-    p_fleet.add_argument(
-        "--output", default="BENCH_fleet.json",
-        help="result path (default BENCH_fleet.json at the repo root)",
-    )
+    _add_campaign_flags(p_fleet, "BENCH_fleet.json")
     p_fleet.add_argument(
         "--capacity-source", default="BENCH_serving.json",
         help=(
             "measured BENCH_serving.json feeding placement decisions "
             "(default BENCH_serving.json; missing file uses the recorded "
             "fallback capacity)"
-        ),
-    )
-    p_fleet.add_argument(
-        "--no-perf", action="store_true",
-        help=(
-            "omit the wall-clock perf block and history so documents "
-            "compare byte-identical across worker counts"
         ),
     )
 
@@ -353,30 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
             "write BENCH_dynamic.json"
         ),
     )
-    p_dynamic.add_argument(
-        "--smoke", action="store_true",
-        help="CI-sized grid (12 inputs, 150-request traces) instead of full",
-    )
-    p_dynamic.add_argument("--seed", type=int, default=0, help="campaign root seed")
-    p_dynamic.add_argument(
-        "--slow-path", action="store_true",
-        help="simulate on the per-event slow-path oracle instead",
-    )
-    p_dynamic.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes (simulated results identical for any N)",
-    )
-    p_dynamic.add_argument(
-        "--output", default="BENCH_dynamic.json",
-        help="result path (default BENCH_dynamic.json at the repo root)",
-    )
-    p_dynamic.add_argument(
-        "--no-perf", action="store_true",
-        help=(
-            "omit the wall-clock perf block and history so documents "
-            "compare byte-identical across worker counts"
-        ),
-    )
+    _add_campaign_flags(p_dynamic, "BENCH_dynamic.json")
 
     p_lint = sub.add_parser(
         "lint",
@@ -489,9 +402,41 @@ def _cmd_area(_args, out) -> int:
     return 0
 
 
-def _cmd_faults(args, out) -> int:
+def _ms(value) -> str:
+    """A latency column: milliseconds, or ``n/a`` when nothing completed."""
+    return f"{value:9.3f}" if value is not None else f"{'n/a':>9s}"
+
+
+def _run_campaign(args, out, run, header: str, row, footer, **kwargs) -> int:
+    """Run one campaign subcommand end to end; returns its exit code.
+
+    Validates the shared flags before writing anything, prints
+    ``header``, streams each record through ``row``, hands the document
+    to ``footer``, and exits 1 if any of the document's checks failed.
+    """
     if args.jobs < 1:
         raise CliError(f"--jobs must be >= 1, got {args.jobs}")
+    directory = Path(args.output).parent
+    if not directory.is_dir():
+        raise CliError(f"--output directory does not exist: {directory}")
+    out.write(header)
+    document = run(
+        jobs=args.jobs,
+        output=args.output,
+        with_perf=not args.no_perf,
+        progress=row,
+        **kwargs,
+    )
+    footer(document)
+    checks = list(document.get("verdicts", {}).values()) + [
+        document[key]
+        for key in ("all_equivalent", "all_guarded_invariants_held")
+        if key in document
+    ]
+    return 0 if all(checks) else 1
+
+
+def _cmd_faults(args, out) -> int:
     if args.model is not None:
         report = run_fault_campaign(
             model=args.model,
@@ -507,12 +452,8 @@ def _cmd_faults(args, out) -> int:
             "--no-guards needs --model; the matrix runs guarded and "
             "unguarded arms itself"
         )
-    out.write(
-        f"{'model':>10s} {'campaign':>16s} {'guards':>6s} {'stage':>6s} "
-        f"{'events':>6s} {'retries':>8s} {'invariant':>9s}\n"
-    )
 
-    def _progress(record):
+    def row(record):
         out.write(
             f"{record['model']:>10s} {record['campaign']:>16s} "
             f"{'on' if record['guards'] else 'off':>6s} "
@@ -521,41 +462,41 @@ def _cmd_faults(args, out) -> int:
             f"{'PASS' if record['invariant_held'] else 'VIOLATED':>9s}\n"
         )
 
-    document = run_fault_matrix(
+    def footer(document):
+        agg = document["aggregates"]
+        perf = document.get("perf")
+        if perf is not None:
+            speedup = perf["speedup_vs_serial_est"]
+            speedup_text = "n/a" if speedup is None else f"~{speedup:.2f}x"
+            out.write(
+                f"{agg['tasks']} cells in {perf['wall_s']:.2f}s wall "
+                f"({args.jobs} job(s), {perf['worker_efficiency']:.0%} worker "
+                f"efficiency, {speedup_text} vs serial "
+                f"est.); results in {args.output}\n"
+            )
+        else:
+            out.write(f"{agg['tasks']} cells; results in {args.output}\n")
+        if not document["all_guarded_invariants_held"]:
+            out.write(
+                f"values-never-corrupted invariant: VIOLATED in "
+                f"{agg['guarded_invariant_violations']} guarded cell(s)\n"
+            )
+            return
+        out.write(
+            f"values-never-corrupted invariant: PASS across "
+            f"{agg['guarded']} guarded cells "
+            f"({agg['unguarded_invariant_violations']}/{agg['unguarded']} "
+            "unguarded foils corrupted, as expected)\n"
+        )
+
+    return _run_campaign(
+        args, out, run_fault_matrix,
+        f"{'model':>10s} {'campaign':>16s} {'guards':>6s} {'stage':>6s} "
+        f"{'events':>6s} {'retries':>8s} {'invariant':>9s}\n",
+        row, footer,
         smoke=args.smoke,
         root_seed=args.seed,
-        jobs=args.jobs,
-        output=args.output,
-        with_perf=not args.no_perf,
-        progress=_progress,
     )
-    agg = document["aggregates"]
-    perf = document.get("perf")
-    if perf is not None:
-        speedup = perf["speedup_vs_serial_est"]
-        speedup_text = "n/a" if speedup is None else f"~{speedup:.2f}x"
-        out.write(
-            f"{agg['tasks']} cells in {perf['wall_s']:.2f}s wall "
-            f"({args.jobs} job(s), {perf['worker_efficiency']:.0%} worker "
-            f"efficiency, {speedup_text} vs serial "
-            f"est.); results in {args.output}\n"
-        )
-    else:
-        out.write(
-            f"{agg['tasks']} cells; results in {args.output}\n"
-        )
-    if not document["all_guarded_invariants_held"]:
-        raise CliError(
-            f"values-never-corrupted invariant: VIOLATED in "
-            f"{agg['guarded_invariant_violations']} guarded cell(s)"
-        )
-    out.write(
-        f"values-never-corrupted invariant: PASS across "
-        f"{agg['guarded']} guarded cells "
-        f"({agg['unguarded_invariant_violations']}/{agg['unguarded']} "
-        "unguarded foils corrupted, as expected)\n"
-    )
-    return 0
 
 
 def _cmd_bench(args, out) -> int:
@@ -567,12 +508,8 @@ def _cmd_bench(args, out) -> int:
                 f"{name:26s} {suite.figure:14s} [{marker}] {suite.description}\n"
             )
         return 0
-    out.write(
-        f"{'suite':>26s} {'fast s':>9s} {'slow s':>9s} {'speedup':>8s} "
-        f"{'equivalence':>13s}\n"
-    )
 
-    def _progress(record):
+    def row(record):
         out.write(
             f"{record['name']:>26s} {record['wall_time_s']['fast']:9.3f} "
             f"{record['wall_time_s']['slow']:9.3f} "
@@ -580,32 +517,31 @@ def _cmd_bench(args, out) -> int:
             f"{record['equivalence']:>13s}\n"
         )
 
-    if args.jobs < 1:
-        raise CliError(f"--jobs must be >= 1, got {args.jobs}")
-    document = run_bench(
+    def footer(document):
+        geomean = document.get("geomean_speedup_vs_slow_path")
+        if geomean is not None:
+            out.write(
+                f"geomean speedup {geomean:.1f}x over the slow-path oracle; "
+                f"results in {args.output}\n"
+            )
+        else:
+            out.write(f"results in {args.output}\n")
+        if not document["all_equivalent"]:
+            out.write(
+                "fast path diverged from the slow-path oracle "
+                "(see the MISMATCH suites above)\n"
+            )
+
+    return _run_campaign(
+        args, out, run_bench,
+        f"{'suite':>26s} {'fast s':>9s} {'slow s':>9s} {'speedup':>8s} "
+        f"{'equivalence':>13s}\n",
+        row, footer,
         suite_names=args.suite,
         smoke=args.smoke,
         warmup=args.warmup,
         repeat=args.repeat,
-        output=args.output,
-        progress=_progress,
-        jobs=args.jobs,
-        with_perf=not args.no_perf,
     )
-    geomean = document.get("geomean_speedup_vs_slow_path")
-    if geomean is not None:
-        out.write(
-            f"geomean speedup {geomean:.1f}x over the slow-path oracle; "
-            f"results in {args.output}\n"
-        )
-    else:
-        out.write(f"results in {args.output}\n")
-    if not document["all_equivalent"]:
-        raise CliError(
-            "fast path diverged from the slow-path oracle "
-            "(see the MISMATCH suites above)"
-        )
-    return 0
 
 
 def _cmd_serve(args, out) -> int:
@@ -654,29 +590,39 @@ def _cmd_loadgen(args, out) -> int:
         raise CliError(f"--max-batch must be >= 1, got {args.max_batch}")
     if args.scale <= 0:
         raise CliError(f"--scale must be positive, got {args.scale}")
-    out.write(
-        f"{'scenario':>18s} {'requests':>9s} {'p50 ms':>9s} {'p95 ms':>9s} "
-        f"{'p99 ms':>9s} {'req/s':>8s} {'reject':>7s} {'degraded':>9s}\n"
-    )
 
-    def _progress(record):
+    def row(record):
         summary = record["summary"]
         latency = summary["latency_ms"]
-
-        def ms(value):
-            return f"{value:9.3f}" if value is not None else f"{'n/a':>9s}"
-
         out.write(
             f"{record['name']:>18s} {record['requests']:9d} "
-            f"{ms(latency['p50'])} {ms(latency['p95'])} {ms(latency['p99'])} "
+            f"{_ms(latency['p50'])} {_ms(latency['p95'])} {_ms(latency['p99'])} "
             f"{summary['throughput_rps']:8.1f} "
             f"{format_percent(summary['reject_rate']):>7s} "
             f"{summary['degraded']:9d}\n"
         )
 
-    if args.jobs < 1:
-        raise CliError(f"--jobs must be >= 1, got {args.jobs}")
-    document = run_serving_bench(
+    def footer(document):
+        batching = document["batching"]
+        overload = next(
+            s["summary"] for s in document["scenarios"] if s["name"] == "overload"
+        )
+        stages = "  ".join(
+            f"{stage}={count}" for stage, count in overload["stage_counts"].items()
+        )
+        out.write(f"overload stage counts: {stages}\n")
+        out.write(
+            f"dynamic batching (max {batching['max_batch']}): "
+            f"{batching['batched_throughput_rps']:.1f} req/s vs "
+            f"{batching['batch1_throughput_rps']:.1f} req/s unbatched = "
+            f"{batching['speedup']:.2f}x throughput; results in {args.output}\n"
+        )
+
+    return _run_campaign(
+        args, out, run_serving_bench,
+        f"{'scenario':>18s} {'requests':>9s} {'p50 ms':>9s} {'p95 ms':>9s} "
+        f"{'p99 ms':>9s} {'req/s':>8s} {'reject':>7s} {'degraded':>9s}\n",
+        row, footer,
         smoke=args.smoke,
         seed=args.seed,
         workers=args.workers,
@@ -684,144 +630,104 @@ def _cmd_loadgen(args, out) -> int:
         arrival=args.arrival,
         scale=args.scale,
         fast_path=not args.slow_path,
-        output=args.output,
-        progress=_progress,
-        jobs=args.jobs,
-        with_perf=not args.no_perf,
     )
-    batching = document["batching"]
-    overload = next(
-        s["summary"] for s in document["scenarios"] if s["name"] == "overload"
-    )
-    stages = "  ".join(
-        f"{stage}={count}" for stage, count in overload["stage_counts"].items()
-    )
-    out.write(f"overload stage counts: {stages}\n")
-    out.write(
-        f"dynamic batching (max {batching['max_batch']}): "
-        f"{batching['batched_throughput_rps']:.1f} req/s vs "
-        f"{batching['batch1_throughput_rps']:.1f} req/s unbatched = "
-        f"{batching['speedup']:.2f}x throughput; results in {args.output}\n"
-    )
-    return 0
 
 
 def _cmd_chaos(args, out) -> int:
     if args.workers < 1:
         raise CliError(f"--workers must be >= 1, got {args.workers}")
-    if args.jobs < 1:
-        raise CliError(f"--jobs must be >= 1, got {args.jobs}")
-    out.write(
-        f"{'policy':>22s} {'fault':>6s} {'done':>5s} {'fail':>5s} {'rej':>5s} "
-        f"{'req/s':>8s} {'p99 ms':>9s} {'retry':>6s} {'hedge':>6s} "
-        f"{'opens':>6s} {'evict':>6s} {'lost':>5s} {'dup':>4s}\n"
-    )
 
-    def _progress(record):
+    def row(record):
         summary = record["summary"]
-        p99 = summary["latency_ms"]["p99"]
-        p99_text = f"{p99:9.3f}" if p99 is not None else f"{'n/a':>9s}"
         out.write(
             f"{record['policy']:>22s} {record['fault_rate']:6.2f} "
             f"{summary['completed']:5d} {summary['failed']:5d} "
             f"{summary['rejected']:5d} {summary['goodput_rps']:8.1f} "
-            f"{p99_text} {summary['retries']:6d} {summary['hedges']:6d} "
-            f"{summary['breaker_opens']:6d} {summary['evictions']:6d} "
-            f"{summary['lost']:5d} {summary['duplicates']:4d}\n"
+            f"{_ms(summary['latency_ms']['p99'])} {summary['retries']:6d} "
+            f"{summary['hedges']:6d} {summary['breaker_opens']:6d} "
+            f"{summary['evictions']:6d} {summary['lost']:5d} "
+            f"{summary['duplicates']:4d}\n"
         )
 
-    document = run_chaos_bench(
+    def footer(document):
+        verdicts = document["verdicts"]
+        dominance = document["dominance"]
+        out.write(
+            f"conservation: zero_lost={verdicts['zero_lost']} "
+            f"zero_duplicates={verdicts['zero_duplicates']}\n"
+        )
+        out.write(
+            f"dominance at fault rate {dominance['fault_rate']}: "
+            f"{dominance['full_stack_policy']} "
+            f"{dominance['full_stack_goodput_rps']:.1f} req/s vs "
+            f"{dominance['baseline_policy']} "
+            f"{dominance['baseline_goodput_rps']:.1f} req/s "
+            f"({'holds' if verdicts['dominance'] else 'FAILS'}); "
+            f"results in {args.output}\n"
+        )
+
+    return _run_campaign(
+        args, out, run_chaos_bench,
+        f"{'policy':>22s} {'fault':>6s} {'done':>5s} {'fail':>5s} {'rej':>5s} "
+        f"{'req/s':>8s} {'p99 ms':>9s} {'retry':>6s} {'hedge':>6s} "
+        f"{'opens':>6s} {'evict':>6s} {'lost':>5s} {'dup':>4s}\n",
+        row, footer,
         smoke=args.smoke,
         root_seed=args.seed,
         workers=args.workers,
         fast_path=not args.slow_path,
-        jobs=args.jobs,
-        output=args.output,
-        with_perf=not args.no_perf,
-        progress=_progress,
     )
-    verdicts = document["verdicts"]
-    dominance = document["dominance"]
-    out.write(
-        f"conservation: zero_lost={verdicts['zero_lost']} "
-        f"zero_duplicates={verdicts['zero_duplicates']}\n"
-    )
-    out.write(
-        f"dominance at fault rate {dominance['fault_rate']}: "
-        f"{dominance['full_stack_policy']} "
-        f"{dominance['full_stack_goodput_rps']:.1f} req/s vs "
-        f"{dominance['baseline_policy']} "
-        f"{dominance['baseline_goodput_rps']:.1f} req/s "
-        f"({'holds' if verdicts['dominance'] else 'FAILS'}); "
-        f"results in {args.output}\n"
-    )
-    return 0 if all(verdicts.values()) else 1
 
 
 def _cmd_fleet(args, out) -> int:
-    if args.jobs < 1:
-        raise CliError(f"--jobs must be >= 1, got {args.jobs}")
-    out.write(
-        f"{'scenario':>20s} {'offered':>8s} {'done':>5s} {'rej':>5s} "
-        f"{'good/s':>8s} {'p95 ms':>9s} {'peak':>5s} {'out':>4s} {'in':>4s} "
-        f"{'util':>5s}\n"
-    )
-
-    def _progress(record):
+    def row(record):
         summary = record["summary"]
-        p95 = summary["latency_ms"]["p95"]
-        p95_text = f"{p95:9.3f}" if p95 is not None else f"{'n/a':>9s}"
         out.write(
             f"{record['name']:>20s} {summary['offered']:8d} "
             f"{summary['completed']:5d} {summary['rejected']:5d} "
-            f"{record['goodput_rps']:8.1f} {p95_text} "
+            f"{record['goodput_rps']:8.1f} {_ms(summary['latency_ms']['p95'])} "
             f"{record['peak_servers']:5d} {record['scale_outs']:4d} "
             f"{record['scale_ins']:4d} {record['shard_utilization']:5.2f}\n"
         )
 
-    document = run_fleet_bench(
+    def footer(document):
+        feed = document["capacity_feed"]
+        out.write(
+            f"capacity feed: {feed['server_capacity_rps']:.1f} req/s per server "
+            f"from {feed['source']} -> {feed['nominal_servers']} server(s) at "
+            f"{feed['nominal_rate_rps']:g} req/s offered\n"
+        )
+        verdicts = document["verdicts"]
+        dominance = document["dominance"]
+        speedup = dominance["speedup"]
+        speedup_text = f"{speedup:.2f}x" if speedup is not None else "n/a"
+        out.write(
+            f"goodput dominance: sharded fleet "
+            f"{dominance['sharded_goodput_rps']:.1f} req/s vs single chip "
+            f"{dominance['baseline_goodput_rps']:.1f} req/s ({speedup_text}, "
+            f"{'holds' if verdicts['goodput_dominance'] else 'FAILS'})\n"
+        )
+        out.write(
+            f"autoscale out observed: {verdicts['autoscale_out_observed']}  "
+            f"closed loop conserved: {verdicts['closed_loop_conserved']}; "
+            f"results in {args.output}\n"
+        )
+
+    return _run_campaign(
+        args, out, run_fleet_bench,
+        f"{'scenario':>20s} {'offered':>8s} {'done':>5s} {'rej':>5s} "
+        f"{'good/s':>8s} {'p95 ms':>9s} {'peak':>5s} {'out':>4s} {'in':>4s} "
+        f"{'util':>5s}\n",
+        row, footer,
         smoke=args.smoke,
         root_seed=args.seed,
         fast_path=not args.slow_path,
-        jobs=args.jobs,
-        output=args.output,
         capacity_source=args.capacity_source,
-        with_perf=not args.no_perf,
-        progress=_progress,
     )
-    feed = document["capacity_feed"]
-    out.write(
-        f"capacity feed: {feed['server_capacity_rps']:.1f} req/s per server "
-        f"from {feed['source']} -> {feed['nominal_servers']} server(s) at "
-        f"{feed['nominal_rate_rps']:g} req/s offered\n"
-    )
-    verdicts = document["verdicts"]
-    dominance = document["dominance"]
-    speedup = dominance["speedup"]
-    speedup_text = f"{speedup:.2f}x" if speedup is not None else "n/a"
-    out.write(
-        f"goodput dominance: sharded fleet "
-        f"{dominance['sharded_goodput_rps']:.1f} req/s vs single chip "
-        f"{dominance['baseline_goodput_rps']:.1f} req/s ({speedup_text}, "
-        f"{'holds' if verdicts['goodput_dominance'] else 'FAILS'})\n"
-    )
-    out.write(
-        f"autoscale out observed: {verdicts['autoscale_out_observed']}  "
-        f"closed loop conserved: {verdicts['closed_loop_conserved']}; "
-        f"results in {args.output}\n"
-    )
-    return 0 if all(verdicts.values()) else 1
 
 
 def _cmd_dynamic(args, out) -> int:
-    if args.jobs < 1:
-        raise CliError(f"--jobs must be >= 1, got {args.jobs}")
-    out.write(
-        f"{'task':>20s} {'detail':>24s} {'best/good':>10s} {'drop':>7s} "
-        f"{'verdict':>8s}\n"
-    )
-
-    def _progress(record):
+    def row(record):
         if record["kind"] == "pareto":
             best = record["best"]
             out.write(
@@ -847,42 +753,43 @@ def _cmd_dynamic(args, out) -> int:
                 f"{'':>8s}\n"
             )
 
-    document = run_dynamic_bench(
+    def footer(document):
+        best = document["best_tradeoff"]
+        out.write(
+            f"best tradeoff: {best['model']} at threshold "
+            f"{best['threshold']:g} -> {best['cycle_reduction_vs_full']:.2f}x "
+            f"cycles at {format_percent(best['mean_estimated_drop'])} estimated "
+            f"accuracy drop\n"
+        )
+        verdicts = document["verdicts"]
+        dominance = document["dominance"]
+        gain = dominance["gain"]
+        gain_text = f"{gain:.2f}x" if gain is not None else "n/a"
+        out.write(
+            f"overload goodput: quality-aware "
+            f"{dominance['quality_goodput_rps']:.1f} req/s vs ladder-only "
+            f"{dominance['ladder_goodput_rps']:.1f} req/s ({gain_text}, "
+            f"{'holds' if verdicts['goodput_dominance'] else 'FAILS'}) at "
+            f"{format_percent(dominance['quality_mean_drop'])} mean estimated "
+            f"drop\n"
+        )
+        out.write(
+            f"pareto win: {verdicts['pareto_win']}  "
+            f"static parity: {verdicts['static_parity']}  "
+            f"threshold monotone: {verdicts['threshold_monotone']}  "
+            f"quality bounded: {verdicts['quality_bounded']}; "
+            f"results in {args.output}\n"
+        )
+
+    return _run_campaign(
+        args, out, run_dynamic_bench,
+        f"{'task':>20s} {'detail':>24s} {'best/good':>10s} {'drop':>7s} "
+        f"{'verdict':>8s}\n",
+        row, footer,
         smoke=args.smoke,
         root_seed=args.seed,
         fast_path=not args.slow_path,
-        jobs=args.jobs,
-        output=args.output,
-        with_perf=not args.no_perf,
-        progress=_progress,
     )
-    best = document["best_tradeoff"]
-    out.write(
-        f"best tradeoff: {best['model']} at threshold "
-        f"{best['threshold']:g} -> {best['cycle_reduction_vs_full']:.2f}x "
-        f"cycles at {format_percent(best['mean_estimated_drop'])} estimated "
-        f"accuracy drop\n"
-    )
-    verdicts = document["verdicts"]
-    dominance = document["dominance"]
-    gain = dominance["gain"]
-    gain_text = f"{gain:.2f}x" if gain is not None else "n/a"
-    out.write(
-        f"overload goodput: quality-aware "
-        f"{dominance['quality_goodput_rps']:.1f} req/s vs ladder-only "
-        f"{dominance['ladder_goodput_rps']:.1f} req/s ({gain_text}, "
-        f"{'holds' if verdicts['goodput_dominance'] else 'FAILS'}) at "
-        f"{format_percent(dominance['quality_mean_drop'])} mean estimated "
-        f"drop\n"
-    )
-    out.write(
-        f"pareto win: {verdicts['pareto_win']}  "
-        f"static parity: {verdicts['static_parity']}  "
-        f"threshold monotone: {verdicts['threshold_monotone']}  "
-        f"quality bounded: {verdicts['quality_bounded']}; "
-        f"results in {args.output}\n"
-    )
-    return 0 if all(verdicts.values()) else 1
 
 
 _COMMANDS = {

@@ -8,12 +8,12 @@ from repro.bench.document import (
     NONDETERMINISTIC_KEYS,
     append_history,
     deterministic_view,
-    history_entry,
     perf_block,
+    run_campaign,
     write_document,
 )
 from repro.bench.faults import FAULTS_SCHEMA, fault_matrix
-from repro.parallel import ShardedRun
+from repro.parallel import CampaignTask, ShardedRun
 
 
 def _run(**overrides):
@@ -83,9 +83,68 @@ class TestPerfBlock:
         assert again["history"][0]["speedup_vs_serial_est"] is None
 
 
+def _square(x: int) -> dict:
+    """A top-level task so forked workers can pickle it."""
+    return {"x": x, "square": x * x, "wall_time_s": 0.5}
+
+
+def _campaign(path=None, with_perf=True, history_keys=("smoke",), progress=None):
+    tasks = [
+        CampaignTask(index=i, fn=_square, kwargs={"x": x})
+        for i, x in enumerate((3, 1, 2))
+    ]
+
+    def merge(records):
+        return {
+            "schema": FAULTS_SCHEMA,
+            "smoke": True,
+            "records": records,
+            "verdicts": {"ordered": [r["x"] for r in records] == [3, 1, 2]},
+        }
+
+    return run_campaign(
+        FAULTS_SCHEMA, tasks, merge, jobs=1, output=path,
+        with_perf=with_perf, progress=progress, history_keys=history_keys,
+    )
+
+
+class TestRunCampaign:
+    def test_progress_sees_records_in_task_order(self, tmp_path):
+        seen = []
+        document = _campaign(tmp_path / "doc.json", progress=seen.append)
+        assert [r["x"] for r in seen] == [3, 1, 2]
+        assert document["records"] == seen
+
+    def test_history_entry_carries_verdicts_and_perf(self, tmp_path):
+        path = tmp_path / "doc.json"
+        document = _campaign(path)
+        entry = document["history"][-1]
+        assert entry["run"] == 1 and entry["smoke"] is True
+        assert entry["ordered"] is True
+        assert entry["tasks"] == 3 and entry["jobs"] == 1
+        for key in ("wall_s", "worker_efficiency", "speedup_vs_serial_est"):
+            assert entry[key] == document["perf"][key]
+        assert json.loads(path.read_text()) == document
+        again = _campaign(path)
+        assert [e["run"] for e in again["history"]] == [1, 2]
+
+    def test_no_perf_writes_the_deterministic_view(self, tmp_path):
+        path = tmp_path / "doc.json"
+        document = _campaign(path, with_perf=False)
+        assert "perf" not in document and "history" not in document
+        assert all("wall_time_s" not in r for r in document["records"])
+        assert json.loads(path.read_text()) == document
+
+    def test_no_output_writes_nothing(self, tmp_path):
+        document = _campaign(None)
+        assert document["history"][0]["run"] == 1
+        assert not list(tmp_path.iterdir())
+
+
 class TestHistory:
     def test_entry_picks_present_keys(self):
-        assert history_entry({"a": 1, "b": 2}, ("a", "missing")) == {"a": 1}
+        entry = _campaign(history_keys=("smoke", "missing"))["history"][-1]
+        assert "smoke" in entry and "missing" not in entry
 
     def test_ordinals_ascend_across_runs(self, tmp_path):
         path = tmp_path / "doc.json"

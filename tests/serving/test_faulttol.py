@@ -6,6 +6,7 @@ campaign-level tests run the real chaos bench at smoke scale.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -130,13 +131,11 @@ class TestParityWithPlainSimulator:
             seed=0,
             executor=StubExecutor(),
         ).run(trace)
+        assert len(plain.records) == len(chaos.records)
         for a, b in zip(plain.records, chaos.records):
-            assert a.outcome == b.outcome
-            assert a.stage == b.stage
-            assert a.batch_size == b.batch_size
-            assert a.dispatch_cycle == b.dispatch_cycle
-            assert a.completion_cycle == b.completion_cycle
-            assert a.reject_reason == b.reject_reason
+            # the plain simulator never counts attempts; every other
+            # field must agree
+            assert replace(a, attempts=b.attempts) == b
 
 
 class TestRecoveryMechanisms:

@@ -22,11 +22,22 @@ from repro.serving import (
     FleetSimulator,
     PriorityBatcher,
     Request,
+    ServerConfig,
+    ServingSimulator,
     SloClass,
+    TraceConfig,
+    generate_trace,
     initial_fleet_size,
     simulate_fleet,
 )
 from repro.sim.sharding import ShardedBatchResult
+
+try:
+    from hypothesis import given, settings, strategies as st
+
+    HAVE_HYPOTHESIS = True
+except ImportError:  # pragma: no cover - hypothesis ships with the image
+    HAVE_HYPOTHESIS = False
 
 MS = 1_000_000  # cycles per simulated millisecond at the 1 GHz default
 
@@ -58,6 +69,86 @@ def run_fleet(trace=None, closed_loop=None, config=None, **stub_kwargs):
         config=config, executor=StubShardedExecutor(**stub_kwargs)
     )
     return simulator.run(trace=trace, closed_loop=closed_loop)
+
+
+class PricedStubExecutor:
+    """Service time from (model, batch size, rung): no accelerator
+    simulation, but every pricing input moves the schedule."""
+
+    _BASE = {"alexnet": 3 * MS, "lstm": MS, "gru": 2 * MS}
+
+    def execute(self, model, workload_seeds, stage=None):
+        base = self._BASE[model]
+        cycles = base + len(workload_seeds) * base // 4 + len(str(stage)) * 1000
+        return ShardedBatchResult(
+            reports=[None] * len(workload_seeds),
+            service_cycles=cycles,
+            shard_busy_cycles=[cycles],
+        )
+
+
+def fixed_fleet_and_plain(seed, workers, models, rate_rps, queue_depth):
+    """The same bursty trace through a pinned, plan-free fleet and
+    through the plain simulator with as many workers."""
+    trace = generate_trace(
+        TraceConfig(
+            n_requests=120, rate_rps=rate_rps, arrival="bursty",
+            models=models, seed=seed,
+        )
+    )
+    batch = BatchPolicy(max_batch=4, max_wait_us=300.0)
+    admission = AdmissionConfig(max_queue_depth=queue_depth)
+    fleet = FleetSimulator(
+        config=FleetConfig(
+            batch=batch,
+            admission=admission,
+            autoscaler=AutoscalerPolicy.fixed(workers),
+            initial_servers=workers,
+        ),
+        executor=PricedStubExecutor(),
+    ).run(trace=trace)
+    plain = ServingSimulator(
+        config=ServerConfig(workers=workers, batch=batch, admission=admission),
+        executor=PricedStubExecutor(),
+    ).run(trace)
+    return fleet, plain
+
+
+class TestFixedFleetMatchesPlainServing:
+    """A fleet pinned at N plan-free servers is N plain workers."""
+
+    def test_overloaded_trace_with_rejects(self):
+        fleet, plain = fixed_fleet_and_plain(
+            seed=3, workers=1, models=("alexnet", "lstm"),
+            rate_rps=3000.0, queue_depth=6,
+        )
+        assert plain.summary.rejected > 0
+        assert fleet.records == plain.records
+        assert fleet.max_queue_depth == plain.max_queue_depth
+
+
+if HAVE_HYPOTHESIS:
+
+    class TestFixedFleetOracleProperty:
+        @settings(max_examples=30, deadline=None)
+        @given(
+            seed=st.integers(min_value=0, max_value=10_000),
+            workers=st.sampled_from((1, 3)),
+            models=st.sampled_from(
+                (("lstm",), ("alexnet", "lstm"), ("alexnet", "gru", "lstm"))
+            ),
+            rate_rps=st.sampled_from((300.0, 1500.0, 6000.0)),
+            queue_depth=st.integers(min_value=2, max_value=16),
+        )
+        def test_every_record_field_matches(
+            self, seed, workers, models, rate_rps, queue_depth
+        ):
+            fleet, plain = fixed_fleet_and_plain(
+                seed, workers, models, rate_rps, queue_depth
+            )
+            assert len(fleet.records) == len(plain.records)
+            for a, b in zip(fleet.records, plain.records):
+                assert a == b
 
 
 class TestSloClass:

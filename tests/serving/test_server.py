@@ -95,6 +95,20 @@ class TestAccounting:
             assert record.completion_cycle > record.dispatch_cycle
             assert record.latency_cycles >= record.queue_cycles
 
+    def test_second_close_of_a_rid_is_a_counted_duplicate(self):
+        """Closing one rid twice counts one duplicate; the first record
+        stands."""
+        from repro.serving.request import COMPLETED, REJECTED, RequestRecord
+
+        simulator = ServingSimulator(executor=StubExecutor())
+        simulator._start()
+        request = uniform_trace(1, gap_cycles=1)[0]
+        first = RequestRecord(request, COMPLETED, stage="DUET", batch_size=1)
+        simulator._close(first)
+        simulator._close(RequestRecord(request, REJECTED, reject_reason="x"))
+        assert simulator._duplicates == 1
+        assert simulator._records == {request.rid: first}
+
     def test_queue_bound_never_violated(self):
         config = ServerConfig(
             workers=1, admission=AdmissionConfig(max_queue_depth=6)

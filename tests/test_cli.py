@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import argparse
 import io
 
 import pytest
@@ -245,3 +246,237 @@ class TestFleet:
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
+
+
+#: ``(subcommand, extra argv)`` of every campaign, at the smallest size.
+CAMPAIGNS = [
+    ("bench", ("--smoke",)),
+    ("loadgen", ("--smoke",)),
+    ("faults", ("--smoke",)),
+    ("chaos", ("--smoke",)),
+    ("fleet", ("--smoke",)),
+    ("dynamic", ("--smoke",)),
+]
+
+
+class TestCampaignFlags:
+    """The shared campaign flags are validated before any output."""
+
+    @pytest.mark.parametrize("command, extra", CAMPAIGNS)
+    def test_jobs_zero_exits_2_before_output(self, command, extra, tmp_path):
+        code, out, err = run_cli_err(
+            command, *extra, "--jobs", "0", "--output", str(tmp_path / "x.json")
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: --jobs must be >= 1, got 0\n"
+
+    @pytest.mark.parametrize("command, extra", CAMPAIGNS)
+    def test_missing_output_directory_exits_2_before_running(
+        self, command, extra, tmp_path, monkeypatch
+    ):
+        import repro.cli as cli
+
+        def never(**kwargs):
+            raise AssertionError("the campaign must not run")
+
+        for name in (
+            "run_bench", "run_serving_bench", "run_fault_matrix",
+            "run_chaos_bench", "run_fleet_bench", "run_dynamic_bench",
+        ):
+            monkeypatch.setattr(cli, name, never)
+        missing = tmp_path / "missing" / "x.json"
+        code, out, err = run_cli_err(command, *extra, "--output", str(missing))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --output directory does not exist")
+        assert err.count("\n") == 1
+
+
+class TestFailedVerdictExitsOne:
+    """A document whose checks fail exits 1 and keeps its failure line."""
+
+    def test_bench_mismatch(self, tmp_path, monkeypatch):
+        import repro.cli as cli
+
+        def failing(**kwargs):
+            kwargs["progress"]({
+                "name": "fig11a_overall",
+                "wall_time_s": {"fast": 0.1, "slow": 0.2},
+                "speedup_vs_slow_path": 2.0,
+                "equivalence": "MISMATCH",
+            })
+            return {"geomean_speedup_vs_slow_path": 2.0, "all_equivalent": False}
+
+        monkeypatch.setattr(cli, "run_bench", failing)
+        code, out, err = run_cli_err(
+            "bench", "--smoke", "--output", str(tmp_path / "b.json")
+        )
+        assert code == 1
+        assert err == ""
+        assert "MISMATCH" in out
+        assert "fast path diverged from the slow-path oracle" in out
+
+    def test_fault_matrix_violation(self, tmp_path, monkeypatch):
+        import repro.cli as cli
+
+        def failing(**kwargs):
+            return {
+                "aggregates": {
+                    "tasks": 4, "guarded": 4, "unguarded": 0,
+                    "guarded_invariant_violations": 1,
+                    "unguarded_invariant_violations": 0,
+                },
+                "all_guarded_invariants_held": False,
+            }
+
+        monkeypatch.setattr(cli, "run_fault_matrix", failing)
+        code, out, err = run_cli_err(
+            "faults", "--smoke", "--no-perf", "--output", str(tmp_path / "f.json")
+        )
+        assert code == 1
+        assert err == ""
+        assert (
+            "values-never-corrupted invariant: VIOLATED in 1 guarded cell(s)"
+            in out
+        )
+
+
+_MODELS = ("alexnet", "gnmt", "gru", "lstm", "resnet18", "resnet50", "vgg16")
+_STAGES = ("BASE", "OS", "BOS", "IOS", "DUET")
+_ARRIVALS = ("poisson", "bursty")
+_CAMPAIGN_NAMES = (
+    "dram-flaky", "none", "omap-flips", "severe", "smoke",
+    "speculator-bias", "stuck-pe", "weight-mem",
+)
+_SUITE_NAMES = (
+    "fig11a_overall", "fig12a_stage_speedup", "fig12b_utilization",
+    "fig12d_rnn_memory", "fig12ef_energy_breakdown", "fig13a_speculator_size",
+)
+
+
+def _campaign(output, seed=True, slow_path=True):
+    """The pinned rows of the flags every campaign shares."""
+    rows = [("--smoke", "smoke", False, None, None)]
+    if seed:
+        rows.append(("--seed", "seed", 0, int, None))
+    if slow_path:
+        rows.append(("--slow-path", "slow_path", False, None, None))
+    return rows + [
+        ("--jobs", "jobs", 1, int, None),
+        ("--output", "output", output, None, None),
+        ("--no-perf", "no_perf", False, None, None),
+    ]
+
+
+#: subcommand -> ``(option, dest, default, type, choices)`` per action.
+PINNED_ACTIONS = {
+    "list-models": [],
+    "simulate": [
+        ("--model", "model", None, None, _MODELS),
+        ("--stage", "stage", "DUET", None, _STAGES),
+        ("--include-fc", "include_fc", False, None, None),
+        ("--seed", "seed", 0, int, None),
+    ],
+    "stages": [
+        ("--model", "model", None, None, _MODELS),
+        ("--seed", "seed", 0, int, None),
+    ],
+    "compare": [
+        ("--model", "model", None, None, _MODELS),
+        ("--seed", "seed", 0, int, None),
+    ],
+    "area": [],
+    "faults": [
+        ("--model", "model", None, None, _MODELS),
+        ("--campaign", "campaign", "smoke", None, _CAMPAIGN_NAMES),
+        *_campaign("BENCH_faults.json", slow_path=False),
+        ("--stage", "stage", "DUET", None, _STAGES),
+        ("--no-guards", "no_guards", False, None, None),
+    ],
+    "bench": [
+        *_campaign("BENCH_duet.json", seed=False, slow_path=False),
+        ("--suite", "suite", None, None, _SUITE_NAMES),
+        ("--warmup", "warmup", 1, int, None),
+        ("--repeat", "repeat", 3, int, None),
+        ("--list", "list_suites", False, None, None),
+    ],
+    "serve": [
+        ("--model", "model", None, None, _MODELS),
+        ("--requests", "requests", 1000, int, None),
+        ("--rate", "rate", 200.0, float, None),
+        ("--arrival", "arrival", "poisson", None, _ARRIVALS),
+        ("--seed", "seed", 0, int, None),
+        ("--workers", "workers", 2, int, None),
+        ("--max-batch", "max_batch", 8, int, None),
+        ("--max-wait-us", "max_wait_us", 200.0, float, None),
+        ("--queue-depth", "queue_depth", 64, int, None),
+        ("--rate-limit", "rate_limit", None, float, None),
+        ("--variants", "variants", 4, int, None),
+    ],
+    "loadgen": [
+        *_campaign("BENCH_serving.json"),
+        ("--workers", "workers", 2, int, None),
+        ("--max-batch", "max_batch", 8, int, None),
+        ("--arrival", "arrival", "poisson", None, _ARRIVALS),
+        ("--scale", "scale", 1.0, float, None),
+    ],
+    "chaos": [
+        *_campaign("BENCH_chaos.json"),
+        ("--workers", "workers", 3, int, None),
+    ],
+    "fleet": [
+        *_campaign("BENCH_fleet.json"),
+        ("--capacity-source", "capacity_source", "BENCH_serving.json", None, None),
+    ],
+    "dynamic": _campaign("BENCH_dynamic.json"),
+    "lint": [
+        (None, "paths", None, None, None),
+        ("--root", "root", ".", None, None),
+        ("--format", "output_format", "text", None, ("text", "json")),
+        ("--rule", "rule", None, None, None),
+        ("--baseline", "baseline", None, None, ("update",)),
+        ("--no-baseline", "no_baseline", False, None, None),
+        ("--strict", "strict", False, None, None),
+        ("--output", "output", None, None, None),
+        ("--jobs", "jobs", 1, int, None),
+        ("--no-cache", "no_cache", False, None, None),
+        ("--graph-output", "graph_output", None, None, None),
+        ("--list-rules", "list_rules", False, None, None),
+    ],
+}
+
+
+class TestParserSurface:
+    """Every subcommand's actions match the pinned table."""
+
+    @staticmethod
+    def _actions(name):
+        from repro.cli import build_parser
+
+        parser = build_parser()
+        sub = next(
+            a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)
+        )
+        return {
+            tuple(a.option_strings): (
+                a.dest, a.default, a.type,
+                tuple(a.choices) if a.choices is not None else None,
+            )
+            for a in sub.choices[name]._actions
+            if a.dest != "help"
+        }
+
+    @pytest.mark.parametrize("name", sorted(PINNED_ACTIONS))
+    def test_actions_match_pinned_table(self, name):
+        expected = {
+            (option,) if option else (): (dest, default, type_, choices)
+            for option, dest, default, type_, choices in PINNED_ACTIONS[name]
+        }
+        assert self._actions(name) == expected
+
+    def test_every_subcommand_is_pinned(self):
+        from repro.cli import _COMMANDS
+
+        assert set(PINNED_ACTIONS) == set(_COMMANDS)
