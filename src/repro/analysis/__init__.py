@@ -4,8 +4,8 @@ An AST-based lint engine that mechanically enforces the invariants the
 repo otherwise keeps only by convention -- seeded determinism, fast/slow
 path parity, the exit-2 CLI convention, schema-versioned bench files,
 exception/float-comparison hygiene, and (via the whole-program pass) the
-package layering contract, RNG seed provenance, exit pricing coverage,
-and dead-export pruning.  See ``docs/linting.md`` for the rule catalogue
+package layering contract, RNG seed provenance, executor pricing
+coverage, and dead-export pruning.  See ``docs/linting.md`` for the rule catalogue
 and the suppression/baseline workflow.
 
 Entry points:

@@ -66,11 +66,6 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
         help="also write the JSON report document to PATH",
     )
     parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="shard the per-file pass over N worker processes "
-        "(byte-identical report for any N; default 1, inline)",
-    )
-    parser.add_argument(
         "--no-cache", action="store_true",
         help="skip the incremental result cache (.duet-cache/)",
     )
@@ -108,26 +103,13 @@ def _report_document(result, rules, root: str) -> dict:
     return document
 
 
-def _write_graph(path: str, result, root: Path) -> None:
-    """Write the import-graph document (building it if no project rule
-    ran, so ``--rule DET001 --graph-output`` still works)."""
-    program = result.program
-    if program is None:
-        from repro.analysis.engine import Project
-        from repro.analysis.project import ProgramModel
-
-        program = ProgramModel.build(Project(root))
-    Path(path).write_text(
-        json.dumps(program.graph_document(), indent=2, sort_keys=True) + "\n"
-    )
-
-
 def cmd_lint(args, out) -> int:
     """Run the lint per ``args``; returns the exit code (0/1).
 
     Raises:
-        ValueError: on usage errors (unknown rule, bad root/paths) --
-            mapped to exit 2 by the caller.
+        ValueError: on usage errors (unknown rule, bad root/paths,
+            ``--baseline update`` with a rule or path subset) -- mapped
+            to exit 2 by the caller.
     """
     if args.list_rules:
         for code in sorted(REGISTRY):
@@ -140,16 +122,16 @@ def cmd_lint(args, out) -> int:
             f"lint root {root} has no src/ directory (use --root to point "
             "at the repository root)"
         )
-    if args.jobs < 1:
-        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
+    if args.baseline == "update" and (args.rule or args.paths):
+        raise ValueError(
+            "--baseline update rewrites the whole baseline: run it without "
+            "--rule or paths"
+        )
     rules = get_rules(args.rule)
     cache = IncrementalCache(root, enabled=not args.no_cache)
     baseline_path = root / DEFAULT_BASELINE_NAME
     if args.baseline == "update":
-        result = run_lint(
-            root, paths=args.paths or None, rules=rules,
-            jobs=args.jobs, cache=cache,
-        )
+        result = run_lint(root, rules=rules, cache=cache)
         save_baseline(baseline_path, result.findings)
         out.write(
             f"baseline updated: {len(result.findings)} finding(s) "
@@ -162,11 +144,13 @@ def cmd_lint(args, out) -> int:
         paths=args.paths or None,
         rules=rules,
         baseline_fingerprints=fingerprints,
-        jobs=args.jobs,
         cache=cache,
     )
     if args.graph_output:
-        _write_graph(args.graph_output, result, root)
+        graph = result.program.graph_document()
+        Path(args.graph_output).write_text(
+            json.dumps(graph, indent=2, sort_keys=True) + "\n"
+        )
     document = _report_document(result, rules, args.root)
     if args.output:
         Path(args.output).write_text(json.dumps(document, indent=2) + "\n")

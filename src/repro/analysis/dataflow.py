@@ -1,18 +1,18 @@
 """RNG-provenance dataflow: an intraprocedural + cross-module taint lattice.
 
-PAR002 pattern-matches RNG construction inside one file, so a worker
-seeded through an alias or a helper in another module sails past it:
+A check that pattern-matches RNG construction inside one file misses a
+worker seeded through an alias or a helper in another module:
 
-    # helpers.py -- no parallel imports, PAR002 never looks
+    # helpers.py -- no parallel imports
     def fresh():
         return np.random.default_rng()          # OS entropy!
 
     # campaign.py
     from helpers import fresh as make_rng
-    rng = make_rng()                            # PAR002-invisible
+    rng = make_rng()                            # no constructor call here
 
 This module tracks where generators *come from* instead of what the
-constructor call looks like.  Every expression gets a provenance from a
+constructor call looks like; SEED001 reports what it finds.  Every expression gets a provenance from a
 small lattice:
 
 - :data:`SPAWNED` -- derived from ``SeedSequence.spawn`` lineage (child

@@ -1,18 +1,17 @@
 """The duetlint engine: file discovery, parsing, rule running, filtering.
 
 The engine walks the lint roots (``src/`` and ``tools/`` by default),
-parses every ``*.py`` file once, hands each :class:`ParsedModule` to the
-registered per-file rules that claim it, and runs the whole-program
-rules (:class:`~repro.analysis.rules.ProjectRule`) once over the
-:class:`~repro.analysis.project.ProgramModel` of the entire tree.  Raw
-findings from both passes are then filtered through inline suppressions
-and the committed baseline *in the parent* -- workers and the
-incremental cache only ever see raw findings, which is what makes
-``--jobs N`` sharding and cache hits byte-identical to a cold serial
-run.  Rules are pure functions of their inputs -- all repo-wide context
-(the fast-path equivalence test, ``docs/api.md``) goes through the
-:class:`Project` so the whole engine can be pointed at a fixture tree in
-tests.
+builds the :class:`~repro.analysis.project.ProgramModel` of the whole
+tree -- which parses every file once -- and hands each selected file's
+:class:`ParsedModule` to the registered per-file rules that claim it.
+The whole-program rules (:class:`~repro.analysis.rules.ProjectRule`)
+then run once over the same model.  Raw findings from both passes are
+filtered through inline suppressions and the committed baseline last;
+the incremental cache only ever sees raw findings, which is what makes
+a cache hit byte-identical to a cold run.  Rules are pure functions of
+their inputs -- all repo-wide context (the fast-path equivalence test,
+``docs/api.md``) goes through the :class:`Project` so the whole engine
+can be pointed at a fixture tree in tests.
 """
 
 from __future__ import annotations
@@ -23,6 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.analysis.findings import Finding
+from repro.analysis.incremental import IncrementalCache, engine_digest
 
 __all__ = [
     "Project",
@@ -184,9 +184,8 @@ class LintResult:
             uncached).  Excluded from the JSON report document: warm
             and cold runs must serialize identically.
         cache_misses: entries recomputed this run (ditto).
-        program: the built :class:`~repro.analysis.project.ProgramModel`
-            when whole-program rules ran, for ``--graph-output``; never
-            serialized.
+        program: the built :class:`~repro.analysis.project.ProgramModel`,
+            for ``--graph-output``; never serialized.
     """
 
     findings: list[Finding]
@@ -247,27 +246,36 @@ def discover_files(root: Path, paths: list[str] | None = None) -> list[str]:
     return sorted(found)
 
 
-def _check_file(project: Project, relpath: str, source: str, rules: list) -> list[Finding]:
+def _check_file(
+    project: Project,
+    relpath: str,
+    source: str,
+    rules: list,
+    module: ParsedModule | None = None,
+) -> list[Finding]:
     """Raw findings of the per-file rules on one source file.
 
     Pre-suppression, pre-baseline: this is the unit of work the
-    incremental cache stores and the ``--jobs`` workers return.
-    Unparseable files produce a single ``parse-error`` finding.
+    incremental cache stores.  ``module`` is the program model's parse
+    of the file; without one (a file outside the program roots, or one
+    that failed to parse there) the file is parsed here, and an
+    unparseable file produces a single ``parse-error`` finding.
     """
-    try:
-        module = ParsedModule.parse(relpath, source)
-    except SyntaxError as exc:
-        return [
-            Finding(
-                path=relpath,
-                line=exc.lineno or 1,
-                col=(exc.offset or 1) - 1,
-                rule="parse-error",
-                message=f"could not parse file: {exc.msg}",
-                severity="error",
-                line_text=(exc.text or "").rstrip("\n"),
-            )
-        ]
+    if module is None:
+        try:
+            module = ParsedModule.parse(relpath, source)
+        except SyntaxError as exc:
+            return [
+                Finding(
+                    path=relpath,
+                    line=exc.lineno or 1,
+                    col=(exc.offset or 1) - 1,
+                    rule="parse-error",
+                    message=f"could not parse file: {exc.msg}",
+                    severity="error",
+                    line_text=(exc.text or "").rstrip("\n"),
+                )
+            ]
     findings: list[Finding] = []
     for rule in rules:
         if rule.applies_to(relpath):
@@ -277,8 +285,6 @@ def _check_file(project: Project, relpath: str, source: str, rules: list) -> lis
 
 def _context_digest(project: Project, rules: list) -> str:
     """Digest over the declared ``context_files`` of ``rules``."""
-    from repro.analysis.incremental import IncrementalCache
-
     parts = sorted(
         {
             (ctx, project.read_text(ctx) or "<absent>")
@@ -289,64 +295,12 @@ def _context_digest(project: Project, rules: list) -> str:
     return IncrementalCache.content_digest(list(parts))
 
 
-def _lint_shard(
-    root: str,
-    relpaths: list[str],
-    rule_codes: list[str],
-    cache_enabled: bool,
-) -> tuple[list[dict], int, int, int]:
-    """One ``--jobs`` work unit: lint ``relpaths`` with the per-file rules.
-
-    Top-level (picklable) so :func:`repro.parallel.run_sharded` can ship
-    it to a worker process under any start method.  Returns
-    ``(finding payloads, files scanned, cache hits, cache misses)`` --
-    raw findings only; the parent applies suppressions and the baseline.
-    """
-    from repro.analysis.incremental import IncrementalCache, engine_digest
-    from repro.analysis.rules import get_rules
-
-    project = Project(root)
-    rules = get_rules(rule_codes) if rule_codes else []
-    cache = IncrementalCache(root, enabled=cache_enabled)
-    engine = engine_digest() if cache.enabled else ""
-    context = _context_digest(project, rules)
-    payloads: list[dict] = []
-    scanned = 0
-    for relpath in relpaths:
-        source = project.read_text(relpath)
-        if source is None:
-            continue
-        scanned += 1
-        key = cache.module_key(engine, rule_codes, context, relpath, source)
-        findings = cache.load(key)
-        if findings is None:
-            findings = _check_file(project, relpath, source, rules)
-            cache.store(key, findings)
-        payloads.extend(f.to_payload() for f in findings)
-    return payloads, scanned, cache.hits, cache.misses
-
-
-def _make_shards(relpaths: list[str], jobs: int) -> list[list[str]]:
-    """Contiguous shards of the (sorted) work-list.
-
-    Sharding never affects output -- findings are re-sorted and counts
-    summed in the parent -- so the split only balances work.  A few
-    shards per worker smooths out expensive files.
-    """
-    if not relpaths:
-        return []
-    shard_count = min(len(relpaths), max(1, jobs * 4 if jobs > 1 else 1))
-    size = -(-len(relpaths) // shard_count)
-    return [relpaths[i : i + size] for i in range(0, len(relpaths), size)]
-
-
 def run_lint(
     root: str | Path,
     paths: list[str] | None = None,
     rules: list | None = None,
     baseline_fingerprints: set[str] | None = None,
-    jobs: int = 1,
-    cache=None,
+    cache: IncrementalCache | None = None,
 ) -> LintResult:
     """Lint ``paths`` under ``root`` with ``rules``.
 
@@ -361,9 +315,6 @@ def run_lint(
             :mod:`repro.analysis.rules`).
         baseline_fingerprints: fingerprints of grandfathered findings to
             filter out.
-        jobs: worker processes for the per-file pass (sharded through
-            :func:`repro.parallel.run_sharded`); output is byte-identical
-            for every value.
         cache: an :class:`~repro.analysis.incremental.IncrementalCache`,
             or None to lint cold.
 
@@ -371,6 +322,7 @@ def run_lint(
         A :class:`LintResult`.  Unparseable files produce a single
         ``parse-error`` finding rather than aborting the run.
     """
+    from repro.analysis.project import ProgramModel
     from repro.analysis.rules import ProjectRule
 
     if rules is None:
@@ -378,75 +330,57 @@ def run_lint(
 
         rules = default_rules()
     project = Project(root)
+    if cache is None:
+        cache = IncrementalCache(project.root, enabled=False)
     baseline_fingerprints = baseline_fingerprints or set()
     selected = discover_files(project.root, paths)
     file_rules = [r for r in rules if not isinstance(r, ProjectRule)]
     project_rules = [r for r in rules if isinstance(r, ProjectRule)]
+    program = ProgramModel.build(project)
+    engine = engine_digest() if cache.enabled else ""
 
+    # per-file pass over the program model's parses
     raw: list[Finding] = []
-    scanned = cache_hits = cache_misses = 0
+    scanned = 0
+    file_codes = [r.code for r in file_rules]
+    context = _context_digest(project, file_rules)
+    for relpath in selected:
+        source = project.read_text(relpath)
+        if source is None:
+            continue
+        scanned += 1
+        key = cache.module_key(engine, file_codes, context, relpath, source)
+        findings = cache.load(key)
+        if findings is None:
+            info = program.by_path.get(relpath)
+            module = info.parsed if info is not None else None
+            findings = _check_file(project, relpath, source, file_rules, module)
+            cache.store(key, findings)
+        raw.extend(findings)
 
-    # per-file pass, sharded (jobs=1 runs inline through the same path)
-    from repro.parallel import CampaignTask, run_sharded
-
-    shards = _make_shards(selected, jobs)
-    tasks = [
-        CampaignTask(
-            index=i,
-            fn=_lint_shard,
-            kwargs={
-                "root": str(project.root),
-                "relpaths": shard,
-                "rule_codes": [r.code for r in file_rules],
-                "cache_enabled": cache is not None and cache.enabled,
-            },
-        )
-        for i, shard in enumerate(shards)
-    ]
-    run = run_sharded(tasks, jobs=jobs, clock=None, warm=False)
-    for payloads, shard_scanned, hits, misses in run.results:
-        raw.extend(Finding.from_payload(p) for p in payloads)
-        scanned += shard_scanned
-        cache_hits += hits
-        cache_misses += misses
-
-    # whole-program pass, in the parent
-    program = None
+    # whole-program pass
     if project_rules:
-        from repro.analysis.incremental import engine_digest
-        from repro.analysis.project import ProgramModel
-
-        program = ProgramModel.build(project)
-        project_findings = None
-        key = None
-        if cache is not None and cache.enabled:
-            parts = [
-                (info.relpath, info.parsed.source)
-                for info in program.modules.values()
-            ]
-            parts.extend(
-                (f"context:{ctx}", project.read_text(ctx) or "<absent>")
-                for rule in project_rules
-                for ctx in rule.context_files
-            )
-            key = cache.program_key(
-                engine_digest(),
-                [r.code for r in project_rules],
-                cache.content_digest(parts),
-            )
-            project_findings = cache.load(key)
+        parts = [
+            (info.relpath, info.parsed.source) for info in program.modules.values()
+        ]
+        parts.extend(
+            (f"context:{ctx}", project.read_text(ctx) or "<absent>")
+            for rule in project_rules
+            for ctx in rule.context_files
+        )
+        key = cache.program_key(
+            engine, [r.code for r in project_rules], cache.content_digest(parts)
+        )
+        project_findings = cache.load(key)
         if project_findings is None:
             project_findings = []
             for rule in project_rules:
                 project_findings.extend(rule.check_program(program, project))
-            if key is not None:
-                cache.store(key, project_findings)
+            cache.store(key, project_findings)
         selected_set = set(selected)
         raw.extend(f for f in project_findings if f.path in selected_set)
-        cache_hits += cache.hits if cache is not None else 0
-        cache_misses += cache.misses if cache is not None else 0
 
-    # parent-side filtering: suppressions, then baseline
+    # filtering: suppressions, then baseline
     findings: list[Finding] = []
     suppressed = baselined = 0
     suppression_cache: dict[str, tuple[dict[int, set[str]], set[str]]] = {}
@@ -469,7 +403,7 @@ def run_lint(
         suppressed=suppressed,
         baselined=baselined,
         files_scanned=scanned,
-        cache_hits=cache_hits,
-        cache_misses=cache_misses,
+        cache_hits=cache.hits,
+        cache_misses=cache.misses,
         program=program,
     )

@@ -87,8 +87,7 @@ class Finding:
 
         Unlike :meth:`as_dict` (the stable report schema), this carries
         every field so :meth:`from_payload` reconstructs an identical
-        Finding -- the incremental cache and the ``--jobs`` worker
-        boundary both round-trip through it.
+        Finding -- the incremental cache round-trips through it.
         """
         return {
             "path": self.path,

@@ -1,16 +1,18 @@
 """Whole-program model: the repo-wide import graph and symbol tables.
 
-The per-file engine hands each rule one :class:`~repro.analysis.engine.ParsedModule`
-at a time; this module builds the view the cross-module rule family
-(LAY001, SEED001, PRC001, DEAD001) needs: every lintable module parsed
-once, import edges resolved to *internal* modules (including relative
+This module builds the view the cross-module rule family (LAY001,
+SEED001, PRC001, DEAD001) needs: every lintable module parsed once,
+import edges resolved to *internal* modules (including relative
 imports and ``import x as y`` aliasing), per-module symbol tables, and
 ``from x import y`` re-export chains followed to their defining module.
+The engine's per-file pass reuses the same parses: each selected file's
+:class:`~repro.analysis.engine.ParsedModule` comes from
+:attr:`ProgramModel.by_path`, so no file is parsed twice in one run.
 
 The model is deterministic by construction -- modules and edges are
 sorted, and :meth:`ProgramModel.graph_document` emits the canonical
-``duetlint-graph/1`` JSON document CI uploads as an artifact -- so the
-``--jobs 1`` and ``--jobs N`` lint runs agree byte-for-byte.
+``duetlint-graph/1`` JSON document CI uploads as an artifact -- so a
+cold lint run and a warm (cached) one agree byte-for-byte.
 """
 
 from __future__ import annotations

@@ -164,10 +164,8 @@ from repro.analysis.rules import (  # noqa: E402,F401
     conventions,
     deadcode,
     determinism,
-    dynamic,
     layering,
     numerics,
-    parallelism,
     parity,
     pricing,
     reliability,

@@ -4,9 +4,9 @@ The repo's architecture is a strict ladder (see the layering-contract
 table in ``docs/architecture.md``, which this rule keeps in sync with):
 leaf utilities at the bottom, the CLI at the top, and every import
 pointing downward or sideways.  ``repro.analysis`` sits at layer 0 on
-purpose: the linter may depend on nothing it lints (only its layer-0
-sibling ``repro.parallel``, for ``--jobs`` sharding), so a layering
-violation can never break the tool that reports it.
+purpose: the linter imports no other ``repro`` package -- not even its
+layer-0 siblings -- so a layering violation can never break the tool
+that reports it.
 
 Three finding shapes:
 
@@ -57,9 +57,6 @@ LAYERS: dict[str, int] = {
     "cli": 9,
     "__main__": 9,
 }
-
-#: packages the linter itself may reach into (its own layer).
-_ANALYSIS_ALLOWED = {"analysis", "parallel"}
 
 #: where the human-readable copy of the contract lives.
 _DOC_FILE = "docs/architecture.md"
@@ -160,11 +157,11 @@ class LayeringRule(ProjectRule):
                 target_top = _top_level(target.name)
                 if target_top is None or target_top == source_top:
                     continue
-                if source_top == "analysis" and target_top not in _ANALYSIS_ALLOWED:
+                if source_top == "analysis":
                     yield self._edge_finding(
                         info, edge, source_top, target_top,
                         "repro.analysis must not import the packages it "
-                        "lints (only its layer-0 siblings)",
+                        "lints",
                     )
                     continue
                 target_layer = LAYERS.get(target_top)

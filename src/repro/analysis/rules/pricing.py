@@ -1,11 +1,9 @@
 """PRC001: every serving-reachable executor variant is priced and tested.
 
-DYN001 pins the ``EXIT_REGISTRY`` keys to the cost model and the parity
-suite by word-mention inside three known files.  PRC001 is its
-call-graph generalization: it discovers every *executor variant* -- a
-public class named ``*Executor``, plus ``ShardPlan`` -- defined anywhere
-under ``src/repro/``, keeps the ones the serving tier can actually
-reach through the import graph, and demands two properties of each:
+PRC001 discovers every *executor variant* -- a public class named
+``*Executor``, plus ``ShardPlan`` -- defined anywhere under
+``src/repro/``, keeps the ones the serving tier can actually reach
+through the import graph, and demands two properties of each:
 
 - a **pricing path**: the defining module's import closure must land in
   the ``sim/`` cost models (:data:`_COST_MODULES`) -- an executor that

@@ -16,9 +16,12 @@ Every exit point of a registered early-exit variant gets two prices:
   literature's shape (BranchyNet/D²NN: shallow exits lose a few percent,
   the curve flattens near full depth), not trained heads.
 
-duetlint DYN001 enforces that every backbone registered in
+``tests/dynamic/test_costmodel.py::test_every_registered_backbone_is_priced``
+checks that every backbone registered in
 ``repro.dynamic.exits.EXIT_REGISTRY`` has a priced entry in
-:data:`EXIT_PRICING` here and is exercised by the parity suite.
+:data:`EXIT_PRICING` here, and
+``tests/dynamic/test_parity.py::test_this_suite_covers_the_whole_registry``
+that the parity suite exercises it.
 """
 
 from __future__ import annotations
@@ -70,7 +73,7 @@ class ExitPricing:
 
 
 #: Per-backbone quality model -- one priced entry per EXIT_REGISTRY key
-#: (duetlint DYN001 keeps the two dicts in lock-step).
+#: (a tier-1 test keeps the two dicts in lock-step).
 EXIT_PRICING: dict = {
     "alexnet": ExitPricing(max_drop=0.05, exponent=1.5),
     "resnet18": ExitPricing(max_drop=0.05, exponent=1.5),

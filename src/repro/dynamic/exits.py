@@ -21,10 +21,11 @@ Two selective-execution modes are modelled:
 
 Only shapes matter (as everywhere in this reproduction), so exit heads
 are :class:`~repro.models.layer_spec.FCSpec` shapes, not trained weights.
-The registered variants live in :data:`EXIT_REGISTRY`; duetlint DYN001
-keeps every registered backbone priced in
-:mod:`repro.dynamic.costmodel` and covered by the parity suite
-``tests/dynamic/test_parity.py``.
+The registered variants live in :data:`EXIT_REGISTRY`; the tests
+``tests/dynamic/test_costmodel.py::test_every_registered_backbone_is_priced``
+and ``tests/dynamic/test_parity.py::test_this_suite_covers_the_whole_registry``
+keep every registered backbone priced in :mod:`repro.dynamic.costmodel`
+and covered by the parity suite.
 """
 
 from __future__ import annotations
@@ -256,9 +257,9 @@ def reduced_width_spec(spec: ModelSpec, width: float) -> ModelSpec:
 
 
 #: Registered early-exit variants: backbone name -> side-exit placements.
-#: duetlint DYN001 requires every key here to carry a priced entry in
-#: ``repro.dynamic.costmodel.EXIT_PRICING`` and a reference in the
-#: parity suite.  CNN backbones only: the RNN language models have no
+#: Every key here must carry a priced entry in
+#: ``repro.dynamic.costmodel.EXIT_PRICING`` and be covered by the parity
+#: suite (both checked by tier-1 tests).  CNN backbones only: the RNN language models have no
 #: classifier stack to short-circuit, so per-input depth selection buys
 #: them nothing (their width axis is covered by reduced_width_spec).
 EXIT_REGISTRY: dict = {

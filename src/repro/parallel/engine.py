@@ -57,7 +57,7 @@ def spawn_task_seeds(root_seed: int, n: int) -> list[int]:
     function of ``(root_seed, i)`` -- prefix-stable (the first ``k``
     of ``spawn(n)`` equal ``spawn(k)``) and statistically independent
     of every sibling.  Workers must seed their generators from these,
-    never from the parent seed (duetlint PAR002).
+    never from the parent seed (duetlint SEED001).
     """
     if n < 0:
         raise ValueError(f"seed count must be non-negative, got {n}")

@@ -1,4 +1,4 @@
-"""PAR002 negative fixture: child seeds spawned per shard."""
+"""SEED001 clean fixture: worker seeds spawned per shard from the parent."""
 
 from concurrent.futures import ProcessPoolExecutor
 

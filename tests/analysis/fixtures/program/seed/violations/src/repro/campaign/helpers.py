@@ -1,4 +1,4 @@
-"""RNG helper with no parallel imports -- invisible to PAR002."""
+"""RNG helper with no parallel imports: never worker-adjacent itself."""
 
 import numpy as np
 

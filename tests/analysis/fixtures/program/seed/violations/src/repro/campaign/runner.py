@@ -1,7 +1,7 @@
 """Aliased cross-module RNG reaching a process pool: SEED001 territory.
 
-PAR002 passes this file -- no ``numpy.random`` constructor is called
-here, and ``helpers.py`` imports no parallel primitive.
+No ``numpy.random`` constructor is called here, and ``helpers.py``
+imports no parallel primitive: only the cross-module dataflow sees it.
 """
 
 from concurrent.futures import ProcessPoolExecutor

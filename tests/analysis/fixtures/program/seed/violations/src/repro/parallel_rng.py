@@ -1,5 +1,4 @@
-"""PAR002 positive fixture: worker RNGs not derived from SeedSequence."""
-# duetlint: disable-file=SEED001  (this fixture demonstrates its own rule only)
+"""SEED001 fixture: worker RNGs not derived from SeedSequence.spawn."""
 
 from concurrent.futures import ProcessPoolExecutor
 
@@ -7,12 +6,12 @@ import numpy as np
 
 
 def shard_noise(n):
-    rng = np.random.default_rng()  # unseeded in a parallel module: PAR002
+    rng = np.random.default_rng()  # unseeded in a parallel module
     return rng.random(n)
 
 
 def run_shards(seed, n_shards):
-    # every worker reuses the parent seed -> identical streams: PAR002
+    # every worker reuses the parent seed -> identical streams
     with ProcessPoolExecutor() as pool:
         futures = [
             pool.submit(lambda: np.random.default_rng(seed).random(8))

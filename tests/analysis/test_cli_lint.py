@@ -101,6 +101,28 @@ class TestBaselineFlow:
         # --no-baseline resurrects the grandfathered finding.
         assert _run(["lint", "--root", str(root), "--no-baseline"])[0] == 1
 
+    def _assert_update_rejected(self, root, *subset):
+        baseline = root / ".duetlint-baseline.json"
+        assert _run(["lint", "--root", str(root), "--baseline", "update"])[0] == 0
+        before = baseline.read_bytes()
+        code, out, err = _run(
+            ["lint", "--root", str(root), "--baseline", "update", *subset]
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        # a subset run would have dropped the other grandfathered entries
+        assert baseline.read_bytes() == before
+
+    def test_update_with_rule_subset_is_rejected(self, tmp_path):
+        root = self._tree_with_violation(tmp_path)
+        self._assert_update_rejected(root, "--rule", "DET001")
+
+    def test_update_with_path_subset_is_rejected(self, tmp_path):
+        root = self._tree_with_violation(tmp_path)
+        self._assert_update_rejected(root, "src/repro/mod.py")
+
 
 class TestDiscoverability:
     def test_list_rules(self):

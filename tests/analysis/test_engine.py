@@ -1,10 +1,20 @@
 """Engine mechanics: suppressions, baselines, fingerprints, discovery."""
 
+from collections import Counter
+from pathlib import Path
+
 import pytest
 
 from repro.analysis.baseline import load_baseline, save_baseline
-from repro.analysis.engine import discover_files, iter_suppressions, run_lint
+from repro.analysis.engine import (
+    ParsedModule,
+    discover_files,
+    iter_suppressions,
+    run_lint,
+)
 from repro.analysis.schema import SchemaError
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 def _write_module(root, relpath, source):
@@ -151,3 +161,19 @@ class TestDiscovery:
         _write_module(tmp_path, "src/repro/sub/b.py", "B = 1\n")
         files = discover_files(tmp_path, paths=["src/repro/sub"])
         assert files == ["src/repro/sub/b.py"]
+
+
+class TestSingleParse:
+    def test_live_tree_parses_each_file_once(self, monkeypatch):
+        parses = Counter()
+        parse = ParsedModule.parse.__func__
+
+        def counting_parse(cls, relpath, source):
+            parses[relpath] += 1
+            return parse(cls, relpath, source)
+
+        monkeypatch.setattr(ParsedModule, "parse", classmethod(counting_parse))
+        result = run_lint(REPO_ROOT)
+        assert result.files_scanned > 0
+        assert parses
+        assert [path for path, n in parses.items() if n > 1] == []

@@ -1,20 +1,14 @@
-"""The incremental cache and the ``--jobs`` sharding never change output.
+"""The incremental cache never changes output.
 
-Two contracts, both byte-level:
-
-- *fingerprint stability*: for any small tree, a warm (cached) lint and
-  a ``--no-cache`` lint render JSON reports byte-identical to the cold
-  run that populated the cache -- and the warm run actually hits;
-- *shard invariance*: ``--jobs 1`` and ``--jobs 2`` reports are
-  byte-identical on the committed violations fixture tree.
-
-The first is a hypothesis property over generated trees mixing clean
-and deliberately-violating modules, so the stability claim is not
-anchored to one lucky layout.
+The contract is byte-level *fingerprint stability*: for any small tree,
+a warm (cached) lint and a ``--no-cache`` lint render JSON reports
+byte-identical to the cold run that populated the cache -- and the warm
+run actually hits.  It is a hypothesis property over generated trees
+mixing clean and deliberately-violating modules, so the stability claim
+is not anchored to one lucky layout.
 """
 
 import itertools
-import json
 from io import StringIO
 from pathlib import Path
 
@@ -26,13 +20,10 @@ from repro.analysis.cli import main as lint_main
 from repro.analysis.engine import run_lint
 from repro.analysis.findings import Finding
 from repro.analysis.incremental import (
-    CACHE_DIR_ENV,
     CACHE_DISK_ENV,
     IncrementalCache,
     engine_digest,
 )
-
-FIXTURES = Path(__file__).parent / "fixtures"
 
 #: module bodies the property test mixes into trees: compliant code,
 #: per-file violations (DET001), and whole-program taint via an aliased
@@ -54,8 +45,11 @@ SNIPPETS = (
 
 @pytest.fixture(autouse=True)
 def _isolated_cache_env(monkeypatch):
-    """Keep ambient DUET_CACHE_* settings out of these byte-level tests."""
-    monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
+    """Keep an ambient DUET_CACHE_DISK=0 from making these tests vacuous.
+
+    ``DUET_CACHE_DIR`` is already pointed at a per-test scratch store by
+    the package conftest; leave it there.
+    """
     monkeypatch.delenv(CACHE_DISK_ENV, raising=False)
 
 
@@ -151,24 +145,3 @@ class TestCacheStore:
 
     def test_engine_digest_is_stable_within_a_process(self):
         assert engine_digest() == engine_digest()
-
-
-class TestJobsInvariance:
-    def test_jobs_1_and_2_reports_are_byte_identical(self, tmp_path, monkeypatch):
-        # point the shared store at a scratch dir so the committed
-        # fixture tree is never written into
-        monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "cache"))
-        root = FIXTURES / "violations"
-        serial = render_report(root, "--jobs", "1", "--no-baseline")
-        sharded = render_report(root, "--jobs", "2", "--no-baseline")
-        assert sharded == serial
-        document = json.loads(serial)
-        assert document["schema"] == "duetlint/1"
-        assert document["counts"]["findings"] > 0
-
-    def test_jobs_sharding_composes_with_the_cache(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "cache"))
-        root = FIXTURES / "violations"
-        cold = render_report(root, "--jobs", "2", "--no-baseline")
-        warm = render_report(root, "--jobs", "2", "--no-baseline")
-        assert warm == cold

@@ -2,9 +2,9 @@
 
 Each rule gets a ``violations/`` tree (the exact findings it must emit)
 and a mirrored ``clean/`` tree (the compliant idiom, zero findings).
-The SEED001 violation tree doubles as the aliasing acceptance case: its
-worker module obtains the unseeded generator through a cross-module
-factory alias, which the syntactic PAR002 pre-pass provably cannot see.
+The SEED001 violation tree holds both of the rule's catches: a worker
+module that obtains the unseeded generator through a cross-module
+factory alias, and a parallel module that reuses the parent seed.
 """
 
 from pathlib import Path
@@ -20,22 +20,31 @@ def _lint(tree: str, code: str):
 
 
 class TestSeedDataflow:
-    def test_aliased_unseeded_generator_in_worker_module(self):
+    def test_violation_tree_findings(self):
         result = _lint("seed/violations", "SEED001")
         assert [(f.path, f.line, f.rule) for f in result.findings] == [
-            ("src/repro/campaign/runner.py", 13, "SEED001")
+            ("src/repro/campaign/runner.py", 13, "SEED001"),
+            ("src/repro/parallel_rng.py", 3, "SEED001"),
+            ("src/repro/parallel_rng.py", 9, "SEED001"),
         ]
+
+    def test_aliased_unseeded_generator_in_worker_module(self):
+        result = _lint("seed/violations", "SEED001")
         message = result.findings[0].message
         assert "worker-adjacent" in message
         assert "unseeded numpy.random.default_rng" in message
         # The origin trail names the cross-module factory the alias hides.
         assert "repro.campaign.helpers.fresh" in message
 
-    def test_par002_provably_misses_the_aliased_fixture(self):
-        """The acceptance criterion for SEED001's existence: the fast
-        syntactic pre-pass passes this tree, the dataflow rule does not."""
-        result = _lint("seed/violations", "PAR002")
-        assert result.findings == []
+    def test_parent_seed_reuse_in_parallel_module(self):
+        result = _lint("seed/violations", "SEED001")
+        reuse = [f for f in result.findings if f.line == 3]
+        assert len(reuse) == 1
+        assert reuse[0].line_text == (
+            "from concurrent.futures import ProcessPoolExecutor"
+        )
+        assert "never derives them via" in reuse[0].message
+        assert "SeedSequence(...).spawn(...)" in reuse[0].message
 
     def test_spawn_derived_generators_are_clean(self):
         assert _lint("seed/clean", "SEED001").findings == []
@@ -64,6 +73,30 @@ class TestLayering:
         # clean/sim/engine.py imports metrics inside a function: that is
         # the sanctioned cycle-breaker and must not be reported.
         assert _lint("layering/clean", "LAY001").findings == []
+
+    def test_analysis_imports_no_other_repro_package(self, tmp_path):
+        # even a layer-0 sibling is off limits to the linter
+        for relpath, source in (
+            ("src/repro/parallel/__init__.py", "def run_sharded():\n    pass\n"),
+            ("src/repro/analysis/__init__.py", ""),
+            (
+                "src/repro/analysis/engine.py",
+                "from repro.analysis import findings\n"
+                "from repro.parallel import run_sharded\n",
+            ),
+            ("src/repro/analysis/findings.py", ""),
+        ):
+            path = tmp_path / relpath
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(source)
+        result = run_lint(tmp_path, rules=get_rules(["LAY001"]))
+        assert [(f.path, f.line) for f in result.findings] == [
+            ("src/repro/analysis/engine.py", 2)
+        ]
+        assert (
+            "upward import: repro.analysis -> repro.parallel"
+            in result.findings[0].message
+        )
 
     def test_fixture_trees_skip_real_tree_only_checks(self):
         # Neither fixture tree carries src/repro/__init__.py, so the

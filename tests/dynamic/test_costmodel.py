@@ -17,7 +17,7 @@ from repro.dynamic import (
 
 class TestExitPricing:
     def test_every_registered_backbone_is_priced(self):
-        """The invariant duetlint DYN001 enforces statically."""
+        """No registered backbone serves unpriced exits."""
         assert set(EXIT_REGISTRY) <= set(EXIT_PRICING)
 
     @pytest.mark.parametrize(
