@@ -31,10 +31,12 @@ def workload_from_maps(
         spec: the layer shape the maps belong to.
         omap: measured switching map ``(C_out, H', W')``.
         imap: measured input sparsity map ``(C_in, H, W)``.
+
+    Raises:
+        ValueError: a map's shape does not match ``spec`` or a map holds a
+            value other than 0 or 1.
     """
-    return CnnLayerWorkload(
-        spec, np.asarray(omap, dtype=np.uint8), np.asarray(imap, dtype=np.uint8)
-    )
+    return CnnLayerWorkload(spec, np.asarray(omap), np.asarray(imap))
 
 
 def _spec_from_conv(name: str, conv, in_h: int, in_w: int) -> ConvSpec:

@@ -123,22 +123,36 @@ class TestStats:
             insensitive_fraction(y, "softmax", 0.0)
 
 
+@pytest.fixture(scope="module")
+def trained_dual():
+    """One seed-3 dualized ``proxy_alexnet`` shared by the module, with the
+    per-layer thresholds it was built with."""
+    from repro.models.dualize import DualizedCNN
+    from repro.models.proxies import proxy_alexnet, train_classifier
+    from repro.nn.data import GaussianMixtureImages
+
+    rng = np.random.default_rng(3)
+    ds = GaussianMixtureImages(num_classes=6, noise=0.6)
+    model = proxy_alexnet(num_classes=6, rng=rng)
+    train_classifier(model, ds, steps=50, rng=rng)
+    cal, _ = ds.sample(16, rng)
+    dual = DualizedCNN.build(model, cal, reduction=0.12, rng=rng)
+    images, labels = ds.sample(96, rng)
+    built_thresholds = [slot.dual.threshold for slot in dual.slots]
+    return (dual, cal, images, labels), built_thresholds
+
+
+@pytest.fixture
+def dualized(trained_dual):
+    """The shared dual, its thresholds reset to their build-time values
+    (the tests tune them in place)."""
+    data, built_thresholds = trained_dual
+    for slot, threshold in zip(data[0].slots, built_thresholds):
+        slot.dual.threshold = threshold
+    return data
+
+
 class TestBudgetedClassifierTuning:
-    @pytest.fixture(scope="class")
-    def dualized(self):
-        from repro.models.dualize import DualizedCNN
-        from repro.models.proxies import proxy_alexnet, train_classifier
-        from repro.nn.data import GaussianMixtureImages
-
-        rng = np.random.default_rng(3)
-        ds = GaussianMixtureImages(num_classes=6, noise=0.6)
-        model = proxy_alexnet(num_classes=6, rng=rng)
-        train_classifier(model, ds, steps=50, rng=rng)
-        cal, _ = ds.sample(16, rng)
-        dual = DualizedCNN.build(model, cal, reduction=0.12, rng=rng)
-        images, labels = ds.sample(96, rng)
-        return dual, cal, images, labels
-
     def test_stays_within_budget(self, dualized):
         from repro.core.thresholds import tune_dualized_classifier
 
@@ -178,21 +192,6 @@ class TestBudgetedClassifierTuning:
 
 
 class TestPerLayerAllocation:
-    @pytest.fixture(scope="class")
-    def dualized(self):
-        from repro.models.dualize import DualizedCNN
-        from repro.models.proxies import proxy_alexnet, train_classifier
-        from repro.nn.data import GaussianMixtureImages
-
-        rng = np.random.default_rng(3)
-        ds = GaussianMixtureImages(num_classes=6, noise=0.6)
-        model = proxy_alexnet(num_classes=6, rng=rng)
-        train_classifier(model, ds, steps=50, rng=rng)
-        cal, _ = ds.sample(16, rng)
-        dual = DualizedCNN.build(model, cal, reduction=0.12, rng=rng)
-        images, labels = ds.sample(96, rng)
-        return dual, cal, images, labels
-
     def test_budget_respected(self, dualized):
         from repro.core.thresholds import allocate_layer_fractions
         from repro.nn.losses import topk_accuracy

@@ -37,30 +37,47 @@ from repro.sim.pipeline import RnnPipeline, _gate_fetch, _gate_fetch_fast
 from repro.workloads import SparsityModel, cnn_workloads, rnn_workloads
 from repro.workloads.sparsity import CnnLayerWorkload
 
-conv_shapes = st.tuples(
-    st.integers(1, 6),  # C_in
-    st.integers(1, 24),  # C_out
-    st.sampled_from([1, 3]),  # kernel
-    st.integers(4, 10),  # H = W
-)
+@st.composite
+def conv_shapes(draw):
+    """``(C_in, C_out, kernel, stride, padding, H = W)`` of a valid layer.
+
+    Kernels up to 11 with strides up to 4 give receptive fields that do
+    not divide into PE slices, so slice boundaries fall mid-channel and
+    mid-kernel-row.
+    """
+    kernel = draw(st.sampled_from([1, 3, 5, 7, 11]))
+    padding = draw(st.sampled_from([0, kernel // 2]))
+    hw = draw(st.integers(max(4, kernel - 2 * padding), 14))
+    return (
+        draw(st.integers(1, 6)),  # C_in
+        draw(st.integers(1, 24)),  # C_out
+        kernel,
+        draw(st.sampled_from([1, 2, 4])),  # stride
+        padding,
+        hw,
+    )
+
 
 hw_knobs = st.tuples(
     st.sampled_from([4, 8, 16]),  # executor rows
-    st.sampled_from([4, 16]),  # executor cols
+    # DuetConfig wants a power of two; the kernel tests below also draw 3 and 7
+    st.sampled_from([1, 2, 8, 16]),  # executor cols
     st.sampled_from([2, 4]),  # reorder buckets
     st.sampled_from([1, 2]),  # reorder window tiles
 )
 
 
-def _workload(shape, sensitive_p, density_p, seed):
-    c_in, c_out, k, hw = shape
-    spec = ConvSpec("c", c_in, c_out, k, 1, k // 2, hw, hw)
+def _spec(shape):
+    c_in, c_out, k, stride, padding, hw = shape
+    return ConvSpec("c", c_in, c_out, k, stride, padding, hw, hw)
+
+
+def _workload(shape, sensitive_p, density_p, seed, dtype=np.uint8):
+    spec = _spec(shape)
     rng = np.random.default_rng(seed)
-    omap = (rng.random((c_out, spec.out_h, spec.out_w)) < sensitive_p).astype(
-        np.uint8
-    )
-    imap = (rng.random((c_in, hw, hw)) < density_p).astype(np.uint8)
-    return CnnLayerWorkload(spec, omap, imap)
+    omap = rng.random((spec.out_channels, spec.out_h, spec.out_w)) < sensitive_p
+    imap = rng.random((spec.in_channels, spec.in_h, spec.in_w)) < density_p
+    return CnnLayerWorkload(spec, omap.astype(dtype), imap.astype(dtype))
 
 
 def _configs(stage, rows, cols, buckets, window):
@@ -85,7 +102,7 @@ class TestExecutorFastPath:
 
     @settings(deadline=None, max_examples=60)
     @given(
-        conv_shapes,
+        conv_shapes(),
         st.sampled_from(STAGES),
         hw_knobs,
         st.floats(0.05, 0.95),
@@ -107,7 +124,7 @@ class TestExecutorFastPath:
 
     @settings(deadline=None, max_examples=20)
     @given(
-        conv_shapes,
+        conv_shapes(),
         st.floats(0.05, 0.95),
         st.integers(0, 10_000),
     )
@@ -119,6 +136,75 @@ class TestExecutorFastPath:
         second = model.cnn_layer(workload)
         assert first.cycles == second.cycles
         assert first.executed_macs == second.executed_macs
+
+
+class TestReceptiveCountKernel:
+    """The im2col-free receptive-count kernel against the im2col oracle."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        conv_shapes(),
+        st.sampled_from([1, 3, 7, 16]),
+        st.sampled_from([np.uint8, np.bool_, np.int64]),
+        st.floats(0.0, 1.0),
+        st.integers(0, 10_000),
+    )
+    def test_explicit_maps(self, shape, cols, dtype, density, seed):
+        workload = _workload(shape, 0.5, density, seed, dtype)
+        cycles = workload.position_cycles_fast(cols)
+        assert cycles.dtype == np.int64
+        np.testing.assert_array_equal(cycles, workload.position_cycles(cols, True))
+        np.testing.assert_array_equal(
+            workload.position_costs_fast(), workload.position_costs().reshape(-1)
+        )
+
+    @settings(deadline=None, max_examples=30)
+    @given(
+        conv_shapes(),
+        st.sampled_from([1, 3, 7, 16]),
+        st.floats(0.05, 0.95),
+        st.integers(0, 10_000),
+        st.integers(0, 3),
+    )
+    def test_sampled_maps(self, shape, cols, density, seed, layer_index):
+        model = SparsityModel(cnn_input_density=density, seed=seed)
+        workload = model.cnn_layer(_spec(shape), layer_index)
+        # costs first, so they come from the costs-only path rather than
+        # from the cycles kernel's memo (test_explicit_maps covers that)
+        costs = workload.position_costs_fast()
+        np.testing.assert_array_equal(costs, workload.position_costs().reshape(-1))
+        np.testing.assert_array_equal(
+            workload.position_cycles_fast(cols), workload.position_cycles(cols, True)
+        )
+
+    @pytest.mark.parametrize("cols", [1, 3, 16])
+    def test_kernel_wider_than_uint8_sums(self, cols):
+        """17x17 windows count up to 289 ones: past uint8's range."""
+        workload = _workload((2, 3, 17, 1, 8, 20), 0.5, 0.97, 5)
+        np.testing.assert_array_equal(
+            workload.position_cycles_fast(cols), workload.position_cycles(cols, True)
+        )
+        costs = workload.position_costs().reshape(-1)
+        assert costs.max() > 255
+        np.testing.assert_array_equal(workload.position_costs_fast(), costs)
+
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_fast_path_never_builds_im2col(self, stage, monkeypatch):
+        shape = (5, 12, 5, 2, 2, 15)  # 125-wide fields: slices cut channels
+        slow_cfg = dataclasses.replace(stage_config(stage), fast_path=False)
+        slow = ExecutorModel(slow_cfg).cnn_layer(_workload(shape, 0.4, 0.4, 1))
+
+        def refuse(self):
+            raise AssertionError("the fast path built the im2col")
+
+        monkeypatch.setattr(CnnLayerWorkload, "_receptive_columns", refuse)
+        fast = ExecutorModel(stage_config(stage)).cnn_layer(
+            _workload(shape, 0.4, 0.4, 1)
+        )
+        assert fast.cycles == slow.cycles
+        assert fast.executed_macs == slow.executed_macs
+        assert fast.utilization == slow.utilization
+        assert fast.schedule == slow.schedule
 
 
 @pytest.fixture
@@ -137,7 +223,7 @@ class TestLayerCostMemo:
 
     @settings(deadline=None, max_examples=40)
     @given(
-        conv_shapes,
+        conv_shapes(),
         st.sampled_from(STAGES),
         hw_knobs,
         st.floats(0.05, 0.95),
@@ -151,8 +237,7 @@ class TestLayerCostMemo:
         cache.set_cache_enabled(True)
         memo = cache.LAYER_COST_CACHE
         memo.clear()
-        c_in, c_out, k, hw = shape
-        spec = ConvSpec("c", c_in, c_out, k, 1, k // 2, hw, hw)
+        spec = _spec(shape)
         model = SparsityModel(
             cnn_sensitive_mean=sensitive, cnn_input_density=density, seed=seed
         )
@@ -484,12 +569,11 @@ class TestTilingFastPath:
     pipeline's ``_conv_costs``) vs the uncached search."""
 
     @settings(deadline=None, max_examples=30)
-    @given(conv_shapes, st.sampled_from([1 << 14, 1 << 17, 1 << 20]))
+    @given(conv_shapes(), st.sampled_from([1 << 14, 1 << 17, 1 << 20]))
     def test_cached_tiling_identical(self, shape, glb_bytes):
         from repro.sim.tiling import choose_tiling, choose_tiling_cached
 
-        c_in, c_out, k, hw = shape
-        spec = ConvSpec("c", c_in, c_out, k, 1, k // 2, hw, hw)
+        spec = _spec(shape)
         assert choose_tiling_cached(spec, glb_bytes) == choose_tiling(
             spec, glb_bytes
         )

@@ -68,6 +68,19 @@ class TestWorkloadTraces:
         b = DuetAccelerator(stage="DUET").run(model, workloads=loaded)
         assert a.total_cycles == b.total_cycles
 
+    def test_crafted_non_binary_map_rejected(self, tmp_path, workloads):
+        """A tampered archive whose OMap holds a 2 must not load (the
+        simulator would count that output twice)."""
+        path = tmp_path / "trace.npz"
+        save_cnn_workloads(workloads, path)
+        with np.load(path) as archive:
+            payload = dict(archive)
+        payload["omap_1"] = payload["omap_1"].copy()
+        payload["omap_1"][0, 0, 0] = 2
+        np.savez_compressed(path, **payload)
+        with pytest.raises(ValueError, match="omap holds values outside"):
+            load_cnn_workloads(path)
+
     def test_empty_list_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="no workloads"):
             save_cnn_workloads([], tmp_path / "x.npz")

@@ -63,6 +63,27 @@ class TestCnnLayerWorkload:
                 imap=np.zeros((8, 12, 12), dtype=np.uint8),
             )
 
+    @pytest.mark.parametrize("bad", [2, -1, 0.5, np.nan])
+    @pytest.mark.parametrize("which", ["omap", "imap"])
+    def test_non_binary_map_rejected(self, conv_spec, which, bad):
+        maps = {
+            "omap": np.zeros((16, 12, 12)),
+            "imap": np.ones((8, 12, 12)),
+        }
+        maps[which][0, 1, 2] = bad
+        with pytest.raises(ValueError, match=f"{which} holds values outside"):
+            CnnLayerWorkload(conv_spec, **maps)
+
+    @pytest.mark.parametrize("dtype", [np.bool_, np.uint8, np.int64, np.float64])
+    def test_binary_maps_of_any_dtype_accepted(self, conv_spec, dtype):
+        wl = CnnLayerWorkload(
+            conv_spec,
+            omap=np.ones((16, 12, 12), dtype=dtype),
+            imap=np.zeros((8, 12, 12), dtype=dtype),
+        )
+        assert wl.sensitive_fraction == 1.0
+        assert wl.input_density == 0.0
+
     def test_position_costs_match_direct_count(self, workload):
         costs = workload.position_costs()
         spec = workload.spec

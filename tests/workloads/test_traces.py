@@ -30,6 +30,15 @@ class TestWorkloadFromMaps:
         wl = workload_from_maps(spec, omap, imap)
         assert wl.sensitive_fraction == 1.0
 
+    @pytest.mark.parametrize("bad", [2, 256, 0.5])
+    def test_rejects_non_binary_maps(self, bad):
+        # 256 would wrap to 0 under a uint8 cast: checked before any cast
+        spec = ConvSpec("c", 2, 4, 3, 1, 1, 6, 6)
+        imap = np.ones((2, 6, 6))
+        imap[1, 2, 3] = bad
+        with pytest.raises(ValueError, match="imap holds values outside"):
+            workload_from_maps(spec, np.ones((4, 6, 6), dtype=np.uint8), imap)
+
     def test_rejects_bad_shapes(self):
         spec = ConvSpec("c", 2, 4, 3, 1, 1, 6, 6)
         with pytest.raises(ValueError):
