@@ -151,11 +151,15 @@ class ExecutorModel:
     def _cnn_layer_fast(self, workload: CnnLayerWorkload) -> CnnExecutionCost:
         """Vectorized :meth:`cnn_layer`, bit-identical to the reference.
 
-        Three things make it fast without changing a single counter:
+        Four things make it fast without changing a single counter:
 
         - the per-(channel, tile) aggregates come from the workload's
           batched einsum kernels instead of a materialised
           ``(C_out, positions)`` int64 intermediate;
+        - the adaptive (BOS/DUET) channel order per tile window comes
+          from :meth:`~repro.workloads.sparsity.CnnLayerWorkload.window_order_fast`:
+          the reference's float bucketing replayed as an integer lookup
+          table and a small-int stable sort, memoized on the workload;
         - the no-switching (BASE) case collapses analytically: every
           channel row costs the same, so the step maxima are the uniform
           tile totals and ``cycles = ceil(C/rows) * positions *
@@ -215,31 +219,20 @@ class ExecutorModel:
                 cfg.executor_cols, out_sw, in_sw, cfg.executor_step_positions
             )
             if adaptive:
-                tile_counts = workload.channel_tile_switch_counts_fast(
-                    cfg.executor_step_positions
-                )
-                # identical arithmetic to the reference adaptive block; the
-                # int64 window sums are exact, so the float64 conversion,
-                # bucketing and stable argsort reproduce the same order
-                counts = tile_counts.astype(np.float64)
-                num_tiles = counts.shape[1]
+                # the reference's float bucketing and stable argsort,
+                # replayed exactly on the integer window sums (memoized, so
+                # BOS and DUET share one order)
                 window = cfg.reorder_window_tiles
-                num_windows = -(-num_tiles // window)
-                pad_t = num_windows * window - num_tiles
-                if pad_t:
-                    counts = np.pad(counts, ((0, 0), (0, pad_t)))
-                window_counts = counts.reshape(-1, num_windows, window).sum(axis=2)
-                hi = window_counts.max()
-                if hi > 0 and cfg.reorder_buckets:
-                    edges = np.linspace(0.0, hi, cfg.reorder_buckets + 1)[1:-1]
-                    window_counts = np.searchsorted(edges, window_counts).astype(
-                        np.float64
-                    )
-                window_order = np.argsort(-window_counts, axis=0, kind="stable")
-                order = np.repeat(window_order, window, axis=1)[:, :num_tiles]
+                window_order = workload.window_order_fast(
+                    cfg.executor_step_positions, window, cfg.reorder_buckets
+                )
+                num_tiles = tile_cycles.shape[1]
+                order = np.repeat(window_order, window, axis=0)[:num_tiles].T
                 ordered = np.take_along_axis(tile_cycles, order, axis=0)
                 schedule = adaptive_schedule(
-                    tile_counts.sum(axis=1),
+                    workload.channel_tile_switch_counts_fast(
+                        cfg.executor_step_positions
+                    ).sum(axis=1),
                     rows,
                     buckets=cfg.reorder_buckets,
                 )

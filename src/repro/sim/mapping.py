@@ -72,11 +72,8 @@ def adaptive_schedule(
         if hi > 0:
             edges = np.linspace(0.0, hi, buckets + 1)[1:-1]
             workloads = np.searchsorted(edges, workloads).astype(np.float64)
-    order = np.argsort(-workloads, kind="stable")
-    return [
-        [int(c) for c in order[start : start + rows]]
-        for start in range(0, order.shape[0], rows)
-    ]
+    order = np.argsort(-workloads, kind="stable").tolist()
+    return [order[start : start + rows] for start in range(0, len(order), rows)]
 
 
 def schedule_cycles(

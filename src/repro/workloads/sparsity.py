@@ -22,6 +22,8 @@ against measured proxy-model maps in the test suite.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import astuple, dataclass
 
 import numpy as np
@@ -258,7 +260,10 @@ class CnnLayerWorkload:
     # channel-block sum of them plus at most k² strided taps where a slice
     # boundary falls inside a channel.  The OMap stays uint8 and the
     # per-tile aggregation runs as one batched einsum contraction over the
-    # tile axis.  Results are memoized on the workload (the maps are
+    # tile axis.  The Reorder Unit's per-window channel order buckets the
+    # integer window sums through a lookup table of the reference's own
+    # float ``searchsorted`` and sorts the bucket ids with a small-int
+    # stable argsort.  Results are memoized on the workload (the maps are
     # immutable inputs to a simulation run), so a DUET-vs-BASE sweep or a
     # repeated benchmark pays for each kernel once.  All arithmetic is
     # integer, hence bit-identical to the reference; im2col stays on the
@@ -412,10 +417,7 @@ class CnnLayerWorkload:
         elif not use_imap:
             # uniform per-position cost: tile cost = sensitive count x cost
             dense_cycles = int(cycles[0]) if positions else 0
-            counts = np.einsum(
-                "cst->cs", self._padded_tiles(tile_positions), dtype=np.int64
-            )
-            result = counts * dense_cycles
+            result = self.channel_tile_switch_counts_fast(tile_positions) * dense_cycles
         else:
             result = np.einsum(
                 "cst,st->cs", self._padded_tiles(tile_positions), tiled_cycles
@@ -433,6 +435,54 @@ class CnnLayerWorkload:
                 "cst->cs", self._padded_tiles(tile_positions), dtype=np.int64
             )
         return self._slice_cache[key]
+
+    def window_order_fast(
+        self, tile_positions: int, window: int, buckets: int
+    ) -> np.ndarray:
+        """The Reorder Unit's channel order per tile window (memoized).
+
+        Row ``w`` of the ``(num_windows, C_out)`` result lists the channels
+        of window ``w`` by descending bucketed switching-index sum, ties in
+        channel order: exactly ``np.argsort(-bucketed, axis=0,
+        kind="stable").T`` of the reference's float arithmetic.  The
+        window sums are integers, so one lookup table of the reference's
+        ``searchsorted`` over ``0..hi`` buckets them (same edges, same
+        inputs, same outputs), and ``top - bucket`` in the narrowest
+        unsigned dtype turns the descending float sort into an ascending
+        small-int stable sort (a radix sort in numpy).  The order is kept
+        as uint16 when channel ids fit, and shared by every stage with the
+        same tiling, window and buckets.
+        """
+        for name, value in (
+            ("tile_positions", tile_positions),
+            ("window", window),
+            ("buckets", buckets),
+        ):
+            if value <= 0:
+                raise ValueError(f"{name} must be positive, got {value}")
+        key = ("window_order_fast", tile_positions, window, buckets)
+        if key in self._slice_cache:
+            return self._slice_cache[key]
+        counts = self.channel_tile_switch_counts_fast(tile_positions)
+        num_channels, num_tiles = counts.shape
+        num_windows = -(-num_tiles // window)
+        pad = num_windows * window - num_tiles
+        if pad:
+            counts = np.pad(counts, ((0, 0), (0, pad)))
+        window_counts = counts.reshape(num_channels, num_windows, window).sum(axis=2)
+        # all-zero sums (the reference keeps them raw) map to one key
+        # here: every channel ties either way, so the order is the same
+        hi = int(window_counts.max())
+        edges = np.linspace(0.0, float(hi), buckets + 1)[1:-1]
+        bucket = np.searchsorted(edges, np.arange(hi + 1, dtype=np.float64))
+        top = buckets - 1
+        lut = (top - bucket).astype(np.min_scalar_type(top))
+        keys = np.ascontiguousarray(lut[window_counts].T)
+        order = np.argsort(keys, axis=1, kind="stable")
+        if num_channels <= 1 << 16:
+            order = order.astype(np.uint16)
+        self._slice_cache[key] = order
+        return order
 
     def executed_macs_total(self, use_output_switching: bool, use_imap: bool) -> int:
         """Integer-exact total of ``channel_macs(...)`` (memoized).
@@ -611,6 +661,9 @@ class SparsityModel:
             i.e. roughly half the rows are fetched).
         rnn_step_std: relative std-dev of the per-step sensitive fraction.
         seed: base RNG seed; per-layer streams derive from it.
+
+    Construction validates every numeric field and raises ``ValueError``
+    naming the first field out of range.
     """
 
     cnn_sensitive_mean: float = 0.38
@@ -621,6 +674,40 @@ class SparsityModel:
     rnn_sensitive_mean: float = 0.45
     rnn_step_std: float = 0.08
     seed: int = 0
+
+    def __post_init__(self):
+        # checked here rather than by numpy mid-simulation; a NaN mean
+        # would otherwise sample an all-zero map and price it silently
+        for name in ("cnn_sensitive_mean", "cnn_input_density"):
+            value = getattr(self, name)
+            if not 0.0 < value < 1.0:
+                raise ValueError(
+                    f"SparsityModel.{name} must lie in (0, 1), got {value!r}"
+                )
+        for name in ("cnn_channel_concentration", "cnn_input_concentration"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(
+                    f"SparsityModel.{name} must be finite and positive, got {value!r}"
+                )
+        if not 0.0 <= self.rnn_sensitive_mean <= 1.0:
+            raise ValueError(
+                "SparsityModel.rnn_sensitive_mean must lie in [0, 1], "
+                f"got {self.rnn_sensitive_mean!r}"
+            )
+        if not (math.isfinite(self.rnn_step_std) and self.rnn_step_std >= 0):
+            raise ValueError(
+                "SparsityModel.rnn_step_std must be finite and non-negative, "
+                f"got {self.rnn_step_std!r}"
+            )
+        if (
+            not isinstance(self.seed, numbers.Integral)
+            or isinstance(self.seed, bool)
+            or self.seed < 0
+        ):
+            raise ValueError(
+                f"SparsityModel.seed must be a non-negative int, got {self.seed!r}"
+            )
 
     def _rng(self, layer_index: int) -> np.random.Generator:
         return np.random.default_rng((self.seed, layer_index))

@@ -62,8 +62,10 @@ hw_knobs = st.tuples(
     st.sampled_from([4, 8, 16]),  # executor rows
     # DuetConfig wants a power of two; the kernel tests below also draw 3 and 7
     st.sampled_from([1, 2, 8, 16]),  # executor cols
-    st.sampled_from([2, 4]),  # reorder buckets
-    st.sampled_from([1, 2]),  # reorder window tiles
+    # 1 bucket leaves no edges; 300 pushes the sort keys past uint8
+    st.sampled_from([1, 2, 3, 16, 300]),  # reorder buckets
+    st.sampled_from([1, 2, 3, 5]),  # reorder window tiles
+    st.sampled_from([1, 3, 8, 13]),  # executor step positions
 )
 
 
@@ -80,13 +82,14 @@ def _workload(shape, sensitive_p, density_p, seed, dtype=np.uint8):
     return CnnLayerWorkload(spec, omap.astype(dtype), imap.astype(dtype))
 
 
-def _configs(stage, rows, cols, buckets, window):
+def _configs(stage, rows, cols, buckets, window, step):
     """Matching (fast, slow) configs for one randomized design point."""
     base = DuetConfig(
         executor_rows=rows,
         executor_cols=cols,
         reorder_buckets=buckets,
         reorder_window_tiles=window,
+        executor_step_positions=step,
     )
     cfg = stage_config(stage, base)
     import dataclasses
@@ -205,6 +208,95 @@ class TestReceptiveCountKernel:
         assert fast.executed_macs == slow.executed_macs
         assert fast.utilization == slow.utilization
         assert fast.schedule == slow.schedule
+
+
+def _reference_window_order(workload, tile_positions, window, buckets):
+    """The reference executor's float bucketing and stable sort, as
+    ``(num_windows, C_out)``."""
+    counts = workload.channel_tile_switch_counts(tile_positions).astype(np.float64)
+    num_tiles = counts.shape[1]
+    num_windows = -(-num_tiles // window)
+    pad = num_windows * window - num_tiles
+    if pad:
+        counts = np.pad(counts, ((0, 0), (0, pad)))
+    bucketed = counts.reshape(-1, num_windows, window).sum(axis=2)
+    hi = bucketed.max()
+    if hi > 0:
+        edges = np.linspace(0.0, hi, buckets + 1)[1:-1]
+        bucketed = np.searchsorted(edges, bucketed).astype(np.float64)
+    return np.argsort(-bucketed, axis=0, kind="stable").T
+
+
+class TestWindowOrderKernel:
+    """The integer Reorder-Unit order against the float reference."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        conv_shapes(),
+        st.sampled_from([1, 3, 8, 13]),
+        st.sampled_from([1, 2, 3, 5]),
+        st.sampled_from([1, 2, 3, 16, 300]),
+        st.floats(0.0, 1.0),
+        st.integers(0, 10_000),
+    )
+    def test_matches_float_reference(
+        self, shape, tile_positions, window, buckets, sensitive_p, seed
+    ):
+        workload = _workload(shape, sensitive_p, 0.5, seed)
+        order = workload.window_order_fast(tile_positions, window, buckets)
+        assert order.dtype == np.uint16
+        np.testing.assert_array_equal(
+            order, _reference_window_order(workload, tile_positions, window, buckets)
+        )
+
+    @pytest.mark.parametrize("fill", [0, 1])
+    @pytest.mark.parametrize("buckets", [1, 16, 300])
+    def test_uniform_omap_keeps_channel_order(self, fill, buckets):
+        """All-zero sums (``hi == 0``) and all-equal sums (every key ties)
+        both leave each window in channel order."""
+        spec = _spec((3, 21, 3, 1, 1, 9))
+        omap = np.full((spec.out_channels, spec.out_h, spec.out_w), fill, np.uint8)
+        imap = np.ones((spec.in_channels, spec.in_h, spec.in_w), np.uint8)
+        workload = CnnLayerWorkload(spec, omap, imap)
+        order = workload.window_order_fast(8, 2, buckets)
+        assert order.shape == (6, spec.out_channels)  # 81 positions, 11 tiles
+        np.testing.assert_array_equal(
+            order, np.tile(np.arange(spec.out_channels), (order.shape[0], 1))
+        )
+        np.testing.assert_array_equal(
+            order, _reference_window_order(workload, 8, 2, buckets)
+        )
+
+    @pytest.mark.parametrize("stage", ["BOS", "DUET"])
+    @pytest.mark.parametrize("rows", [4, 8, 16])
+    def test_channels_not_a_multiple_of_rows(self, stage, rows):
+        workload = _workload((4, 13, 3, 1, 1, 11), 0.4, 0.4, 3)
+        fast_cfg, slow_cfg = _configs(stage, rows, 4, 3, 2, 3)
+        fast = ExecutorModel(fast_cfg).cnn_layer(workload)
+        slow = ExecutorModel(slow_cfg).cnn_layer(workload)
+        assert (fast.cycles, fast.schedule) == (slow.cycles, slow.schedule)
+
+    @pytest.mark.parametrize("bad", ["tile_positions", "window", "buckets"])
+    def test_non_positive_arguments_rejected(self, bad):
+        args = {"tile_positions": 8, "window": 2, "buckets": 16, bad: 0}
+        with pytest.raises(ValueError, match=bad):
+            _workload((2, 4, 3, 1, 1, 6), 0.5, 0.5, 0).window_order_fast(**args)
+
+    def test_bos_and_duet_share_one_order(self, monkeypatch):
+        workload = _workload((3, 24, 3, 1, 1, 12), 0.4, 0.4, 2)
+        returned = []
+        kernel = CnnLayerWorkload.window_order_fast
+
+        def spy(self, *args):
+            returned.append(kernel(self, *args))
+            return returned[-1]
+
+        monkeypatch.setattr(CnnLayerWorkload, "window_order_fast", spy)
+        for stage in ("BOS", "DUET"):
+            ExecutorModel(stage_config(stage)).cnn_layer(workload)
+        assert len(returned) == 2 and returned[0] is returned[1]
+        memo = [k for k in workload._slice_cache if k[0] == "window_order_fast"]
+        assert len(memo) == 1
 
 
 @pytest.fixture
@@ -369,17 +461,14 @@ class TestPeFastPath:
 class TestModelReports:
     """Whole-model reports: every per-layer counter identical."""
 
-    @pytest.mark.parametrize("model", ["alexnet", "lstm"])
-    @pytest.mark.parametrize("stage", STAGES)
-    def test_fast_slow_reports_identical(self, model, stage):
+    @staticmethod
+    def _assert_reports_identical(model, stage):
         spec = get_model_spec(model)
         sparsity = SparsityModel(seed=3)
         if spec.domain == "cnn":
             wl = cnn_workloads(spec, sparsity)
         else:
             wl = rnn_workloads(spec, sparsity)
-        import dataclasses
-
         cfg = stage_config(stage)
         fast = DuetAccelerator(
             config=dataclasses.replace(cfg, fast_path=True)
@@ -390,6 +479,17 @@ class TestModelReports:
         # LayerReport is a plain dataclass of scalars: == is exact equality
         # of every cycle/energy/MAC/utilisation field, layer by layer.
         assert fast.layers == slow.layers
+
+    @pytest.mark.parametrize("model", ["alexnet", "lstm"])
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_fast_slow_reports_identical(self, model, stage):
+        self._assert_reports_identical(model, stage)
+
+    @pytest.mark.parametrize("model", ["vgg16", "resnet18", "resnet50"])
+    @pytest.mark.parametrize("stage", ["BOS", "DUET"])
+    def test_full_size_adaptive_reports_identical(self, model, stage):
+        """Adaptive mapping over full-size maps: thousands of windows."""
+        self._assert_reports_identical(model, stage)
 
     def test_switch_fraction_identical(self):
         """The Fig. 2-style sensitive fraction agrees across paths."""

@@ -54,6 +54,56 @@ class TestSparsityModel:
         assert abs(wl.sensitive_fraction - 0.45) < 0.1
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+class TestSparsityModelValidation:
+    """Out-of-range fields fail at construction, naming the field, rather
+    than mid-simulation in numpy (or, for a NaN mean, not at all)."""
+
+    @staticmethod
+    def _rejects(field, value):
+        with pytest.raises(ValueError, match=f"SparsityModel.{field} "):
+            SparsityModel(**{field: value})
+
+    @pytest.mark.parametrize("value", [0.0, 1.0, -0.1, 1.5, NAN, INF, -INF])
+    def test_cnn_sensitive_mean(self, value):
+        self._rejects("cnn_sensitive_mean", value)
+
+    @pytest.mark.parametrize("value", [0.0, 1.0, -0.1, 1.5, NAN, INF, -INF])
+    def test_cnn_input_density(self, value):
+        self._rejects("cnn_input_density", value)
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, NAN, INF, -INF])
+    def test_cnn_channel_concentration(self, value):
+        self._rejects("cnn_channel_concentration", value)
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, NAN, INF, -INF])
+    def test_cnn_input_concentration(self, value):
+        self._rejects("cnn_input_concentration", value)
+
+    @pytest.mark.parametrize("value", [-0.01, 1.01, NAN, INF, -INF])
+    def test_rnn_sensitive_mean(self, value):
+        self._rejects("rnn_sensitive_mean", value)
+
+    @pytest.mark.parametrize("value", [-0.01, NAN, INF, -INF])
+    def test_rnn_step_std(self, value):
+        self._rejects("rnn_step_std", value)
+
+    @pytest.mark.parametrize("value", [-1, 1.0, 2.5, NAN, INF, True, "3"])
+    def test_seed(self, value):
+        self._rejects("seed", value)
+
+    def test_boundary_values_accepted(self):
+        SparsityModel(rnn_sensitive_mean=0.0, rnn_step_std=0.0, seed=0)
+        SparsityModel(rnn_sensitive_mean=1.0, seed=np.int64(7))
+        SparsityModel(cnn_sensitive_mean=1e-9, cnn_input_density=1 - 1e-9)
+
+    def test_nan_mean_no_longer_prices_an_empty_map(self):
+        with pytest.raises(ValueError, match="cnn_sensitive_mean"):
+            cnn_workloads(get_model_spec("alexnet"), SparsityModel(cnn_sensitive_mean=NAN))
+
+
 class TestCnnLayerWorkload:
     def test_shape_validation(self, conv_spec):
         with pytest.raises(ValueError, match="omap shape"):
