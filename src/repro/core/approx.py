@@ -31,9 +31,39 @@ __all__ = [
 ]
 
 
+_NON_FINITE = "cannot quantize non-finite input (NaN or inf)"
+
+
 def _quantize_dequantize(x: np.ndarray, bits: int) -> np.ndarray:
-    """Round-trip a float tensor through ``bits``-wide symmetric quantization."""
-    return quantize_linear(x, bits).to_float()
+    """Round-trip a float tensor through ``bits``-wide symmetric quantization.
+
+    Byte-identical to ``quantize_linear(x, bits).to_float()`` in one float
+    buffer: the scale is computed exactly as :func:`quantize_linear` does
+    (``max(x.max(), -x.min())`` is ``max|x|``), and the integer payload's
+    round trip is replaced by ``rint``/``clip`` in place.  The closing
+    ``+= 0.0`` maps ``-0.0`` to ``+0.0``, as the int payload does for
+    values that round to zero from below.
+
+    Raises:
+        ValueError: if ``x`` holds NaN or inf.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    lo, hi = int_range(bits)
+    if not x.size:
+        return x.copy()
+    top, bottom = x.max(), x.min()
+    if not (np.isfinite(top) and np.isfinite(bottom)):
+        raise ValueError(_NON_FINITE)
+    max_abs = max(float(top), -float(bottom))
+    scale = max_abs / hi if max_abs > 0 else 1.0
+    if scale == 0.0:  # subnormal max_abs underflows, as in quantize_linear
+        scale = 1.0
+    q = x / scale
+    np.rint(q, out=q)
+    np.clip(q, lo, hi, out=q)
+    q *= scale
+    q += 0.0
+    return q
 
 
 def _quantize_dequantize_rows(w: np.ndarray, bits: int) -> np.ndarray:
@@ -43,12 +73,17 @@ def _quantize_dequantize_rows(w: np.ndarray, bits: int) -> np.ndarray:
     QDR weights have strongly row-dependent magnitudes, and a per-output
     scale costs the hardware nothing extra: it folds into the per-neuron
     dequantization / threshold comparison the Speculator already performs.
+
+    Raises:
+        ValueError: if ``w`` is not 2-D or holds NaN or inf.
     """
     w = np.asarray(w, dtype=np.float64)
     if w.ndim != 2:
         raise ValueError(f"expected 2-D weights, got shape {w.shape}")
     _, hi = int_range(bits)
     max_abs = np.max(np.abs(w), axis=1, keepdims=True)
+    if not np.isfinite(max_abs).all():
+        raise ValueError(_NON_FINITE)
     scales = np.where(max_abs > 0, max_abs / hi, 1.0)
     q = np.clip(np.rint(w / scales), -hi - 1, hi)
     return q * scales
@@ -178,7 +213,8 @@ class ApproximateConv2d:
         """The reduced receptive-field dimension ``k``."""
         return self.inner.reduced_features
 
-    def _cols(self, x: np.ndarray) -> tuple[np.ndarray, tuple[int, int, int]]:
+    def lower(self, x: np.ndarray) -> tuple[np.ndarray, tuple[int, int, int]]:
+        """The ``im2col`` columns of ``x`` and the output's ``(N, H', W')``."""
         x = np.asarray(x, dtype=np.float64)
         n, c, h, w = x.shape
         kh, kw = self.kernel_size
@@ -190,17 +226,24 @@ class ApproximateConv2d:
         cols = im2col_cached(x, self.kernel_size, self.stride, self.padding)
         return cols, (n, out_h, out_w)
 
+    def _unlower(self, y: np.ndarray, geometry: tuple[int, int, int]) -> np.ndarray:
+        n, out_h, out_w = geometry
+        return y.reshape(n, out_h, out_w, self.out_channels).transpose(0, 3, 1, 2)
+
+    def forward_columns(
+        self, cols: np.ndarray, geometry: tuple[int, int, int]
+    ) -> np.ndarray:
+        """Quantized inference path on columns from :meth:`lower`."""
+        return self._unlower(self.inner.forward(cols), geometry)
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Quantized inference path; returns ``(N, out_channels, H', W')``."""
-        cols, (n, out_h, out_w) = self._cols(x)
-        y = self.inner.forward(cols)
-        return y.reshape(n, out_h, out_w, self.out_channels).transpose(0, 3, 1, 2)
+        return self.forward_columns(*self.lower(x))
 
     def forward_float(self, x: np.ndarray) -> np.ndarray:
         """Full-precision path used during distillation training."""
-        cols, (n, out_h, out_w) = self._cols(x)
-        y = self.inner.forward_float(cols)
-        return y.reshape(n, out_h, out_w, self.out_channels).transpose(0, 3, 1, 2)
+        cols, geometry = self.lower(x)
+        return self._unlower(self.inner.forward_float(cols), geometry)
 
     __call__ = forward
 

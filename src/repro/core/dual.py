@@ -93,6 +93,38 @@ def _resolve_gate_thresholds(
     return {g: float(threshold) for g in gate_names}
 
 
+def _checked_imap(imap: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """An IMap validated against its layer input: same shape, 0/1 only."""
+    imap = np.asarray(imap)
+    if imap.shape != shape:
+        raise ValueError(f"imap shape {imap.shape} does not match input shape {shape}")
+    if imap.dtype != np.bool_ and not np.all((imap == 0) | (imap == 1)):
+        raise ValueError("imap holds values outside {0, 1}")
+    return imap
+
+
+def _receptive_nonzeros(
+    imap: np.ndarray, kernel_size: tuple[int, int], stride: int, padding: int
+) -> np.ndarray:
+    """Nonzero inputs in each receptive field of a 0/1 IMap, ``(N, H', W')``.
+
+    The row sums of ``im2col(imap)`` without building it: k x k strided
+    window sums of the zero-padded per-position channel count, in int64.
+    """
+    counts = np.count_nonzero(imap, axis=1)
+    n, h, w = counts.shape
+    kh, kw = kernel_size
+    out_h = F.conv_output_size(h, kh, stride, padding)
+    out_w = F.conv_output_size(w, kw, stride, padding)
+    if padding:
+        counts = np.pad(counts, ((0, 0), (padding, padding), (padding, padding)))
+    sums = np.zeros((n, out_h, out_w), dtype=np.int64)
+    for i in range(kh):
+        for j in range(kw):
+            sums += counts[:, i : i + stride * out_h : stride, j : j + stride * out_w : stride]
+    return sums
+
+
 class DualModuleLinear:
     """Dual-module feed-forward layer (the paper's running FF example).
 
@@ -134,10 +166,16 @@ class DualModuleLinear:
 
         Returns:
             ``(activated_output, report)``.
+
+        Raises:
+            ValueError: if ``imap`` has another shape or a value outside
+                {0, 1}.
         """
         x = np.asarray(x, dtype=np.float64)
         batch = x.shape[0]
         d, n = self.accurate.in_features, self.accurate.out_features
+        if imap is not None:
+            imap = _checked_imap(imap, x.shape)
 
         y_approx = self.approx.forward(x)
         omap = switching_map(y_approx, self.activation, self.threshold)
@@ -157,7 +195,7 @@ class DualModuleLinear:
 
         sensitive = int(omap.sum())
         if imap is not None:
-            nnz_per_row = np.asarray(imap).reshape(batch, d).sum(axis=1)
+            nnz_per_row = imap.sum(axis=1)
             executed = int((omap.sum(axis=1) * nnz_per_row).sum())
         else:
             executed = sensitive * d
@@ -189,6 +227,13 @@ class DualModuleConv2d:
     Insensitive outputs are zeroed (ReLU semantics), the OMap is corrected
     after ReLU, and the corrected map is returned so the caller can feed it
     to the next layer as its IMap -- the paper's "pay once, use twice".
+
+    Each input is lowered once: :meth:`speculate` takes its ``im2col``
+    columns (memoized, see :func:`~repro.core.cache.im2col_cached`) and
+    runs the Speculator on them, and :meth:`execute` runs the accurate
+    GEMM on the same columns.  :meth:`forward` is the two in sequence; a
+    caller that needs the approximate pre-activations before switching
+    (threshold calibration) calls them separately and speculates once.
     """
 
     def __init__(
@@ -207,32 +252,57 @@ class DualModuleConv2d:
         self.approx = approx
         self.threshold = float(threshold)
 
-    def forward(
-        self, x: np.ndarray, imap: np.ndarray | None = None
-    ) -> tuple[np.ndarray, DualModuleReport]:
-        """Run dual-module processing on a batch of images.
+    def speculate(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Lower a batch once and run the Speculator on it.
 
         Args:
             x: inputs of shape ``(N, C, H, W)``.
-            imap: optional input sparsity map of the same shape.
 
         Returns:
-            ``(activated_output, report)``; ``report.corrected_map`` is the
-            next layer's IMap.
+            ``(cols, y_approx)``: the shared read-only ``im2col`` columns
+            and the approximate pre-activations ``(N, C_out, H', W')``.
         """
         x = np.asarray(x, dtype=np.float64)
-        n_batch, c_in, _, _ = x.shape
-        kh, kw = self.accurate.kernel_size
-        receptive = c_in * kh * kw
+        if x.ndim != 4 or x.shape[1] != self.accurate.in_channels:
+            raise ValueError(
+                f"expected {self.accurate.in_channels} channels, got shape {x.shape}"
+            )
+        cols, geometry = self.approx.lower(x)
+        return cols, self.approx.forward_columns(cols, geometry)
 
-        y_approx = self.approx.forward(x)
+    def execute(
+        self,
+        x: np.ndarray,
+        cols: np.ndarray,
+        y_approx: np.ndarray,
+        imap: np.ndarray | None = None,
+    ) -> tuple[np.ndarray, DualModuleReport]:
+        """Switch on ``y_approx`` and run the Executor on ``cols``.
+
+        Args:
+            x: the batch ``(cols, y_approx)`` came from (:meth:`speculate`).
+            cols / y_approx: :meth:`speculate`'s result for ``x``.
+            imap: optional 0/1 input sparsity map of ``x``'s shape.
+
+        Returns:
+            ``(activated_output, report)`` as :meth:`forward`.
+
+        Raises:
+            ValueError: if ``imap`` has another shape or a value outside
+                {0, 1}.
+        """
+        if imap is not None:
+            imap = _checked_imap(imap, np.shape(x))
+        n_batch, _, out_h, out_w = y_approx.shape
+        receptive = cols.shape[1]
+
         # tuning sweeps re-evaluate the same batch at repeated thresholds;
         # the map is memoized on (layer, content fingerprint, threshold)
         omap = switching_map_cached(
             y_approx, "relu", self.threshold, layer=("conv", id(self.accurate))
         )
 
-        y_acc = self.accurate(x)
+        y_acc = self.accurate.forward_columns(cols, (n_batch, out_h, out_w))
         mixed = np.where(omap.astype(bool), y_acc, 0.0)
         out = F.relu(mixed)
         corrected = correct_omap_after_relu(omap, out)
@@ -240,19 +310,14 @@ class DualModuleConv2d:
         sensitive = int(omap.sum())
         n_out = out.size
         if imap is not None:
-            imap_cols = F.im2col(
-                np.asarray(imap, dtype=np.float64),
+            # effective receptive-field size per output spatial position
+            effective = _receptive_nonzeros(
+                imap,
                 self.accurate.kernel_size,
                 self.accurate.stride,
                 self.accurate.padding,
             )
-            # effective receptive-field size per output spatial position
-            effective = imap_cols.sum(axis=1)  # (N * H' * W',)
-            out_h, out_w = out.shape[2], out.shape[3]
-            effective = effective.reshape(n_batch, out_h, out_w)
-            executed = int(
-                (omap * effective[:, None, :, :]).sum()
-            )
+            executed = int((omap * effective[:, None, :, :]).sum())
         else:
             executed = sensitive * receptive
         savings = LayerSavings(
@@ -270,6 +335,26 @@ class DualModuleConv2d:
             outputs_sensitive=sensitive,
         )
         return out, DualModuleReport(omap, savings, corrected_map=corrected)
+
+    def forward(
+        self, x: np.ndarray, imap: np.ndarray | None = None
+    ) -> tuple[np.ndarray, DualModuleReport]:
+        """Run dual-module processing on a batch of images.
+
+        Args:
+            x: inputs of shape ``(N, C, H, W)``.
+            imap: optional 0/1 input sparsity map of the same shape.
+
+        Returns:
+            ``(activated_output, report)``; ``report.corrected_map`` is the
+            next layer's IMap.
+
+        Raises:
+            ValueError: on a wrong channel count, or an ``imap`` of another
+                shape or with a value outside {0, 1}.
+        """
+        cols, y_approx = self.speculate(x)
+        return self.execute(x, cols, y_approx, imap=imap)
 
     __call__ = forward
 

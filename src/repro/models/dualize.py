@@ -39,7 +39,7 @@ from repro.core.stats import LayerSavings
 from repro.core.cache import tune_threshold_cached
 from repro.core.switching import imap_from_activations
 from repro.models.proxies import ProxyCNN, ProxyLanguageModel, ProxySeq2Seq
-from repro.nn.layers import Conv2d, MaxPool2d, AvgPool2d, ReLU
+from repro.nn.layers import Conv2d, ReLU
 from repro.nn.losses import CrossEntropyLoss, perplexity, topk_accuracy
 from repro.nn.recurrent import GRU, LSTM
 
@@ -145,7 +145,11 @@ class DualizedCNN:
         Runs the dual network on calibration images layer by layer (so each
         layer sees the sparsified inputs produced by upstream switching)
         and sets the per-layer threshold to the matching quantile of the
-        approximate pre-activations.
+        approximate pre-activations.  Each layer lowers and speculates its
+        input once (:meth:`DualModuleConv2d.speculate`): the threshold is
+        tuned on those pre-activations, and the same array and columns
+        drive the layer's switching and accurate GEMM
+        (:meth:`DualModuleConv2d.execute`).
 
         Args:
             fraction: a single fraction applied to every layer, or one
@@ -167,12 +171,11 @@ class DualizedCNN:
                 )
         thetas: list[float] = []
         x = np.asarray(calibration_images, dtype=np.float64)
-        imap = None
         slot_counter = 0
         for index, layer in enumerate(self.model.features):
             slot = self._slot_by_index.get(index)
             if slot is not None:
-                y_approx = slot.dual.approx.forward(x)
+                cols, y_approx = slot.dual.speculate(x)
                 theta = tune_threshold_cached(
                     y_approx,
                     "relu",
@@ -181,15 +184,12 @@ class DualizedCNN:
                 )
                 slot.dual.threshold = theta
                 thetas.append(theta)
-                x, report = slot.dual.forward(x, imap=imap)
-                imap = None
+                x, _ = slot.dual.execute(x, cols, y_approx)
                 slot_counter += 1
             elif isinstance(layer, ReLU):
                 continue  # fused into the dual conv
             else:
                 x = layer(x)
-                if isinstance(layer, (MaxPool2d, AvgPool2d)):
-                    imap = None  # recomputed from activations below
         return thetas
 
     def forward(

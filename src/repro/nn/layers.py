@@ -122,11 +122,33 @@ class Conv2d(Module):
         out_h = F.conv_output_size(h, kh, self.stride, self.padding)
         out_w = F.conv_output_size(w, kw, self.stride, self.padding)
         cols = F.im2col(x, self.kernel_size, self.stride, self.padding)
+        self._cache = (cols, x.shape)
+        return self.forward_columns(cols, (n, out_h, out_w))
+
+    def forward_columns(
+        self, cols: np.ndarray, geometry: tuple[int, int, int]
+    ) -> np.ndarray:
+        """The GEMM half of :meth:`forward`, on already-lowered columns.
+
+        Args:
+            cols: ``im2col`` columns of the input, shape
+                ``(N * H' * W', C * kh * kw)``; only read.
+            geometry: the output's ``(N, H', W')``.
+
+        Returns:
+            The ``(N, out_channels, H', W')`` output.  Unlike
+            :meth:`forward`, nothing is recorded for :meth:`backward`.
+        """
+        n, out_h, out_w = geometry
         w_mat = self.weight.data.reshape(self.out_channels, -1)
+        if cols.shape != (n * out_h * out_w, w_mat.shape[1]):
+            raise ValueError(
+                f"expected columns of shape {(n * out_h * out_w, w_mat.shape[1])}, "
+                f"got {cols.shape}"
+            )
         out = cols @ w_mat.T
         if self.bias is not None:
             out += self.bias.data
-        self._cache = (cols, x.shape)
         return (
             out.reshape(n, out_h, out_w, self.out_channels).transpose(0, 3, 1, 2)
         )

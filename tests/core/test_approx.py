@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.core import (
     ApproximateConv2d,
@@ -9,6 +12,8 @@ from repro.core import (
     ApproximateLinear,
     ApproximateLSTMCell,
 )
+from repro.core.approx import _quantize_dequantize, _quantize_dequantize_rows
+from repro.quant import quantize_linear
 
 
 class TestApproximateLinear:
@@ -81,6 +86,74 @@ class TestApproximateConv2d:
     def test_reduced_features_property(self, rng):
         ap = ApproximateConv2d(3, 8, 3, reduced_features=6, rng=rng)
         assert ap.reduced_features == 6
+
+    def test_forward_columns_matches_forward(self, rng):
+        ap = ApproximateConv2d(3, 4, 3, reduced_features=5, stride=2, padding=1, rng=rng)
+        x = rng.normal(size=(2, 3, 7, 7))
+        cols, geometry = ap.lower(x)
+        assert geometry == (2, 4, 4)
+        assert ap.forward_columns(cols, geometry).tobytes() == ap.forward(x).tobytes()
+
+
+class TestQuantizeDequantize:
+    """``_quantize_dequantize`` is ``quantize_linear(x, bits).to_float()``
+    computed in one float buffer; every output byte must agree."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        hnp.arrays(
+            np.float64,
+            hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=6),
+            elements=st.floats(allow_nan=False, allow_infinity=False),
+        ),
+        st.integers(2, 16),
+    )
+    def test_byte_identical_to_quantize_linear(self, x, bits):
+        # near DBL_MAX both round trips overflow to the same inf
+        with np.errstate(over="ignore"):
+            ours = _quantize_dequantize(x, bits)
+            ref = quantize_linear(x, bits).to_float()
+        assert ours.dtype == np.float64 and ours.shape == x.shape
+        assert ours.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("bits", range(2, 17))
+    @pytest.mark.parametrize(
+        "x",
+        [
+            # -1e-3 rounds to a negative zero before the payload's int cast
+            np.array([-1e-3, 1.0, -0.2, 0.0]),
+            np.array([5e-324, -5e-324, 0.0]),  # subnormal max underflows the scale
+            np.array([-2.2e-308, 1e-310]),
+            np.zeros((2, 3)),
+            -np.zeros(4),
+            np.array([]),
+            np.zeros((0, 5)),
+            np.array([3.0, 7.5, 1e-3]),  # single sign
+            -np.array([3.0, 7.5, 1e-3]),
+            np.array([1e300, -1.7e308, 2.0]),
+        ],
+        ids=lambda v: None if isinstance(v, int) else f"{v.size}v",
+    )
+    def test_edge_cases_byte_identical(self, x, bits):
+        with np.errstate(over="ignore"):
+            ours = _quantize_dequantize(x, bits)
+            ref = quantize_linear(x, bits).to_float()
+        assert ours.shape == ref.shape
+        assert ours.tobytes() == ref.tobytes()
+        assert not np.signbit(ours[ours == 0.0]).any()  # no -0.0 survives
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            _quantize_dequantize(np.array([0.5, bad, -1.0]), 4)
+        with pytest.raises(ValueError, match="non-finite"):
+            _quantize_dequantize_rows(np.array([[0.5, 1.0], [bad, -1.0]]), 4)
+
+    def test_non_finite_qdr_weight_rejected(self, rng):
+        ap = ApproximateLinear(8, 3, 4, rng=rng)
+        ap.weight[1, 2] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            ap.forward(rng.normal(size=(1, 8)))
 
 
 class TestApproximateRecurrent:

@@ -17,6 +17,7 @@ from repro.core import (
     distill_linear,
     distill_lstm_cell,
 )
+from repro.core.dual import _receptive_nonzeros
 from repro.nn import Conv2d, GRUCell, Linear, LSTMCell
 from repro.nn import functional as F
 
@@ -164,6 +165,118 @@ class TestDualModuleConv2d:
         ap = ApproximateConv2d(3, 4, 3, reduced_features=5, rng=rng)
         with pytest.raises(ValueError, match="channel"):
             DualModuleConv2d(conv, ap, 0.0)
+
+    def test_input_channel_mismatch(self, conv_pair, rng):
+        dual = DualModuleConv2d(*conv_pair, threshold=0.0)
+        with pytest.raises(ValueError, match="expected 3 channels"):
+            dual(rng.normal(size=(1, 4, 8, 8)))
+
+    def test_speculate_execute_equals_forward(self, conv_pair, rng):
+        conv, ap = conv_pair
+        dual = DualModuleConv2d(conv, ap, threshold=0.1)
+        x = rng.normal(size=(2, 3, 8, 8))
+        imap = (x > 0).astype(np.uint8)
+        cols, y_approx = dual.speculate(x)
+        assert y_approx.tobytes() == ap.forward(x).tobytes()
+        out, report = dual.execute(x, cols, y_approx, imap=imap)
+        ref_out, ref_report = dual(x, imap=imap)
+        assert out.tobytes() == ref_out.tobytes()
+        assert report.savings == ref_report.savings
+
+    def test_lowered_once_per_forward(self, conv_pair, rng, monkeypatch):
+        """One ``im2col_cached`` call feeds both modules; the accurate
+        layer never lowers the input again."""
+        import repro.core.approx as approx_module
+
+        conv, ap = conv_pair
+        dual = DualModuleConv2d(conv, ap, threshold=0.0)
+        calls = []
+        real = approx_module.im2col_cached
+
+        def spy(*args, **kwargs):
+            calls.append(args[1:])
+            return real(*args, **kwargs)
+
+        def no_forward(x):
+            raise AssertionError("the accurate Conv2d re-lowered its input")
+
+        monkeypatch.setattr(approx_module, "im2col_cached", spy)
+        monkeypatch.setattr(conv, "forward", no_forward)
+        x = rng.normal(size=(2, 3, 8, 8))
+        out, _ = dual(x, imap=(x > 0).astype(np.uint8))
+        assert calls == [((3, 3), 1, 1)]
+        ref = F.relu(Conv2d.forward(conv, x))
+        m = out > 0
+        assert out[m].tobytes() == ref[m].tobytes()
+
+
+class TestMalformedImap:
+    """A malformed IMap used to price executed MACs silently wrong."""
+
+    @pytest.fixture
+    def conv_dual(self, rng):
+        conv = Conv2d(4, 8, 3, padding=1, rng=rng)
+        ap = ApproximateConv2d(4, 8, 3, reduced_features=9, padding=1, rng=rng)
+        distill_conv2d(conv, ap, rng.normal(size=(4, 4, 6, 6)))
+        return DualModuleConv2d(conv, ap, threshold=0.0)
+
+    def test_conv_wrong_shape_rejected(self, conv_dual, rng):
+        x = rng.normal(size=(1, 4, 6, 6))
+        with pytest.raises(ValueError, match="imap shape"):
+            conv_dual(x, imap=np.ones((1, 1, 6, 6), dtype=np.uint8))
+        with pytest.raises(ValueError, match="imap shape"):
+            conv_dual(x, imap=np.ones((4, 6, 6), dtype=np.uint8))
+
+    @pytest.mark.parametrize("value", [7, 2, -1, 0.5, np.nan])
+    def test_conv_non_binary_rejected(self, conv_dual, rng, value):
+        x = rng.normal(size=(1, 4, 6, 6))
+        imap = np.ones(x.shape)
+        imap[0, 1, 2, 3] = value
+        with pytest.raises(ValueError, match="outside"):
+            conv_dual(x, imap=imap)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64, np.float64, bool])
+    def test_conv_valid_dtypes_accepted(self, conv_dual, rng, dtype):
+        x = np.maximum(rng.normal(size=(2, 4, 6, 6)), 0.0)
+        _, report = conv_dual(x, imap=(x != 0).astype(dtype))
+        _, ref = conv_dual(x, imap=(x != 0).astype(np.uint8))
+        assert report.savings == ref.savings
+        assert report.savings.executed_macs <= report.savings.dense_macs
+
+    def test_linear_wrong_shape_rejected(self, linear_pair, rng):
+        dual = DualModuleLinear(*linear_pair, "relu", threshold=0.0)
+        x = rng.normal(size=(4, 32))
+        # same size, other shape: a reshape used to accept it
+        with pytest.raises(ValueError, match="imap shape"):
+            dual(x, imap=np.ones((8, 16), dtype=np.uint8))
+        with pytest.raises(ValueError, match="imap shape"):
+            dual(x, imap=np.ones((4, 31), dtype=np.uint8))
+
+    def test_linear_non_binary_rejected(self, linear_pair, rng):
+        dual = DualModuleLinear(*linear_pair, "relu", threshold=0.0)
+        x = rng.normal(size=(4, 32))
+        with pytest.raises(ValueError, match="outside"):
+            dual(x, imap=np.full((4, 32), 7))
+
+
+class TestReceptiveNonzeros:
+    """The integer IMap count equals the float im2col row sums it replaced."""
+
+    @pytest.mark.parametrize("kernel", [1, 3, 5])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    def test_matches_float_im2col(self, rng, kernel, stride, padding):
+        imap = (rng.random((2, 3, 9, 8)) > 0.4).astype(np.uint8)
+        cols = F.im2col(imap.astype(np.float64), (kernel, kernel), stride, padding)
+        ref = cols.sum(axis=1)
+        ours = _receptive_nonzeros(imap, (kernel, kernel), stride, padding)
+        assert ours.dtype == np.int64
+        np.testing.assert_array_equal(ours.reshape(-1), ref)
+
+    def test_all_ones_interior_is_full_receptive_field(self):
+        ours = _receptive_nonzeros(np.ones((1, 4, 6, 6), dtype=bool), (3, 3), 1, 1)
+        assert ours[0, 1:-1, 1:-1].min() == 4 * 9
+        assert ours[0, 0, 0] == 4 * 4  # corner: padding contributes nothing
 
 
 class TestDualModuleLSTM:

@@ -95,6 +95,37 @@ class TestDualizedCNN:
         np.testing.assert_allclose(logits_a, logits_b)
         assert with_imap.executed_macs <= without.executed_macs
 
+    def test_threshold_tuning_speculates_once_per_slot(
+        self, trained_cnn, rng, monkeypatch
+    ):
+        """Each slot's Speculator runs once per ``set_thresholds_by_fraction``
+        and its input is lowered once: the tuned pre-activations and
+        columns are the ones the layer executes with."""
+        import repro.core.approx as approx_module
+        from repro.core.approx import ApproximateConv2d
+
+        model, ds = trained_cnn
+        cal, _ = ds.sample(8, rng)
+        dual = DualizedCNN.build(model, cal, rng=rng)
+        speculated, lowered = [], []
+        real_forward = ApproximateConv2d.forward_columns
+        real_lower = approx_module.im2col_cached
+
+        def spy_forward(self, cols, geometry):
+            speculated.append(id(self))
+            return real_forward(self, cols, geometry)
+
+        def spy_lower(*args, **kwargs):
+            lowered.append(args[0].shape)
+            return real_lower(*args, **kwargs)
+
+        monkeypatch.setattr(ApproximateConv2d, "forward_columns", spy_forward)
+        monkeypatch.setattr(approx_module, "im2col_cached", spy_lower)
+        thetas = dual.set_thresholds_by_fraction(0.6, cal)
+        assert speculated == [id(slot.dual.approx) for slot in dual.slots]
+        assert len(lowered) == len(dual.slots)
+        assert thetas == [slot.dual.threshold for slot in dual.slots]
+
 
 class TestDualizedLanguageModel:
     @pytest.fixture(scope="class")

@@ -118,6 +118,23 @@ class TestConv2d:
         with pytest.raises(ValueError, match="channels"):
             layer(rng.normal(size=(1, 4, 8, 8)))
 
+    def test_forward_columns_matches_forward(self, rng):
+        from repro.nn import functional as F
+
+        layer = Conv2d(3, 4, 3, stride=2, padding=1, rng=rng)
+        x = rng.normal(size=(2, 3, 7, 7))
+        cols = F.im2col(x, (3, 3), 2, 1)
+        cols.flags.writeable = False  # shared lowered buffers are read-only
+        out = layer.forward_columns(cols, (2, 4, 4))
+        assert out.tobytes() == layer(x).tobytes()
+
+    def test_forward_columns_shape_checked(self, rng):
+        layer = Conv2d(3, 4, 3, rng=rng)
+        with pytest.raises(ValueError, match="columns of shape"):
+            layer.forward_columns(np.zeros((16, 26)), (1, 4, 4))
+        with pytest.raises(ValueError, match="columns of shape"):
+            layer.forward_columns(np.zeros((16, 27)), (1, 4, 3))
+
 
 class TestPooling:
     def test_maxpool_values(self):
