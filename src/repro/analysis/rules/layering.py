@@ -44,6 +44,7 @@ LAYERS: dict[str, int] = {
     "parallel": 0,
     "reporting": 0,
     "analysis": 0,
+    "validation": 0,
     "core": 1,
     "models": 2,
     "workloads": 3,

@@ -24,6 +24,7 @@ from repro.sim.dram import Dram
 from repro.sim.energy import EnergyBreakdown, EnergyModel
 from repro.sim.report import LayerReport, ModelReport
 from repro.sim.tiling import choose_tiling
+from repro.validation import check_range
 from repro.workloads.sparsity import CnnLayerWorkload
 
 __all__ = ["BaselineCharacter", "BaselineCnnAccelerator"]
@@ -80,10 +81,10 @@ class BaselineCharacter:
     def __post_init__(self):
         if self.output_mode not in ("none", "early_term", "predict"):
             raise ValueError(f"unknown output_mode {self.output_mode!r}")
-        if not 0.0 < self.early_term_fraction <= 1.0:
-            raise ValueError("early_term_fraction must be in (0, 1]")
-        if not 0.0 <= self.predict_overhead <= 1.0:
-            raise ValueError("predict_overhead must be in [0, 1]")
+        check_range(self, "tile_positions", gt=0)
+        check_range(self, "early_term_fraction", gt=0, le=1)
+        check_range(self, "predict_overhead", ge=0, le=1)
+        check_range(self, "glb_accesses_per_mac", ge=0)
 
 
 class BaselineCnnAccelerator:

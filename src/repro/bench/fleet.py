@@ -126,8 +126,6 @@ def fleet_scenarios(smoke: bool = False, capacity_rps: float = FALLBACK_CAPACITY
     counts).  All parameters are plain picklable values; fleet/trace
     objects are rebuilt inside the worker.
     """
-    if capacity_rps <= 0:
-        raise ValueError(f"capacity_rps must be positive, got {capacity_rps}")
     n_requests = _N_REQUESTS_SMOKE if smoke else _N_REQUESTS
     nominal_servers = initial_fleet_size(
         _RATE_RPS, capacity_rps, AutoscalerPolicy(min_servers=1, max_servers=4)

@@ -36,6 +36,7 @@ from repro.serving.loadgen import ARRIVAL_PROCESSES, TraceConfig
 from repro.serving.overload import OverloadPolicy
 from repro.serving.server import ServerConfig, simulate_serving
 from repro.sim.config import DuetConfig
+from repro.validation import require_range
 
 __all__ = ["SERVE_SCHEMA", "ServeScenario", "run_serving_bench", "serve_scenarios"]
 
@@ -90,10 +91,7 @@ def serve_scenarios(
         raise ValueError(
             f"arrival must be one of {ARRIVAL_PROCESSES}, got {arrival!r}"
         )
-    if max_batch < 1:
-        raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-    if scale <= 0:
-        raise ValueError(f"scale must be positive, got {scale}")
+    require_range("scale", scale, gt=0)
     size = scale if smoke else 5.0 * scale
     hardware = DuetConfig(fast_path=fast_path)
     batched = BatchPolicy(max_batch=max_batch)

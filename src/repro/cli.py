@@ -36,6 +36,7 @@ A campaign whose document fails a check exits with status 1.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -588,8 +589,8 @@ def _cmd_loadgen(args, out) -> int:
         raise CliError(f"--workers must be >= 1, got {args.workers}")
     if args.max_batch < 1:
         raise CliError(f"--max-batch must be >= 1, got {args.max_batch}")
-    if args.scale <= 0:
-        raise CliError(f"--scale must be positive, got {args.scale}")
+    if not (math.isfinite(args.scale) and args.scale > 0):
+        raise CliError(f"--scale must be finite and positive, got {args.scale}")
 
     def row(record):
         summary = record["summary"]

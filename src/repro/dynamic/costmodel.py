@@ -34,6 +34,7 @@ from repro.dynamic.exits import (
     truncated_spec,
 )
 from repro.models.layer_spec import ModelSpec
+from repro.validation import check_range
 
 __all__ = [
     "EXIT_PRICING",
@@ -58,10 +59,8 @@ class ExitPricing:
     exponent: float
 
     def __post_init__(self):
-        if not 0.0 <= self.max_drop <= 1.0:
-            raise ValueError(f"max_drop must be in [0, 1], got {self.max_drop}")
-        if self.exponent <= 0.0:
-            raise ValueError(f"exponent must be > 0, got {self.exponent}")
+        check_range(self, "max_drop", ge=0, le=1)
+        check_range(self, "exponent", gt=0)
 
     def drop(self, depth_fraction: float) -> float:
         """Estimated accuracy drop for exiting at ``depth_fraction``."""

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 
 from repro.reliability.report import DegradationEvent
 from repro.sim.config import STAGES
+from repro.validation import check_range
 
 __all__ = ["DegradationBudget", "DegradationPolicy", "DEGRADATION_LADDER"]
 
@@ -63,21 +64,14 @@ class DegradationBudget:
     max_dram_unrecoverable: int = 0
 
     def __post_init__(self):
-        if not 0.0 <= self.max_misspeculation_rate <= 1.0:
-            raise ValueError(
-                "max_misspeculation_rate must be in [0, 1], got "
-                f"{self.max_misspeculation_rate}"
-            )
-        if not 0.0 <= self.max_checksum_failure_rate <= 1.0:
-            raise ValueError(
-                "max_checksum_failure_rate must be in [0, 1], got "
-                f"{self.max_checksum_failure_rate}"
-            )
-        if self.max_dram_unrecoverable < 0:
-            raise ValueError(
-                f"max_dram_unrecoverable must be non-negative, got "
-                f"{self.max_dram_unrecoverable}"
-            )
+        check_range(
+            self,
+            "max_misspeculation_rate",
+            "max_checksum_failure_rate",
+            ge=0,
+            le=1,
+        )
+        check_range(self, "max_dram_unrecoverable", ge=0)
 
 
 @dataclass

@@ -32,6 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.validation import check_range
+
 __all__ = [
     "FaultModel",
     "OMapBitFlips",
@@ -67,8 +69,7 @@ class OMapBitFlips(FaultModel):
     site = "omap"
 
     def __post_init__(self):
-        if not 0.0 <= self.rate <= 1.0:
-            raise ValueError(f"flip rate must be in [0, 1], got {self.rate}")
+        check_range(self, "rate", ge=0, le=1)
 
     def corrupt(self, bits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         flips = rng.random(bits.shape) < self.rate
@@ -89,8 +90,7 @@ class IMapBitFlips(FaultModel):
     site = "imap"
 
     def __post_init__(self):
-        if not 0.0 <= self.rate <= 1.0:
-            raise ValueError(f"flip rate must be in [0, 1], got {self.rate}")
+        check_range(self, "rate", ge=0, le=1)
 
     def corrupt(self, bits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         flips = rng.random(bits.shape) < self.rate
@@ -112,10 +112,8 @@ class WeightCorruption(FaultModel):
     site = "weights"
 
     def __post_init__(self):
-        if not 0.0 <= self.rate <= 1.0:
-            raise ValueError(f"corruption rate must be in [0, 1], got {self.rate}")
-        if self.magnitude <= 0:
-            raise ValueError(f"magnitude must be positive, got {self.magnitude}")
+        check_range(self, "rate", ge=0, le=1)
+        check_range(self, "magnitude", gt=0)
 
     def corrupt(
         self, weights: np.ndarray, rng: np.random.Generator
@@ -140,8 +138,7 @@ class DramTransferFaults(FaultModel):
     site = "dram"
 
     def __post_init__(self):
-        if not 0.0 <= self.rate < 1.0:
-            raise ValueError(f"failure rate must be in [0, 1), got {self.rate}")
+        check_range(self, "rate", ge=0, lt=1)
 
 
 @dataclass(frozen=True)
@@ -152,8 +149,7 @@ class StuckAtRows(FaultModel):
     site = "pe_row"
 
     def __post_init__(self):
-        if self.count < 0:
-            raise ValueError(f"stuck-row count must be non-negative, got {self.count}")
+        check_range(self, "count", ge=0)
 
     def pick_rows(self, total_rows: int, rng: np.random.Generator) -> frozenset[int]:
         count = min(self.count, max(0, total_rows - 1))  # keep one row alive
@@ -181,10 +177,8 @@ class BiasedSpeculator(FaultModel):
     site = "speculator"
 
     def __post_init__(self):
-        if self.bias < 0:
-            raise ValueError(f"bias must be non-negative, got {self.bias}")
-        if not 0.0 <= self.miss_rate <= 1.0:
-            raise ValueError(f"miss_rate must be in [0, 1], got {self.miss_rate}")
+        check_range(self, "bias", ge=0)
+        check_range(self, "miss_rate", ge=0, le=1)
 
     def effective_miss_rate(self, guard_band: float) -> float:
         """Miss probability after the guard band absorbs borderline errors."""

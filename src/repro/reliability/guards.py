@@ -30,6 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.validation import check_range
+
 __all__ = [
     "map_checksum",
     "row_checksums",
@@ -223,10 +225,7 @@ class ConsistencyAuditor:
     total_misses: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.sample_rate <= 1.0:
-            raise ValueError(
-                f"sample_rate must be in (0, 1], got {self.sample_rate}"
-            )
+        check_range(self, "sample_rate", gt=0, le=1)
 
     def audit(
         self,

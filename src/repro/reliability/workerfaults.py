@@ -29,6 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.validation import check_range
+
 __all__ = [
     "FATE_OK",
     "FATE_CRASH",
@@ -87,27 +89,11 @@ class WorkerFaultModel:
     hot_multiplier: float = 1.0
 
     def __post_init__(self):
-        for name in ("crash_rate", "hang_rate", "straggle_rate"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(
-                    f"WorkerFaultModel.{name} must be in [0, 1], got {value}"
-                )
-        if self.straggle_multiplier < 1.0:
-            raise ValueError(
-                f"WorkerFaultModel.straggle_multiplier must be >= 1, got "
-                f"{self.straggle_multiplier}"
-            )
-        if self.hot_workers < 0:
-            raise ValueError(
-                f"WorkerFaultModel.hot_workers must be >= 0, got "
-                f"{self.hot_workers}"
-            )
-        if self.hot_multiplier < 1.0:
-            raise ValueError(
-                f"WorkerFaultModel.hot_multiplier must be >= 1, got "
-                f"{self.hot_multiplier}"
-            )
+        check_range(
+            self, "crash_rate", "hang_rate", "straggle_rate", ge=0, le=1
+        )
+        check_range(self, "straggle_multiplier", "hot_multiplier", ge=1)
+        check_range(self, "hot_workers", ge=0)
         if self.total_rate(hot=True) >= 1.0:
             raise ValueError(
                 "WorkerFaultModel rates (after the hot multiplier) must sum "

@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.serving.request import REJECT_QUEUE_FULL, REJECT_RATE_LIMITED
+from repro.validation import check_range, require_range
 
 __all__ = ["AdmissionConfig", "AdmissionController", "TokenBucket"]
 
@@ -45,20 +46,8 @@ class AdmissionConfig:
     burst: int = 16
 
     def __post_init__(self):
-        if self.max_queue_depth < 1:
-            raise ValueError(
-                f"AdmissionConfig.max_queue_depth must be >= 1, got "
-                f"{self.max_queue_depth}"
-            )
-        if self.rate_limit_rps is not None and self.rate_limit_rps <= 0:
-            raise ValueError(
-                f"AdmissionConfig.rate_limit_rps must be positive, got "
-                f"{self.rate_limit_rps}"
-            )
-        if self.burst < 1:
-            raise ValueError(
-                f"AdmissionConfig.burst must be >= 1, got {self.burst}"
-            )
+        check_range(self, "max_queue_depth", "burst", ge=1)
+        check_range(self, "rate_limit_rps", gt=0, optional=True)
 
 
 class TokenBucket:
@@ -70,11 +59,7 @@ class TokenBucket:
     """
 
     def __init__(self, rate_per_cycle: float, burst: int):
-        if rate_per_cycle <= 0:
-            raise ValueError(
-                f"TokenBucket.rate_per_cycle must be positive, got "
-                f"{rate_per_cycle}"
-            )
+        require_range("TokenBucket.rate_per_cycle", rate_per_cycle, gt=0)
         self.rate_per_cycle = rate_per_cycle
         self.burst = burst
         self._tokens = float(burst)

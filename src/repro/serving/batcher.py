@@ -24,6 +24,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from repro.serving.request import Request
+from repro.validation import check_range
 
 __all__ = ["BatchPolicy", "DynamicBatcher"]
 
@@ -44,14 +45,8 @@ class BatchPolicy:
     max_wait_us: float = 200.0
 
     def __post_init__(self):
-        if self.max_batch < 1:
-            raise ValueError(
-                f"BatchPolicy.max_batch must be >= 1, got {self.max_batch}"
-            )
-        if self.max_wait_us < 0:
-            raise ValueError(
-                f"BatchPolicy.max_wait_us must be >= 0, got {self.max_wait_us}"
-            )
+        check_range(self, "max_batch", ge=1)
+        check_range(self, "max_wait_us", ge=0)
 
     def max_wait_cycles(self, clock_hz: float) -> int:
         """The microbatch deadline in simulated cycles."""

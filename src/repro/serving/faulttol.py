@@ -88,6 +88,7 @@ from repro.serving.slo import (
     percentile,
 )
 from repro.sim.batching import BatchExecutor
+from repro.validation import check_range
 
 __all__ = [
     "POLICY_LADDER",
@@ -130,29 +131,11 @@ class RetryPolicy:
     jitter_fraction: float = 0.5
 
     def __post_init__(self):
-        if self.max_attempts < 1:
-            raise ValueError(
-                f"RetryPolicy.max_attempts must be >= 1, got {self.max_attempts}"
-            )
-        if self.timeout_us <= 0:
-            raise ValueError(
-                f"RetryPolicy.timeout_us must be positive, got {self.timeout_us}"
-            )
-        if self.backoff_base_us < 0:
-            raise ValueError(
-                f"RetryPolicy.backoff_base_us must be >= 0, got "
-                f"{self.backoff_base_us}"
-            )
-        if self.backoff_multiplier < 1.0:
-            raise ValueError(
-                f"RetryPolicy.backoff_multiplier must be >= 1, got "
-                f"{self.backoff_multiplier}"
-            )
-        if not 0.0 <= self.jitter_fraction <= 1.0:
-            raise ValueError(
-                f"RetryPolicy.jitter_fraction must be in [0, 1], got "
-                f"{self.jitter_fraction}"
-            )
+        check_range(self, "max_attempts", ge=1)
+        check_range(self, "timeout_us", gt=0)
+        check_range(self, "backoff_base_us", ge=0)
+        check_range(self, "backoff_multiplier", ge=1)
+        check_range(self, "jitter_fraction", ge=0, le=1)
 
 
 @dataclass(frozen=True)
@@ -173,20 +156,9 @@ class HedgePolicy:
     min_samples: int = 20
 
     def __post_init__(self):
-        if self.initial_delay_us <= 0:
-            raise ValueError(
-                f"HedgePolicy.initial_delay_us must be positive, got "
-                f"{self.initial_delay_us}"
-            )
-        if not 0.0 < self.latency_percentile <= 100.0:
-            raise ValueError(
-                f"HedgePolicy.latency_percentile must be in (0, 100], got "
-                f"{self.latency_percentile}"
-            )
-        if self.min_samples < 1:
-            raise ValueError(
-                f"HedgePolicy.min_samples must be >= 1, got {self.min_samples}"
-            )
+        check_range(self, "initial_delay_us", gt=0)
+        check_range(self, "latency_percentile", gt=0, le=100)
+        check_range(self, "min_samples", ge=1)
 
 
 @dataclass(frozen=True)
@@ -205,16 +177,8 @@ class BreakerPolicy:
     reset_timeout_us: float = 500_000.0
 
     def __post_init__(self):
-        if self.failure_threshold < 1:
-            raise ValueError(
-                f"BreakerPolicy.failure_threshold must be >= 1, got "
-                f"{self.failure_threshold}"
-            )
-        if self.reset_timeout_us <= 0:
-            raise ValueError(
-                f"BreakerPolicy.reset_timeout_us must be positive, got "
-                f"{self.reset_timeout_us}"
-            )
+        check_range(self, "failure_threshold", ge=1)
+        check_range(self, "reset_timeout_us", gt=0)
 
 
 @dataclass(frozen=True)
@@ -236,21 +200,9 @@ class HealthPolicy:
     cold_restart_us: float = 250_000.0
 
     def __post_init__(self):
-        if self.heartbeat_us <= 0:
-            raise ValueError(
-                f"HealthPolicy.heartbeat_us must be positive, got "
-                f"{self.heartbeat_us}"
-            )
-        if self.miss_threshold < 1:
-            raise ValueError(
-                f"HealthPolicy.miss_threshold must be >= 1, got "
-                f"{self.miss_threshold}"
-            )
-        if self.warm_restart_us < 0 or self.cold_restart_us < 0:
-            raise ValueError(
-                "HealthPolicy restart costs must be >= 0, got "
-                f"warm={self.warm_restart_us} cold={self.cold_restart_us}"
-            )
+        check_range(self, "heartbeat_us", gt=0)
+        check_range(self, "miss_threshold", ge=1)
+        check_range(self, "warm_restart_us", "cold_restart_us", ge=0)
 
 
 @dataclass(frozen=True)
@@ -276,11 +228,7 @@ class FaultTolerancePolicy:
     deadline_us: float = 2_000_000.0
 
     def __post_init__(self):
-        if self.deadline_us <= 0:
-            raise ValueError(
-                f"FaultTolerancePolicy.deadline_us must be positive, got "
-                f"{self.deadline_us}"
-            )
+        check_range(self, "deadline_us", gt=0)
         if self.breaker is not None and self.retry is None:
             raise ValueError(
                 "FaultTolerancePolicy.breaker requires retry: breaker "

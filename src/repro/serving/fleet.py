@@ -53,6 +53,7 @@ from repro.serving.server import _ARRIVAL, _EventCore, _cycles
 from repro.serving.slo import SloSummary, _distribution, _exit_means, summarize
 from repro.sim.config import DuetConfig
 from repro.sim.sharding import ShardedExecutor
+from repro.validation import check_range, require_range
 
 __all__ = [
     "AutoscalerPolicy",
@@ -91,14 +92,8 @@ class SloClass:
     def __post_init__(self):
         if not self.name:
             raise ValueError("SloClass.name must be non-empty")
-        if self.target_ms <= 0:
-            raise ValueError(
-                f"SloClass.target_ms must be positive, got {self.target_ms}"
-            )
-        if self.priority < 0:
-            raise ValueError(
-                f"SloClass.priority must be >= 0, got {self.priority}"
-            )
+        check_range(self, "target_ms", gt=0)
+        check_range(self, "priority", ge=0)
 
 
 #: Default service classes: latency-sensitive interactive traffic ahead
@@ -139,41 +134,21 @@ class AutoscalerPolicy:
     startup_us: float = 5000.0
 
     def __post_init__(self):
-        if self.min_servers < 1:
-            raise ValueError(
-                f"AutoscalerPolicy.min_servers must be >= 1, got "
-                f"{self.min_servers}"
-            )
+        check_range(self, "min_servers", "max_servers", ge=1)
         if self.max_servers < self.min_servers:
             raise ValueError(
                 f"AutoscalerPolicy.max_servers ({self.max_servers}) must be "
                 f">= min_servers ({self.min_servers})"
             )
-        if not 0.0 < self.scale_out_occupancy <= 1.0:
-            raise ValueError(
-                f"AutoscalerPolicy.scale_out_occupancy must be in (0, 1], "
-                f"got {self.scale_out_occupancy}"
-            )
-        if not 0.0 <= self.scale_in_occupancy < self.scale_out_occupancy:
+        check_range(self, "scale_out_occupancy", gt=0, le=1)
+        check_range(self, "scale_in_occupancy", ge=0)
+        if self.scale_in_occupancy >= self.scale_out_occupancy:
             raise ValueError(
                 "AutoscalerPolicy.scale_in_occupancy must be in [0, "
                 f"scale_out_occupancy), got {self.scale_in_occupancy}"
             )
-        if self.eval_interval_us <= 0:
-            raise ValueError(
-                f"AutoscalerPolicy.eval_interval_us must be positive, got "
-                f"{self.eval_interval_us}"
-            )
-        if self.cooldown_evals < 0:
-            raise ValueError(
-                f"AutoscalerPolicy.cooldown_evals must be >= 0, got "
-                f"{self.cooldown_evals}"
-            )
-        if self.startup_us < 0:
-            raise ValueError(
-                f"AutoscalerPolicy.startup_us must be >= 0, got "
-                f"{self.startup_us}"
-            )
+        check_range(self, "eval_interval_us", gt=0)
+        check_range(self, "cooldown_evals", "startup_us", ge=0)
 
     @classmethod
     def fixed(cls, servers: int) -> "AutoscalerPolicy":
@@ -202,12 +177,8 @@ def initial_fleet_size(
         server_capacity_rps: measured per-server completion capacity.
         policy: the fleet's autoscaler bounds.
     """
-    if rate_rps <= 0:
-        raise ValueError(f"rate_rps must be positive, got {rate_rps}")
-    if server_capacity_rps <= 0:
-        raise ValueError(
-            f"server_capacity_rps must be positive, got {server_capacity_rps}"
-        )
+    require_range("rate_rps", rate_rps, gt=0)
+    require_range("server_capacity_rps", server_capacity_rps, gt=0)
     needed = math.ceil(rate_rps / server_capacity_rps)
     return min(max(needed, policy.min_servers), policy.max_servers)
 
@@ -319,11 +290,7 @@ class FleetConfig:
                     f"model {model!r} mapped to unknown SLO class {cls!r} "
                     f"(have {sorted(known)})"
                 )
-        if self.initial_servers < 1:
-            raise ValueError(
-                f"FleetConfig.initial_servers must be >= 1, got "
-                f"{self.initial_servers}"
-            )
+        check_range(self, "initial_servers", ge=1)
 
     def slo_class_for(self, model: str) -> SloClass:
         """The SLO class serving ``model``."""

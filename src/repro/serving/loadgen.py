@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.serving.request import Request
+from repro.validation import check_range
 
 __all__ = [
     "ARRIVAL_PROCESSES",
@@ -75,14 +76,8 @@ class TraceConfig:
     switch_probability: float = 0.02
 
     def __post_init__(self):
-        if self.n_requests < 1:
-            raise ValueError(
-                f"TraceConfig.n_requests must be >= 1, got {self.n_requests}"
-            )
-        if self.rate_rps <= 0:
-            raise ValueError(
-                f"TraceConfig.rate_rps must be positive, got {self.rate_rps}"
-            )
+        check_range(self, "n_requests", ge=1)
+        check_range(self, "rate_rps", "clock_hz", gt=0)
         if self.arrival not in ARRIVAL_PROCESSES:
             raise ValueError(
                 f"TraceConfig.arrival must be one of {ARRIVAL_PROCESSES}, "
@@ -96,25 +91,14 @@ class TraceConfig:
                     f"TraceConfig.model_weights has {len(self.model_weights)} "
                     f"entries for {len(self.models)} models"
                 )
-            if any(w < 0 for w in self.model_weights) or not sum(self.model_weights):
+            check_range(self, "model_weights", ge=0)
+            if not sum(self.model_weights):
                 raise ValueError(
                     "TraceConfig.model_weights must be non-negative and sum "
                     "to a positive total"
                 )
-        if self.workload_variants < 1:
-            raise ValueError(
-                f"TraceConfig.workload_variants must be >= 1, got "
-                f"{self.workload_variants}"
-            )
-        if self.burst_factor < 1:
-            raise ValueError(
-                f"TraceConfig.burst_factor must be >= 1, got {self.burst_factor}"
-            )
-        if not 0.0 <= self.switch_probability <= 1.0:
-            raise ValueError(
-                f"TraceConfig.switch_probability must be in [0, 1], got "
-                f"{self.switch_probability}"
-            )
+        check_range(self, "workload_variants", "burst_factor", ge=1)
+        check_range(self, "switch_probability", ge=0, le=1)
 
 
 @dataclass(frozen=True)
@@ -154,28 +138,14 @@ class ClosedLoopConfig:
     clock_hz: float = 1e9
 
     def __post_init__(self):
-        if self.clients < 1:
-            raise ValueError(
-                f"ClosedLoopConfig.clients must be >= 1, got {self.clients}"
-            )
-        if self.requests_per_client < 1:
-            raise ValueError(
-                f"ClosedLoopConfig.requests_per_client must be >= 1, got "
-                f"{self.requests_per_client}"
-            )
-        if self.think_time_us < 0:
-            raise ValueError(
-                f"ClosedLoopConfig.think_time_us must be >= 0, got "
-                f"{self.think_time_us}"
-            )
+        check_range(
+            self, "clients", "requests_per_client", "workload_variants", ge=1
+        )
+        check_range(self, "think_time_us", ge=0)
+        check_range(self, "clock_hz", gt=0)
         if not self.models:
             raise ValueError(
                 "ClosedLoopConfig.models must name at least one model"
-            )
-        if self.workload_variants < 1:
-            raise ValueError(
-                f"ClosedLoopConfig.workload_variants must be >= 1, got "
-                f"{self.workload_variants}"
             )
 
     def client_rng(self, client: int) -> np.random.Generator:

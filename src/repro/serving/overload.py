@@ -33,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.reliability.degrade import DEGRADATION_LADDER
+from repro.validation import check_range
 
 __all__ = ["SERVING_LADDER", "OverloadPolicy"]
 
@@ -67,16 +68,12 @@ class OverloadPolicy:
                 f"entries (one per step of {SERVING_LADDER}), got "
                 f"{len(self.thresholds)}"
             )
+        check_range(self, "thresholds", gt=0, le=1)
         if list(self.thresholds) != sorted(self.thresholds):
             raise ValueError(
                 f"OverloadPolicy.thresholds must be ascending, got "
                 f"{self.thresholds}"
             )
-        for t in self.thresholds:
-            if not 0.0 < t <= 1.0:
-                raise ValueError(
-                    f"OverloadPolicy.thresholds must lie in (0, 1], got {t}"
-                )
 
     @classmethod
     def disabled(cls) -> "OverloadPolicy":

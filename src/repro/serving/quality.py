@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 from repro.dynamic.decision import ALWAYS_LATE
 from repro.dynamic.executor import decision_drop
+from repro.validation import check_range
 
 __all__ = ["QualityPolicy", "decision_record_fields"]
 
@@ -72,28 +73,17 @@ class QualityPolicy:
                 f"breakpoint, got {len(self.occupancies)} occupancies and "
                 f"{len(self.thresholds)} thresholds"
             )
+        check_range(self, "occupancies", "thresholds", ge=0, le=1)
         if list(self.occupancies) != sorted(self.occupancies):
             raise ValueError(
                 f"QualityPolicy.occupancies must be ascending, got "
                 f"{self.occupancies}"
             )
-        for occupancy in self.occupancies:
-            if not 0.0 <= occupancy <= 1.0:
-                raise ValueError(
-                    f"QualityPolicy.occupancies must lie in [0, 1], got "
-                    f"{occupancy}"
-                )
         if list(self.thresholds) != sorted(self.thresholds, reverse=True):
             raise ValueError(
                 f"QualityPolicy.thresholds must be descending (more "
                 f"pressure, shallower exits), got {self.thresholds}"
             )
-        for threshold in self.thresholds:
-            if not 0.0 <= threshold <= 1.0:
-                raise ValueError(
-                    f"QualityPolicy.thresholds must lie in [0, 1], got "
-                    f"{threshold}"
-                )
 
     @classmethod
     def disabled(cls) -> "QualityPolicy":

@@ -44,6 +44,7 @@ from repro.serving.request import COMPLETED, REJECTED, Request, RequestRecord
 from repro.serving.slo import SloSummary, summarize
 from repro.sim.batching import BatchExecutor, WorkerPool
 from repro.sim.config import DuetConfig
+from repro.validation import check_range
 
 __all__ = ["ServerConfig", "ServingResult", "ServingSimulator", "simulate_serving"]
 
@@ -81,10 +82,7 @@ class ServerConfig:
     hardware: DuetConfig = field(default_factory=DuetConfig)
 
     def __post_init__(self):
-        if self.workers < 1:
-            raise ValueError(
-                f"ServerConfig.workers must be >= 1, got {self.workers}"
-            )
+        check_range(self, "workers", ge=1)
 
 
 @dataclass

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field, replace
 from repro.models.layer_spec import ModelSpec
 from repro.models.registry import get_model_spec
 from repro.sim.config import DuetConfig, stage_config
+from repro.validation import check_range
 from repro.workloads.sparsity import SparsityModel
 
 __all__ = ["BatchExecutor", "BatchResult", "ServiceModel", "WorkerPool"]
@@ -51,11 +52,7 @@ class ServiceModel:
     dispatch_overhead_cycles: int = 10_000
 
     def __post_init__(self):
-        if self.dispatch_overhead_cycles < 0:
-            raise ValueError(
-                f"ServiceModel.dispatch_overhead_cycles must be >= 0, got "
-                f"{self.dispatch_overhead_cycles}"
-            )
+        check_range(self, "dispatch_overhead_cycles", ge=0)
 
     def batch_service_cycles(self, reports) -> int:
         """Service cycles for one dispatched batch of per-sample reports."""
@@ -185,8 +182,7 @@ class WorkerPool:
     _idle: list[int] = field(default_factory=list)
 
     def __post_init__(self):
-        if self.size < 1:
-            raise ValueError(f"WorkerPool.size must be >= 1, got {self.size}")
+        check_range(self, "size", ge=1)
         self._idle = list(range(self.size))
         heapq.heapify(self._idle)
 

@@ -19,8 +19,9 @@ mapping), integrated input+output switching (IOS), and full DUET
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
+
+from repro.validation import check_range
 
 __all__ = ["DuetConfig", "stage_config", "STAGES"]
 
@@ -92,7 +93,8 @@ class DuetConfig:
     fast_path: bool = True
 
     def __post_init__(self):
-        for name in (
+        check_range(
+            self,
             "executor_rows",
             "executor_cols",
             "speculator_rows",
@@ -100,6 +102,7 @@ class DuetConfig:
             "glb_bytes",
             "glb_bandwidth",
             "dram_bandwidth",
+            "clock_hz",
             "executor_bits",
             "speculator_bits",
             "quantizer_throughput",
@@ -109,17 +112,8 @@ class DuetConfig:
             "executor_step_positions",
             "reorder_buckets",
             "reorder_window_tiles",
-        ):
-            value = getattr(self, name)
-            if value <= 0:
-                raise ValueError(
-                    f"DuetConfig.{name} must be positive, got {value!r}"
-                )
-        if not (self.clock_hz > 0 and math.isfinite(self.clock_hz)):
-            raise ValueError(
-                f"DuetConfig.clock_hz must be a positive finite frequency, "
-                f"got {self.clock_hz!r}"
-            )
+            gt=0,
+        )
         # the PE/systolic arrays, the NoC multicast (row, col) ID scheme and
         # the power-of-two channel-tile sweep of repro.sim.tiling all assume
         # power-of-two array geometry

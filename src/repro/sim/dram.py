@@ -28,6 +28,8 @@ from typing import Callable
 
 import numpy as np
 
+from repro.validation import check_range
+
 __all__ = ["Dram", "TransferRetryPolicy", "shared_channel_cycles"]
 
 
@@ -75,14 +77,7 @@ class TransferRetryPolicy:
     backoff_cycles: int = 8
 
     def __post_init__(self):
-        if self.max_retries < 0:
-            raise ValueError(
-                f"max_retries must be non-negative, got {self.max_retries}"
-            )
-        if self.backoff_cycles < 0:
-            raise ValueError(
-                f"backoff_cycles must be non-negative, got {self.backoff_cycles}"
-            )
+        check_range(self, "max_retries", "backoff_cycles", ge=0)
 
     def wait_before(self, retry_index: int) -> int:
         """Backoff cycles inserted before retry number ``retry_index`` (0-based)."""

@@ -26,6 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.validation import check_range
+
 __all__ = ["EnergyModel", "EnergyBreakdown"]
 
 
@@ -49,9 +51,7 @@ class EnergyModel:
     quantize_op: float = 0.05
 
     def __post_init__(self):
-        for name in self.__dataclass_fields__:
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+        check_range(self, *self.__dataclass_fields__, ge=0)
 
 
 @dataclass

@@ -47,6 +47,7 @@ from repro.models.layer_spec import BYTES_PER_ELEMENT, ConvSpec, FCSpec, RNNSpec
 from repro.sim.batching import BatchExecutor, BatchResult
 from repro.sim.dram import shared_channel_cycles
 from repro.sim.noc import interchip_transfer_cycles
+from repro.validation import check_range, require_range
 
 __all__ = [
     "SPLIT_KINDS",
@@ -98,11 +99,12 @@ class ShardPlan:
                 f"ShardPlan(kind={self.kind!r}) needs >= 2 shards, got "
                 f"{self.shards}"
             )
-        if self.link_bandwidth < 1:
-            raise ValueError(
-                f"ShardPlan.link_bandwidth must be >= 1, got "
-                f"{self.link_bandwidth}"
-            )
+        check_range(self, "link_bandwidth", ge=1)
+
+
+#: the plan of a model with none assigned, built once rather than per
+#: dispatch (``plan_for`` runs for every priced batch)
+_SINGLE_CHIP = ShardPlan()
 
 
 @dataclass
@@ -193,11 +195,9 @@ class GlbPartition:
         if not self.fractions:
             raise ValueError("GlbPartition needs at least one model")
         for model, fraction in self.fractions.items():
-            if not 0.0 < fraction <= 1.0:
-                raise ValueError(
-                    f"GLB fraction for {model!r} must be in (0, 1], got "
-                    f"{fraction}"
-                )
+            require_range(
+                f"GlbPartition.fractions[{model!r}]", fraction, gt=0, le=1
+            )
         if sum(self.fractions.values()) > 1.0 + 1e-9:
             raise ValueError(
                 f"GLB fractions sum to {sum(self.fractions.values()):.4f} > 1"
@@ -268,7 +268,7 @@ class ShardedExecutor(BatchExecutor):
 
     def plan_for(self, model) -> ShardPlan:
         """The plan this executor applies to ``model``."""
-        return self.plans.get(self._resolve(model).name, ShardPlan())
+        return self.plans.get(self._resolve(model).name, _SINGLE_CHIP)
 
     def _inflated(self, model_name: str, memory_cycles: int) -> int:
         if self.partition is None:

@@ -22,7 +22,6 @@ against measured proxy-model maps in the test suite.
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import astuple, dataclass
 
@@ -30,6 +29,7 @@ import numpy as np
 
 from repro.models.layer_spec import ConvSpec, FCSpec, ModelSpec, RNNSpec
 from repro.nn.functional import im2col
+from repro.validation import check_range
 
 __all__ = [
     "SparsityModel",
@@ -678,28 +678,12 @@ class SparsityModel:
     def __post_init__(self):
         # checked here rather than by numpy mid-simulation; a NaN mean
         # would otherwise sample an all-zero map and price it silently
-        for name in ("cnn_sensitive_mean", "cnn_input_density"):
-            value = getattr(self, name)
-            if not 0.0 < value < 1.0:
-                raise ValueError(
-                    f"SparsityModel.{name} must lie in (0, 1), got {value!r}"
-                )
-        for name in ("cnn_channel_concentration", "cnn_input_concentration"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(
-                    f"SparsityModel.{name} must be finite and positive, got {value!r}"
-                )
-        if not 0.0 <= self.rnn_sensitive_mean <= 1.0:
-            raise ValueError(
-                "SparsityModel.rnn_sensitive_mean must lie in [0, 1], "
-                f"got {self.rnn_sensitive_mean!r}"
-            )
-        if not (math.isfinite(self.rnn_step_std) and self.rnn_step_std >= 0):
-            raise ValueError(
-                "SparsityModel.rnn_step_std must be finite and non-negative, "
-                f"got {self.rnn_step_std!r}"
-            )
+        check_range(self, "cnn_sensitive_mean", "cnn_input_density", gt=0, lt=1)
+        check_range(
+            self, "cnn_channel_concentration", "cnn_input_concentration", gt=0
+        )
+        check_range(self, "rnn_sensitive_mean", ge=0, le=1)
+        check_range(self, "rnn_step_std", ge=0)
         if (
             not isinstance(self.seed, numbers.Integral)
             or isinstance(self.seed, bool)

@@ -2,6 +2,8 @@
 
 from dataclasses import dataclass
 
+from repro.validation import check_range
+
 
 @dataclass(frozen=True)
 class DuetConfig:
@@ -10,6 +12,5 @@ class DuetConfig:
     enable_pipeline: bool = True
 
     def __post_init__(self):
-        for name in ("glb_bytes", "dram_bandwidth"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"DuetConfig.{name} must be positive")
+        # field names as string arguments of the shared range check
+        check_range(self, "glb_bytes", "dram_bandwidth", gt=0)

@@ -141,6 +141,12 @@ class TestServe:
             ("serve", "--workers", "0"),
             ("serve", "--max-batch", "0"),
             ("serve", "--requests", "10", "--variants", "0"),
+            # non-finite values: caught by the flag or the config's check
+            ("serve", "--max-wait-us", "inf"),
+            ("serve", "--max-wait-us", "nan"),
+            ("serve", "--rate", "inf"),
+            ("serve", "--rate", "nan"),
+            ("serve", "--rate-limit", "nan"),
         ],
     )
     def test_bad_values_exit_2(self, argv):
@@ -176,6 +182,8 @@ class TestLoadgen:
             ("loadgen", "--workers", "0"),
             ("loadgen", "--max-batch", "0"),
             ("loadgen", "--scale", "0"),
+            ("loadgen", "--smoke", "--scale", "inf"),
+            ("loadgen", "--smoke", "--scale", "nan"),
         ],
     )
     def test_bad_values_exit_2(self, argv):
@@ -183,6 +191,7 @@ class TestLoadgen:
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
+        assert err.count("\n") == 1  # one line, no traceback
 
 
 class TestChaos:
