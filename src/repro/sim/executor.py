@@ -60,6 +60,38 @@ class RnnGateCost:
     weight_words: int
 
 
+def _window_gather(
+    tile_cycles: np.ndarray, window_order: np.ndarray, window: int
+) -> np.ndarray:
+    """``tile_cycles`` with every tile's channels in its window's order.
+
+    ``ordered[k, s] = tile_cycles[window_order[s // window, k], s]`` --
+    the reference's ``take_along_axis`` -- as one flat ``take`` of the
+    narrow tile cycles, so the result keeps their dtype.
+    """
+    num_tiles = tile_cycles.shape[1]
+    rows_first = np.ascontiguousarray(window_order.T, dtype=np.intp) * num_tiles
+    flat_index = np.repeat(rows_first, window, axis=1)[:, :num_tiles]
+    flat_index += np.arange(num_tiles)
+    return tile_cycles.ravel().take(flat_index)
+
+
+def _step_total(ordered: np.ndarray, rows: int) -> int:
+    """Cycles of ``ordered`` channels run ``rows`` at a time.
+
+    PE rows synchronise at every (group, spatial-tile) step and a step
+    lasts as long as its slowest row, so the total is the sum of the
+    per-group maxima: ``rows`` strided ``np.maximum`` passes (row ``r`` of
+    every group is ``ordered[r::rows]``; a short last group just has no
+    row ``r``) in the tile cycles' narrow dtype, widened only to sum.
+    """
+    step_max = ordered[0::rows].copy()
+    for r in range(1, min(rows, ordered.shape[0])):
+        row = ordered[r::rows]
+        np.maximum(step_max[: len(row)], row, out=step_max[: len(row)])
+    return int(step_max.sum(dtype=np.int64))
+
+
 class ExecutorModel:
     """Cycle model of the Executor PE array."""
 
@@ -154,8 +186,11 @@ class ExecutorModel:
         Four things make it fast without changing a single counter:
 
         - the per-(channel, tile) aggregates come from the workload's
-          batched einsum kernels instead of a materialised
-          ``(C_out, positions)`` int64 intermediate;
+          strided-add kernels in the narrowest unsigned dtype that holds
+          their bound, instead of a materialised ``(C_out, positions)``
+          int64 intermediate; the adaptive gather (:func:`_window_gather`)
+          and the per-step maxima (:func:`_step_total`) stay in that dtype
+          and only the final sum is widened;
         - the adaptive (BOS/DUET) channel order per tile window comes
           from :meth:`~repro.workloads.sparsity.CnnLayerWorkload.window_order_fast`:
           the reference's float bucketing replayed as an integer lookup
@@ -216,7 +251,7 @@ class ExecutorModel:
             schedule = naive_schedule(spec.out_channels, rows)
         else:
             tile_cycles = workload.channel_tile_cycles_fast(
-                cfg.executor_cols, out_sw, in_sw, cfg.executor_step_positions
+                cfg.executor_cols, in_sw, cfg.executor_step_positions
             )
             if adaptive:
                 # the reference's float bucketing and stable argsort,
@@ -226,9 +261,7 @@ class ExecutorModel:
                 window_order = workload.window_order_fast(
                     cfg.executor_step_positions, window, cfg.reorder_buckets
                 )
-                num_tiles = tile_cycles.shape[1]
-                order = np.repeat(window_order, window, axis=0)[:num_tiles].T
-                ordered = np.take_along_axis(tile_cycles, order, axis=0)
+                ordered = _window_gather(tile_cycles, window_order, window)
                 schedule = adaptive_schedule(
                     workload.channel_tile_switch_counts_fast(
                         cfg.executor_step_positions
@@ -239,12 +272,7 @@ class ExecutorModel:
             else:
                 ordered = tile_cycles
                 schedule = naive_schedule(spec.out_channels, rows)
-            num_channels = ordered.shape[0]
-            pad = (-num_channels) % rows
-            if pad:
-                ordered = np.pad(ordered, ((0, pad), (0, 0)))
-            grouped = ordered.reshape(-1, rows, ordered.shape[1])
-            cycles = int(grouped.max(axis=1).sum())
+            cycles = _step_total(ordered, rows)
         executed = workload.executed_macs_total(out_sw, in_sw)
         capacity = float(cycles) * cfg.executor_rows * cfg.executor_cols
         utilization = executed / capacity if capacity > 0 else 1.0

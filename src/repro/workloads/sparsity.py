@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.models.layer_spec import ConvSpec, FCSpec, ModelSpec, RNNSpec
 from repro.nn.functional import im2col
-from repro.validation import check_range
+from repro.validation import check_range, require_range
 
 __all__ = [
     "SparsityModel",
@@ -48,6 +48,61 @@ def _is_binary(array: np.ndarray) -> bool:
     if array.dtype.kind in "iu":
         return bool(array.min() >= 0 and array.max() <= 1)
     return bool(np.all((array == 0) | (array == 1)))
+
+
+def _strided_sums(
+    values: np.ndarray, group: int, bound: int, weights: np.ndarray | None = None
+) -> np.ndarray:
+    """Sums of each run of ``group`` columns of ``values``, ``(R, ceil(N/group))``.
+
+    Column ``t`` of every run is one strided slice ``values[:, t::group]``,
+    so ``group`` slice adds replace a reshape-and-reduce; the last run may
+    be short (as if zero-padded).  With ``weights`` (shape ``(N,)``) each
+    column is scaled by its weight first.  The sums are accumulated in the
+    narrowest unsigned dtype holding ``bound``, which the caller proves
+    bounds every sum; each product is at most one sum, so nothing wraps.
+    """
+    rows, columns = values.shape
+    dtype = np.min_scalar_type(bound)
+    sums = np.zeros((rows, -(-columns // group)), dtype=dtype)
+    if weights is not None:
+        weights = weights.astype(dtype, copy=False)
+        scaled = np.empty_like(sums)
+    for t in range(min(group, columns)):
+        column = values[:, t::group]
+        width = column.shape[1]
+        if weights is not None:
+            column = np.multiply(column, weights[t::group], out=scaled[:, :width])
+        np.add(sums[:, :width], column, out=sums[:, :width])
+    return sums
+
+
+# values per block of a map draw: 256 KiB of float64 scratch
+_DRAW_BLOCK = 1 << 15
+
+
+def _bernoulli_map(
+    rng: np.random.Generator, p_channels: np.ndarray, height: int, width: int
+) -> np.ndarray:
+    """``(rng.random((C, height, width)) < p_channels[:, None, None])`` as uint8.
+
+    The uniforms are drawn in blocks of whole rows (about
+    :data:`_DRAW_BLOCK` values) into one reused buffer and compared
+    straight into a bool view of the result.  Blocks consume the stream
+    in C order, exactly as the single full-size draw does, so the map is
+    the same bit for bit without a full-size float64 temporary.
+    """
+    rows = len(p_channels) * height
+    out = np.empty((len(p_channels), height, width), dtype=np.uint8)
+    hits = out.reshape(rows, width).view(np.bool_)
+    p_rows = np.repeat(p_channels, height)[:, None]
+    block = max(1, _DRAW_BLOCK // width)
+    buffer = np.empty((min(block, rows), width))
+    for start in range(0, rows, block):
+        stop = min(start + block, rows)
+        uniforms = rng.random(out=buffer[: stop - start])
+        np.less(uniforms, p_rows[start:stop], out=hits[start:stop])
+    return out
 
 
 class CnnLayerWorkload:
@@ -179,6 +234,7 @@ class CnnLayerWorkload:
         the position completes when the busiest PE finishes.  Without
         input switching every slice is dense and the cost is uniform.
         """
+        require_range("cols_per_row", cols_per_row, gt=0)
         receptive = self.spec.receptive_field
         dense_cycles = -(-receptive // cols_per_row)  # ceil
         positions = self.spec.out_h * self.spec.out_w
@@ -228,8 +284,7 @@ class CnnLayerWorkload:
         within-tile variance is what makes fine-grained steps lose
         utilisation under irregular sparsity.
         """
-        if tile_positions <= 0:
-            raise ValueError(f"tile_positions must be positive, got {tile_positions}")
+        require_range("tile_positions", tile_positions, gt=0)
         cycles = self.position_cycles(cols_per_row, use_imap)
         positions = cycles.shape[0]
         num_tiles = -(-positions // tile_positions)
@@ -253,21 +308,24 @@ class CnnLayerWorkload:
     # reference counterparts (``position_cycles(cols, True)``,
     # ``position_costs``, ``channel_tile_cycles``,
     # ``channel_tile_switch_counts``, ``int(channel_macs(...).sum())``) but
-    # never build the float32 im2col of the IMap nor the
-    # (C_out, positions) int64 intermediate.  Receptive-field nonzero
-    # counts come from per-channel k x k window sums of the 0/1 IMap
-    # (separable shifted adds in uint8), and each PE slice's count is a
-    # channel-block sum of them plus at most k² strided taps where a slice
-    # boundary falls inside a channel.  The OMap stays uint8 and the
-    # per-tile aggregation runs as one batched einsum contraction over the
-    # tile axis.  The Reorder Unit's per-window channel order buckets the
-    # integer window sums through a lookup table of the reference's own
-    # float ``searchsorted`` and sorts the bucket ids with a small-int
-    # stable argsort.  Results are memoized on the workload (the maps are
-    # immutable inputs to a simulation run), so a DUET-vs-BASE sweep or a
-    # repeated benchmark pays for each kernel once.  All arithmetic is
-    # integer, hence bit-identical to the reference; im2col stays on the
-    # reference path (the oracle) and in ``repro.baselines`` only.
+    # never build the float32 im2col of the IMap nor any (C_out,
+    # positions) int64 intermediate.  Receptive-field nonzero counts come
+    # from per-channel k x k window sums of the 0/1 IMap (separable
+    # shifted adds in uint8), and each PE slice's count is a channel-block
+    # sum of them plus at most k² strided taps where a slice boundary falls
+    # inside a channel.  Every per-tile aggregate is a short loop of
+    # strided column adds (:func:`_strided_sums`) over the uint8 OMap, in
+    # the narrowest unsigned dtype that holds its bound: ``T`` for a tile's
+    # switch count, ``T * max(position cycles)`` for its cycles, ``window
+    # * T`` for a window sum.  The Reorder Unit's per-window channel order
+    # buckets the integer window sums through a lookup table of the
+    # reference's own float ``searchsorted`` and sorts the bucket ids with
+    # a small-int stable argsort.  Results are memoized on the workload
+    # (the maps are immutable inputs to a simulation run), so a
+    # DUET-vs-BASE sweep or a repeated benchmark pays for each kernel once.
+    # All arithmetic is integer and bounded, hence bit-identical to the
+    # reference; im2col stays on the reference path (the oracle) and in
+    # ``repro.baselines`` only.
 
     def _padded_imap(self) -> np.ndarray:
         """The IMap as uint8, zero-padded by the layer's padding."""
@@ -332,6 +390,7 @@ class CnnLayerWorkload:
         slice counts add up to :meth:`position_costs_fast`, which is
         memoized on the way.
         """
+        require_range("cols_per_row", cols_per_row, gt=0)
         key = ("cycles_fast", cols_per_row)
         if key in self._slice_cache:
             return self._slice_cache[key]
@@ -362,21 +421,12 @@ class CnnLayerWorkload:
         self._slice_cache.setdefault(("costs_fast",), total.reshape(-1))
         return cycles
 
-    def _padded_tiles(self, tile_positions: int) -> np.ndarray:
-        """OMap as uint8 tiles ``(C_out, S, tile_positions)`` (zero-padded)."""
-        key = ("omap_tiles", tile_positions)
+    def _flat_omap(self) -> np.ndarray:
+        """The OMap as uint8 ``(C_out, positions)`` (memoized)."""
+        key = ("omap_flat",)
         if key not in self._slice_cache:
             flat = self.omap.reshape(self.spec.out_channels, -1)
-            if flat.dtype != np.uint8:
-                flat = flat.astype(np.uint8)
-            positions = flat.shape[1]
-            num_tiles = -(-positions // tile_positions)
-            pad = num_tiles * tile_positions - positions
-            if pad:
-                flat = np.pad(flat, ((0, 0), (0, pad)))
-            self._slice_cache[key] = flat.reshape(
-                self.spec.out_channels, num_tiles, tile_positions
-            )
+            self._slice_cache[key] = flat.astype(np.uint8, copy=False)
         return self._slice_cache[key]
 
     @property
@@ -384,55 +434,56 @@ class CnnLayerWorkload:
         """Total sensitive outputs, ``int(omap.sum())`` (memoized)."""
         key = ("sensitive_total",)
         if key not in self._slice_cache:
-            self._slice_cache[key] = int(self.omap.sum(dtype=np.int64))
+            # exact: the map is validated 0/1
+            self._slice_cache[key] = int(np.count_nonzero(self.omap))
         return self._slice_cache[key]
 
     def channel_tile_cycles_fast(
-        self,
-        cols_per_row: int,
-        use_output_switching: bool,
-        use_imap: bool,
-        tile_positions: int,
+        self, cols_per_row: int, use_imap: bool, tile_positions: int
     ) -> np.ndarray:
-        """Batched equivalent of :meth:`channel_tile_cycles` (bit-identical)."""
-        if tile_positions <= 0:
-            raise ValueError(f"tile_positions must be positive, got {tile_positions}")
-        key = ("tiles_fast", cols_per_row, use_output_switching, use_imap, tile_positions)
+        """``channel_tile_cycles(cols_per_row, True, use_imap,
+        tile_positions)`` with output switching on (bit-identical).
+
+        A layer without output switching is uniform and needs no per-tile
+        cycles (the executor prices it in closed form).  A tile's cycles
+        are at most ``tile_positions * max(position cycles)``, and the
+        result is held in the narrowest unsigned dtype of that bound
+        (usually uint16).
+        """
+        require_range("tile_positions", tile_positions, gt=0)
+        key = ("tiles_fast", cols_per_row, use_imap, tile_positions)
         if key in self._slice_cache:
             return self._slice_cache[key]
         if use_imap:
             cycles = self.position_cycles_fast(cols_per_row)
         else:
             cycles = self.position_cycles(cols_per_row, use_imap=False)
-        positions = cycles.shape[0]
-        num_tiles = -(-positions // tile_positions)
-        pad = num_tiles * tile_positions - positions
-        padded_cycles = np.pad(cycles, (0, pad)) if pad else cycles
-        tiled_cycles = padded_cycles.reshape(num_tiles, tile_positions)
-        if not use_output_switching:
-            tile_totals = tiled_cycles.sum(axis=1)
-            result = np.broadcast_to(
-                tile_totals[None, :], (self.spec.out_channels, num_tiles)
+        bound = tile_positions * int(cycles.max())
+        if not use_imap:
+            # uniform per-position cost: tile cost = sensitive count x cost,
+            # multiplied in the bound's dtype (a bare scalar would keep the
+            # counts' uint8 under either numpy casting rule, and wrap)
+            dtype = np.min_scalar_type(bound)
+            result = np.multiply(
+                self.channel_tile_switch_counts_fast(tile_positions),
+                dtype.type(cycles[0]),
+                dtype=dtype,
             )
-        elif not use_imap:
-            # uniform per-position cost: tile cost = sensitive count x cost
-            dense_cycles = int(cycles[0]) if positions else 0
-            result = self.channel_tile_switch_counts_fast(tile_positions) * dense_cycles
         else:
-            result = np.einsum(
-                "cst,st->cs", self._padded_tiles(tile_positions), tiled_cycles
+            result = _strided_sums(
+                self._flat_omap(), tile_positions, bound, weights=cycles
             )
         self._slice_cache[key] = result
         return result
 
     def channel_tile_switch_counts_fast(self, tile_positions: int) -> np.ndarray:
-        """Batched equivalent of :meth:`channel_tile_switch_counts`."""
-        if tile_positions <= 0:
-            raise ValueError(f"tile_positions must be positive, got {tile_positions}")
+        """Batched equivalent of :meth:`channel_tile_switch_counts`, in the
+        narrowest unsigned dtype holding ``tile_positions`` (usually uint8)."""
+        require_range("tile_positions", tile_positions, gt=0)
         key = ("tile_counts_fast", tile_positions)
         if key not in self._slice_cache:
-            self._slice_cache[key] = np.einsum(
-                "cst->cs", self._padded_tiles(tile_positions), dtype=np.int64
+            self._slice_cache[key] = _strided_sums(
+                self._flat_omap(), tile_positions, tile_positions
             )
         return self._slice_cache[key]
 
@@ -445,31 +496,24 @@ class CnnLayerWorkload:
         of window ``w`` by descending bucketed switching-index sum, ties in
         channel order: exactly ``np.argsort(-bucketed, axis=0,
         kind="stable").T`` of the reference's float arithmetic.  The
-        window sums are integers, so one lookup table of the reference's
-        ``searchsorted`` over ``0..hi`` buckets them (same edges, same
-        inputs, same outputs), and ``top - bucket`` in the narrowest
-        unsigned dtype turns the descending float sort into an ascending
-        small-int stable sort (a radix sort in numpy).  The order is kept
-        as uint16 when channel ids fit, and shared by every stage with the
-        same tiling, window and buckets.
+        window sums are integers of at most ``window * tile_positions``
+        (``window`` strided adds of the tile counts), so one lookup table
+        of the reference's ``searchsorted`` over ``0..hi`` buckets them
+        (same edges, same inputs, same outputs), and ``top - bucket`` in
+        the narrowest unsigned dtype turns the descending float sort into
+        an ascending small-int stable sort (a radix sort in numpy).  The
+        order is kept as uint16 when channel ids fit, and shared by every
+        stage with the same tiling, window and buckets.
         """
-        for name, value in (
-            ("tile_positions", tile_positions),
-            ("window", window),
-            ("buckets", buckets),
-        ):
-            if value <= 0:
-                raise ValueError(f"{name} must be positive, got {value}")
+        require_range("tile_positions", tile_positions, gt=0)
+        require_range("window", window, gt=0)
+        require_range("buckets", buckets, gt=0)
         key = ("window_order_fast", tile_positions, window, buckets)
         if key in self._slice_cache:
             return self._slice_cache[key]
         counts = self.channel_tile_switch_counts_fast(tile_positions)
-        num_channels, num_tiles = counts.shape
-        num_windows = -(-num_tiles // window)
-        pad = num_windows * window - num_tiles
-        if pad:
-            counts = np.pad(counts, ((0, 0), (0, pad)))
-        window_counts = counts.reshape(num_channels, num_windows, window).sum(axis=2)
+        num_channels = counts.shape[0]
+        window_counts = _strided_sums(counts, window, window * tile_positions)
         # all-zero sums (the reference keeps them raw) map to one key
         # here: every channel ties either way, so the order is the same
         hi = int(window_counts.max())
@@ -499,9 +543,10 @@ class CnnLayerWorkload:
         if use_imap:
             costs = self.position_costs_fast()
             if use_output_switching:
-                per_position = self.omap.reshape(
-                    self.spec.out_channels, -1
-                ).sum(axis=0, dtype=np.int64)
+                # at most C_out sensitive channels per position
+                per_position = self._flat_omap().sum(
+                    axis=0, dtype=np.min_scalar_type(self.spec.out_channels)
+                )
                 total = int(per_position @ costs)
             else:
                 total = self.spec.out_channels * int(costs.sum())
@@ -545,8 +590,7 @@ class CnnLayerWorkload:
         true MAC costs under input sparsity, which is one reason DUET's
         utilisation stays below BOS's.
         """
-        if tile_positions <= 0:
-            raise ValueError(f"tile_positions must be positive, got {tile_positions}")
+        require_range("tile_positions", tile_positions, gt=0)
         flat = self.omap.reshape(self.spec.out_channels, -1).astype(np.int64)
         positions = flat.shape[1]
         num_tiles = -(-positions // tile_positions)
@@ -718,19 +762,13 @@ class SparsityModel:
         mean = self.cnn_sensitive_mean
         conc = self.cnn_channel_concentration
         p_channels = rng.beta(mean * conc, (1.0 - mean) * conc, size=spec.out_channels)
-        omap = (
-            rng.random((spec.out_channels, spec.out_h, spec.out_w))
-            < p_channels[:, None, None]
-        ).astype(np.uint8)
+        omap = _bernoulli_map(rng, p_channels, spec.out_h, spec.out_w)
         in_mean = self.cnn_input_density
         in_conc = self.cnn_input_concentration
         p_inputs = rng.beta(
             in_mean * in_conc, (1.0 - in_mean) * in_conc, size=spec.in_channels
         )
-        imap = (
-            rng.random((spec.in_channels, spec.in_h, spec.in_w))
-            < p_inputs[:, None, None]
-        ).astype(np.uint8)
+        imap = _bernoulli_map(rng, p_inputs, spec.in_h, spec.in_w)
         return omap, imap
 
     def rnn_layer(self, spec: RNNSpec, layer_index: int) -> RnnLayerWorkload:

@@ -299,6 +299,83 @@ class TestWindowOrderKernel:
         assert len(memo) == 1
 
 
+def _saturated(shape, seed):
+    """A workload whose channel 0 is sensitive everywhere and whose IMap is
+    dense, so per-tile sums reach their bounds; the other channels are
+    random."""
+    workload = _workload(shape, 0.6, 1.0, seed)
+    omap = workload.omap.copy()
+    omap[0] = 1
+    return CnnLayerWorkload(workload.spec, omap, workload.imap)
+
+
+def _assert_stages_match(workload, stages=STAGES, **knobs):
+    for stage in stages:
+        fast_cfg, slow_cfg = _configs(stage, **knobs)
+        fast = ExecutorModel(fast_cfg).cnn_layer(workload)
+        slow = ExecutorModel(slow_cfg).cnn_layer(workload)
+        assert fast.cycles == slow.cycles, stage
+        assert fast.executed_macs == slow.executed_macs, stage
+        assert fast.utilization == slow.utilization, stage
+        assert fast.schedule == slow.schedule, stage
+
+
+class TestNarrowDtypeBoundaries:
+    """Fast == slow where a narrow per-tile accumulator must widen.
+
+    The fast kernels sum in the narrowest unsigned dtype that holds each
+    bound.  The hypothesis knobs above never reach a widening point (steps
+    of at most 13 positions, receptive fields of at most 726 at one
+    column), so each one is pinned here.
+    """
+
+    def test_tile_cycles_past_uint16(self):
+        """64 x 9 x 9 dense fields at one column cost 5184 cycles a
+        position; a 13-position tile of them costs 67,392."""
+        workload = _saturated((64, 5, 9, 1, 0, 12), 1)
+        for use_imap in (True, False):
+            fast = workload.channel_tile_cycles_fast(1, use_imap, 13)
+            assert fast.dtype == np.uint32 and fast.max() == 67_392
+            np.testing.assert_array_equal(
+                fast, workload.channel_tile_cycles(1, True, use_imap, 13)
+            )
+        _assert_stages_match(workload, rows=4, cols=1, buckets=16, window=2, step=13)
+
+    def test_tile_counts_past_uint8(self):
+        """Steps of 300 positions count up to 300 sensitive outputs."""
+        workload = _saturated((2, 6, 3, 1, 1, 20), 2)
+        fast = workload.channel_tile_switch_counts_fast(300)
+        assert fast.dtype == np.uint16 and fast.max() == 300
+        np.testing.assert_array_equal(fast, workload.channel_tile_switch_counts(300))
+        _assert_stages_match(workload, rows=4, cols=2, buckets=16, window=2, step=300)
+
+    @pytest.mark.parametrize("buckets", [16, 300])
+    def test_window_sums_past_uint8(self, buckets):
+        """Five 64-position tiles sum to 320 switching bits per window."""
+        workload = _saturated((2, 9, 3, 1, 1, 20), 3)
+        assert workload.channel_tile_switch_counts(64)[:, :5].sum(axis=1).max() == 320
+        np.testing.assert_array_equal(
+            workload.window_order_fast(64, 5, buckets),
+            _reference_window_order(workload, 64, 5, buckets),
+        )
+        _assert_stages_match(
+            workload,
+            stages=("BOS", "DUET"),
+            rows=4,
+            cols=2,
+            buckets=buckets,
+            window=5,
+            step=64,
+        )
+
+    def test_per_position_channel_count_past_uint8(self):
+        """300 output channels put up to 300 sensitive outputs on one
+        position of the executed-MAC count."""
+        workload = _workload((3, 300, 1, 1, 0, 5), 0.95, 0.5, 4)
+        assert workload.omap.sum(axis=0).max() > 255
+        _assert_stages_match(workload, rows=16, cols=2, buckets=16, window=2, step=8)
+
+
 @pytest.fixture
 def fresh_layer_memo():
     """An empty, enabled layer-cost memo; restored afterwards."""

@@ -8,6 +8,7 @@ model that produced them.
 """
 
 import dataclasses
+import hashlib
 import pickle
 
 import numpy as np
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.models import ConvSpec
+from repro.models import ConvSpec, get_model_spec
 from repro.workloads import CnnLayerWorkload, SparsityModel
 
 conv_specs = st.builds(
@@ -120,3 +121,51 @@ class TestRecipe:
         assert not _drawn(wl)
         assert wl.sensitive_fraction == 1.0
         assert not wl.omap.flags.writeable
+
+
+# SHA-256 of ``omap.tobytes()`` and ``imap.tobytes()`` per
+# ``(seed, model, layer_index, first_layer_dense)``, recorded from the
+# single full-size ``rng.random(shape) < p`` draw.  A change to how the
+# maps are drawn (block size, comparison, dtype) must not shift the PCG64
+# stream: every committed bench document prices these maps.
+PINNED_DRAWS = {
+    # the dense first layer: no draw at all
+    (0, "alexnet", 0, True): (
+        "5d7bd18b301dbb7769ed20b702e2ea51f2445231f9187a288bc876b889d57945",
+        "e1c2c9b0c42d3cebbf6716237ee0549e1dddae5aafe47447285a8a5e8b3347dd",
+    ),
+    # 64 x 55 x 55 OMap (rows not a multiple of 8) and 3 x 224 x 224 IMap
+    (3, "alexnet", 0, False): (
+        "29a5dc101e14582ac328e3f7893a9be49d339d8c3ee3bb8beeb0c4bc6204f08d",
+        "33b4c88cfff9a6931916c158cc5c48e083479cafaee54f4727f772e00d44773f",
+    ),
+    (0, "alexnet", 1, True): (
+        "e39867549447145decbc1f9882a40b0d8bf6aca9035ecd09746823b24e09f68c",
+        "5c2f044057d87adefad4efd520d1633c18e96beb9c52de2e2e50377978f9fa53",
+    ),
+    # 64 x 224 x 224 on both sides: many draw blocks per map
+    (1, "vgg16", 1, True): (
+        "fb32dde6c6e43d2c2c5937569ea023161a757d4d6877d696cfe65b23db15de1d",
+        "fe832e025053a8c94bd741cec296cce5677632772e2eb9fde1ab04bd7b856be7",
+    ),
+    (2, "resnet18", 2, True): (
+        "26e4332fda4f1787d47964d230385433d09e22f194a348e08f1075c41ed51cae",
+        "b3ac401774a6ae85707b5f67bd6b3eacb435afbb750c1bb695f229c12190e267",
+    ),
+}
+
+
+class TestPinnedDraws:
+    @pytest.mark.parametrize("recipe", sorted(PINNED_DRAWS), ids=str)
+    def test_map_bits_unchanged(self, recipe):
+        seed, model, layer_index, dense = recipe
+        spec = get_model_spec(model).conv_layers[layer_index]
+        sampler = SparsityModel(seed=seed, first_layer_dense=dense)
+        omap, imap = sampler._cnn_maps(spec, layer_index)
+        assert omap.dtype == imap.dtype == np.uint8
+        assert omap.shape == (spec.out_channels, spec.out_h, spec.out_w)
+        assert imap.shape == (spec.in_channels, spec.in_h, spec.in_w)
+        digests = tuple(
+            hashlib.sha256(bits.tobytes()).hexdigest() for bits in (omap, imap)
+        )
+        assert digests == PINNED_DRAWS[recipe]

@@ -195,6 +195,46 @@ class TestCnnLayerWorkload:
         )
 
 
+class TestColsPerRowValidation:
+    """A non-positive PE-row width is an error on both paths, never a
+    ``ZeroDivisionError`` or silently all-zero (negative) cycles."""
+
+    @pytest.mark.parametrize("cols", [0, -2])
+    @pytest.mark.parametrize("use_imap", [True, False])
+    def test_position_cycles(self, workload, cols, use_imap):
+        with pytest.raises(ValueError, match="cols_per_row must be positive"):
+            workload.position_cycles(cols, use_imap)
+
+    @pytest.mark.parametrize("cols", [0, -2])
+    def test_position_cycles_fast(self, workload, cols):
+        with pytest.raises(ValueError, match="cols_per_row must be positive"):
+            workload.position_cycles_fast(cols)
+
+    @pytest.mark.parametrize("cols", [0, -2])
+    @pytest.mark.parametrize("use_output_switching", [True, False])
+    def test_channel_cycles(self, workload, cols, use_output_switching):
+        with pytest.raises(ValueError, match="cols_per_row must be positive"):
+            workload.channel_cycles(cols, use_output_switching, False)
+
+    @pytest.mark.parametrize("cols", [0, -2])
+    @pytest.mark.parametrize("use_imap", [True, False])
+    def test_channel_tile_cycles(self, workload, cols, use_imap):
+        with pytest.raises(ValueError, match="cols_per_row must be positive"):
+            workload.channel_tile_cycles(cols, True, use_imap, 8)
+
+    @pytest.mark.parametrize("cols", [0, -2])
+    @pytest.mark.parametrize("use_imap", [True, False])
+    def test_channel_tile_cycles_fast(self, workload, cols, use_imap):
+        with pytest.raises(ValueError, match="cols_per_row must be positive"):
+            workload.channel_tile_cycles_fast(cols, use_imap, 8)
+
+    def test_tile_positions_still_checked(self, workload):
+        with pytest.raises(ValueError, match="tile_positions must be positive"):
+            workload.channel_tile_cycles(16, True, True, 0)
+        with pytest.raises(ValueError, match="tile_positions must be positive"):
+            workload.channel_tile_cycles_fast(16, True, 0)
+
+
 class TestModelWorkloads:
     def test_cnn_workload_per_conv_layer(self):
         spec = get_model_spec("alexnet")
