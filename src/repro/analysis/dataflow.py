@@ -207,13 +207,6 @@ class RngDataflow:
             prov = _join(prov, other)
         return _Summary(prov, params)
 
-    def summary_for(self, module: str, name: str) -> _Summary | None:
-        """Summary of ``module.name`` resolved through re-exports."""
-        resolved = self.program.resolve_export(module, name)
-        if resolved is None:
-            return None
-        return self.summaries.get(resolved)
-
     # -- per-module analysis ----------------------------------------------
 
     def analyze(self, info: ModuleInfo) -> list[TaintSite]:

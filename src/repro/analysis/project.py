@@ -333,10 +333,6 @@ class ProgramModel:
 
     # -- lookups -----------------------------------------------------------
 
-    def resolve_module(self, dotted: str) -> ModuleInfo | None:
-        """The internal module named ``dotted``, or None for externals."""
-        return self.modules.get(dotted)
-
     def internal_target(self, edge: ImportEdge) -> ModuleInfo | None:
         """The internal module an edge lands on, if any.
 

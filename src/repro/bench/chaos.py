@@ -45,9 +45,10 @@ Every simulated quantity is a pure function of ``(grid, root seed)``:
 
 from __future__ import annotations
 
+from dataclasses import asdict
 from pathlib import Path
 
-from repro.bench.document import run_campaign
+from repro.bench.document import run_campaign, totals
 from repro.parallel import CampaignTask, spawn_task_seeds
 from repro.reliability.workerfaults import WorkerFaultModel
 from repro.serving.admission import AdmissionConfig
@@ -118,49 +119,37 @@ def chaos_fault_model(fault_rate: float) -> WorkerFaultModel:
     )
 
 
-def chaos_policy(name: str) -> FaultTolerancePolicy:
-    """The bench's tuned instantiation of ladder rung ``name``.
+#: The bench's tuned full recovery stack; every rung is cut from it.
+#: The knobs deliberately stagger the recovery layers so each rung
+#: exercises its own machinery instead of hiding behind another's: the
+#: per-attempt timeout (120 ms) fires *before* health eviction (~3 x
+#: 100 ms heartbeats), so hung and crashed attempts recover via retry
+#: and feed the circuit breaker's failure counter, while the health
+#: checker reclaims the wedged worker afterwards; the hedge delay sits
+#: below the timeout so stragglers are raced before they are abandoned.
+#: The offered load leaves ~20% fleet headroom so hedges can actually
+#: find an idle worker.
+_FULL_STACK = FaultTolerancePolicy(
+    name=POLICY_LADDER[-1],
+    retry=RetryPolicy(max_attempts=4, timeout_us=120_000.0, backoff_base_us=5_000.0),
+    hedge=HedgePolicy(
+        initial_delay_us=60_000.0, latency_percentile=95.0, min_samples=20
+    ),
+    breaker=BreakerPolicy(failure_threshold=3, reset_timeout_us=300_000.0),
+    health=HealthPolicy(heartbeat_us=100_000.0, miss_threshold=3),
+)
 
-    The knobs deliberately stagger the recovery layers so each rung
-    exercises its own machinery instead of hiding behind another's:
-    the per-attempt timeout (120 ms) fires *before* health eviction
-    (~3 x 100 ms heartbeats), so hung and crashed attempts recover via
-    retry and feed the circuit breaker's failure counter, while the
-    health checker reclaims the wedged worker afterwards; the hedge
-    delay sits below the timeout so stragglers are raced before they
-    are abandoned.  The offered load leaves ~20% fleet headroom so
-    hedges can actually find an idle worker.
-    """
-    if name == "none":
-        return policy_named("none")
-    if name not in POLICY_LADDER:
-        raise ValueError(f"unknown policy {name!r}, expected one of {POLICY_LADDER}")
-    return FaultTolerancePolicy(
-        name=name,
-        retry=RetryPolicy(
-            max_attempts=4, timeout_us=120_000.0, backoff_base_us=5_000.0
-        ),
-        hedge=(
-            HedgePolicy(
-                initial_delay_us=60_000.0, latency_percentile=95.0, min_samples=20
-            )
-            if "hedge" in name
-            else None
-        ),
-        breaker=(
-            BreakerPolicy(failure_threshold=3, reset_timeout_us=300_000.0)
-            if "breaker" in name
-            else None
-        ),
-        health=HealthPolicy(heartbeat_us=100_000.0, miss_threshold=3),
-    )
+
+def chaos_policy(name: str) -> FaultTolerancePolicy:
+    """The bench's tuned instantiation of ladder rung ``name``."""
+    return policy_named(name, _FULL_STACK)
 
 
 def chaos_cells(smoke: bool = False) -> list[dict]:
     """Enumerate the ``fault rate x policy`` grid as an ordered cell list.
 
     Rates vary fastest so each policy's sweep is contiguous; the
-    enumeration order is the task-index order (stable across worker
+    enumeration order is the work-list order (stable across worker
     counts).
     """
     rates = SMOKE_FAULT_RATES if smoke else FAULT_RATES
@@ -218,14 +207,7 @@ def _chaos_cell(
         "requests": n_requests,
         "rate_rps": _RATE_RPS,
         "workers": workers,
-        "faults": {
-            "crash_rate": faults.crash_rate,
-            "hang_rate": faults.hang_rate,
-            "straggle_rate": faults.straggle_rate,
-            "straggle_multiplier": faults.straggle_multiplier,
-            "hot_workers": faults.hot_workers,
-            "hot_multiplier": faults.hot_multiplier,
-        },
+        "faults": asdict(faults),
         "max_queue_depth_seen": result.max_queue_depth_seen,
         "simulated_ms": result.simulated_cycles / config.hardware.clock_hz * 1e3,
         "summary": result.summary.as_dict(),
@@ -279,7 +261,6 @@ def run_chaos_bench(
     (fault_seed,) = spawn_task_seeds(root_seed, 1)
     tasks = [
         CampaignTask(
-            index=i,
             fn=_chaos_cell,
             kwargs={
                 **cell,
@@ -290,7 +271,7 @@ def run_chaos_bench(
                 "fast_path": fast_path,
             },
         )
-        for i, cell in enumerate(cells)
+        for cell in cells
     ]
 
     def merge(records: list[dict]) -> dict:
@@ -316,16 +297,11 @@ def run_chaos_bench(
             "cells": records,
             "aggregates": {
                 "tasks": len(records),
-                "offered": sum(r["summary"]["offered"] for r in records),
-                "completed": sum(r["summary"]["completed"] for r in records),
-                "failed": sum(r["summary"]["failed"] for r in records),
-                "rejected": sum(r["summary"]["rejected"] for r in records),
-                "retries": sum(r["summary"]["retries"] for r in records),
-                "hedges": sum(r["summary"]["hedges"] for r in records),
-                "breaker_opens": sum(r["summary"]["breaker_opens"] for r in records),
-                "evictions": sum(r["summary"]["evictions"] for r in records),
-                "lost": sum(r["summary"]["lost"] for r in records),
-                "duplicates": sum(r["summary"]["duplicates"] for r in records),
+                **totals(
+                    [r["summary"] for r in records],
+                    "offered", "completed", "failed", "rejected", "retries",
+                    "hedges", "breaker_opens", "evictions", "lost", "duplicates",
+                ),
             },
             "dominance": {
                 "fault_rate": max_rate,

@@ -47,6 +47,7 @@ __all__ = [
     "append_history",
     "write_document",
     "run_campaign",
+    "totals",
 ]
 
 #: document keys excluded from the determinism contract: wall-clock
@@ -78,6 +79,11 @@ def deterministic_view(node):
     if isinstance(node, list):
         return [deterministic_view(item) for item in node]
     return node
+
+
+def totals(rows: list[dict], *keys: str) -> dict:
+    """``{key: sum of row[key] over rows}`` for each key, in ``keys`` order."""
+    return {key: sum(row[key] for row in rows) for key in keys}
 
 
 def perf_block(run: ShardedRun) -> dict:

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.bench.document import run_campaign
+from repro.bench.document import run_campaign, totals
 from repro.dynamic.costmodel import ExitCostModel
 from repro.dynamic.decision import ALWAYS_LATE
 from repro.dynamic.executor import DynamicBatchExecutor, decision_drop
@@ -342,7 +342,6 @@ def run_dynamic_bench(
     scenarios = dynamic_scenarios(smoke)
     tasks = [
         CampaignTask(
-            index=i,
             fn=_pareto_sweep,
             kwargs={
                 "model_name": model,
@@ -352,11 +351,10 @@ def run_dynamic_bench(
                 "fast_path": fast_path,
             },
         )
-        for i, model in enumerate(models)
+        for model in models
     ]
     tasks.append(
         CampaignTask(
-            index=len(tasks),
             fn=_parity_check,
             kwargs={
                 # the static RNN rides along: it must pass through the
@@ -367,10 +365,8 @@ def run_dynamic_bench(
             },
         )
     )
-    scenario_offset = len(tasks)
     tasks.extend(
         CampaignTask(
-            index=scenario_offset + i,
             fn=_serving_scenario,
             kwargs={
                 "scenario": scenario,
@@ -378,7 +374,7 @@ def run_dynamic_bench(
                 "fast_path": fast_path,
             },
         )
-        for i, scenario in enumerate(scenarios)
+        for scenario in scenarios
     )
 
     def merge(records: list[dict]) -> dict:
@@ -403,9 +399,8 @@ def run_dynamic_bench(
                 "tasks": len(records),
                 "models": len(pareto),
                 "points": sum(len(r["points"]) for r in pareto),
-                "offered": sum(r["summary"]["offered"] for r in served),
-                "completed": sum(r["summary"]["completed"] for r in served),
-                "early_exits": sum(r["early_exits"] for r in served),
+                **totals([r["summary"] for r in served], "offered", "completed"),
+                **totals(served, "early_exits"),
             },
             "best_tradeoff": {
                 "model": best["model"],

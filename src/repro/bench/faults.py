@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.bench.document import run_campaign
+from repro.bench.document import run_campaign, totals
 from repro.models import MODEL_REGISTRY
 from repro.parallel import CampaignTask, spawn_task_seeds
 from repro.reliability import CAMPAIGNS, GuardSettings, run_fault_campaign
@@ -47,7 +47,7 @@ _SMOKE_CAMPAIGNS = ("smoke", "dram-flaky")
 def fault_matrix(smoke: bool = False) -> list[dict]:
     """Enumerate the campaign grid as a stable, ordered cell list.
 
-    The enumeration order *is* the task index order: cell ``i`` always
+    The enumeration order *is* the work-list order: cell ``i`` always
     receives child seed ``i`` (see :func:`run_fault_matrix`), so the
     grid's results are independent of worker count and scheduling.
     """
@@ -138,12 +138,8 @@ def run_fault_matrix(
     cells = fault_matrix(smoke)
     seeds = spawn_task_seeds(root_seed, len(cells))
     tasks = [
-        CampaignTask(
-            index=i,
-            fn=_run_matrix_cell,
-            kwargs={**cell, "seed": seeds[i]},
-        )
-        for i, cell in enumerate(cells)
+        CampaignTask(fn=_run_matrix_cell, kwargs={**cell, "seed": seed})
+        for cell, seed in zip(cells, seeds)
     ]
 
     def merge(records: list[dict]) -> dict:
@@ -166,9 +162,9 @@ def run_fault_matrix(
                 "unguarded_invariant_violations": sum(
                     not r["invariant_held"] for r in unguarded
                 ),
-                "degradation_events": sum(r["degradation_events"] for r in records),
-                "dram_retries": sum(r["dram_retries"] for r in records),
-                "dram_unrecoverable": sum(r["dram_unrecoverable"] for r in records),
+                **totals(
+                    records, "degradation_events", "dram_retries", "dram_unrecoverable"
+                ),
             },
             "all_guarded_invariants_held": all(
                 r["invariant_held"] for r in guarded

@@ -37,10 +37,11 @@ seed): ``--jobs 1`` and ``--jobs N`` agree byte for byte on the
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 from repro.analysis.schema import SchemaError, validate_schema
-from repro.bench.document import run_campaign
+from repro.bench.document import run_campaign, totals
 from repro.bench.serving import SERVE_SCHEMA
 from repro.parallel import CampaignTask, spawn_task_seeds
 from repro.serving.admission import AdmissionConfig
@@ -89,12 +90,24 @@ _CLIENTS, _CLIENTS_SMOKE = 12, 6
 _REQUESTS_PER_CLIENT, _REQUESTS_PER_CLIENT_SMOKE = 25, 10
 
 
+def _positive_number(value) -> bool:
+    """Whether ``value`` is a finite number above zero (bools are not)."""
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+        and value > 0
+    )
+
+
 def serving_capacity_rps(path: str | Path | None = "BENCH_serving.json") -> tuple[float, str]:
     """Measured per-server capacity from ``BENCH_serving.json``.
 
     Returns ``(capacity_rps, source)`` where ``source`` names what fed
-    the number: the document path when it exists and validates, else
-    ``"fallback"`` with :data:`FALLBACK_CAPACITY_RPS`.
+    the number: the document path when it exists, validates, and holds
+    a positive finite ``batching.batched_throughput_rps`` and a positive
+    integer ``workers``; else ``"fallback"`` with
+    :data:`FALLBACK_CAPACITY_RPS`.
     """
     if path is not None:
         document_path = Path(path)
@@ -106,23 +119,24 @@ def serving_capacity_rps(path: str | Path | None = "BENCH_serving.json") -> tupl
                 return FALLBACK_CAPACITY_RPS, "fallback"
             batching = document.get("batching")
             workers = document.get("workers")
+            throughput = (
+                batching.get("batched_throughput_rps")
+                if isinstance(batching, dict)
+                else None
+            )
             if (
-                isinstance(batching, dict)
+                _positive_number(throughput)
+                and _positive_number(workers)
                 and isinstance(workers, int)
-                and workers >= 1
-                and batching.get("batched_throughput_rps", 0) > 0
             ):
-                return (
-                    batching["batched_throughput_rps"] / workers,
-                    document_path.name,
-                )
+                return throughput / workers, document_path.name
     return FALLBACK_CAPACITY_RPS, "fallback"
 
 
 def fleet_scenarios(smoke: bool = False, capacity_rps: float = FALLBACK_CAPACITY_RPS) -> list[dict]:
     """Enumerate the campaign's scenarios as ordered parameter records.
 
-    The enumeration order is the task-index order (stable across worker
+    The enumeration order is the work-list order (stable across worker
     counts).  All parameters are plain picklable values; fleet/trace
     objects are rebuilt inside the worker.
     """
@@ -291,7 +305,6 @@ def run_fleet_bench(
     (client_seed,) = spawn_task_seeds(root_seed, 1)
     tasks = [
         CampaignTask(
-            index=i,
             fn=_fleet_scenario,
             kwargs={
                 "scenario": scenario,
@@ -300,7 +313,7 @@ def run_fleet_bench(
                 "fast_path": fast_path,
             },
         )
-        for i, scenario in enumerate(scenarios)
+        for scenario in scenarios
     ]
 
     def merge(records: list[dict]) -> dict:
@@ -324,11 +337,10 @@ def run_fleet_bench(
             "scenarios": records,
             "aggregates": {
                 "tasks": len(records),
-                "offered": sum(r["summary"]["offered"] for r in records),
-                "completed": sum(r["summary"]["completed"] for r in records),
-                "rejected": sum(r["summary"]["rejected"] for r in records),
-                "scale_outs": sum(r["scale_outs"] for r in records),
-                "scale_ins": sum(r["scale_ins"] for r in records),
+                **totals(
+                    [r["summary"] for r in records], "offered", "completed", "rejected"
+                ),
+                **totals(records, "scale_outs", "scale_ins"),
             },
             "dominance": {
                 "baseline_goodput_rps": baseline["goodput_rps"],

@@ -175,7 +175,6 @@ def run_bench(
     selected = _select_suites(suite_names, smoke)
     tasks = [
         CampaignTask(
-            index=i,
             fn=_suite_task,
             kwargs={
                 "name": suite.name,
@@ -184,7 +183,7 @@ def run_bench(
                 "repeat": repeat,
             },
         )
-        for i, suite in enumerate(selected)
+        for suite in selected
     ]
     discovered = discover_bench_files(bench_dir)
     timed_files = {s.bench_file for s in SUITES.values()}

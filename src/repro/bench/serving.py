@@ -246,11 +246,10 @@ def run_serving_bench(
     scenarios = serve_scenarios(**params)
     tasks = [
         CampaignTask(
-            index=i,
             fn=_scenario_task,
             kwargs={"name": scenario.name, "params": params},
         )
-        for i, scenario in enumerate(scenarios)
+        for scenario in scenarios
     ]
 
     def merge(records: list[dict]) -> dict:

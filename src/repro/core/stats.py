@@ -93,13 +93,6 @@ class LayerSavings:
         return self.outputs_sensitive / self.outputs_total
 
     @property
-    def mac_reduction(self) -> float:
-        """Dense MACs over executed MACs, ignoring speculation overhead."""
-        if self.executed_macs == 0:
-            return float("inf")
-        return self.dense_macs / self.executed_macs
-
-    @property
     def flops_reduction(self) -> float:
         """Paper Fig. 10 metric: dense ops over total dual-module ops.
 

@@ -8,20 +8,19 @@ matter how many workers computed it.  This module supplies the one
 pattern every driver shares:
 
 1. **Work-list**: the driver enumerates its matrix into a list of
-   :class:`CampaignTask` objects -- a stable integer ``index``, a
-   picklable top-level function, and its kwargs.  Any per-task
-   randomness is seeded *before* sharding via :func:`spawn_task_seeds`,
-   which derives child seeds from ``np.random.SeedSequence.spawn`` --
-   child ``i`` depends only on ``(root seed, i)``, never on the worker
-   count or completion order.
+   :class:`CampaignTask` objects -- a picklable top-level function and
+   its kwargs; a task's position in the list is its identity.  Any
+   per-task randomness is seeded *before* sharding via
+   :func:`spawn_task_seeds`, which derives child seeds from
+   ``np.random.SeedSequence.spawn`` -- child ``i`` depends only on
+   ``(root seed, i)``, never on the worker count or completion order.
 2. **Sharding**: :func:`run_sharded` executes the list inline
    (``jobs=1``) or across a ``ProcessPoolExecutor``.  The ``fork``
    start method is preferred where available so workers inherit warmed
    module state (memo caches, imported models) instead of re-importing.
-3. **Merge**: results are keyed by task index and returned sorted by
-   it.  Completion order -- which *does* vary with scheduling -- never
-   reaches the caller, so ``--jobs 1`` and ``--jobs N`` merge to the
-   same document.
+3. **Merge**: results are returned in work-list order.  Completion
+   order -- which *does* vary with scheduling -- never reaches the
+   caller, so ``--jobs 1`` and ``--jobs N`` merge to the same document.
 
 Timing is injected: the engine never reads a clock itself (DET001).
 Callers that want wall-clock and worker-efficiency numbers pass a
@@ -70,15 +69,12 @@ class CampaignTask:
     """One cell of a campaign matrix.
 
     Attributes:
-        index: stable position in the work-list; the merge key.  Must be
-            unique within one :func:`run_sharded` call.
         fn: a *top-level* (picklable) callable executed as
             ``fn(**kwargs)`` in a worker process.
         kwargs: keyword arguments; must be picklable and must carry any
             seed the task needs (derived via :func:`spawn_task_seeds`).
     """
 
-    index: int
     fn: Callable[..., Any]
     kwargs: dict = field(default_factory=dict)
 
@@ -88,8 +84,8 @@ class ShardedRun:
     """Everything one sharded execution produced.
 
     Attributes:
-        results: per-task results sorted by task index (order-independent
-            merge: identical for any worker count).
+        results: per-task results in work-list order (identical for
+            any worker count).
         jobs: worker processes used (1 = inline, no pool).
         tasks: number of tasks executed.
         wall_s: wall-clock seconds for the whole run (0.0 without a
@@ -208,7 +204,7 @@ def warm_cache(
     clock: Callable[[], float] | None = None,
     stats: Callable[[], dict] | None = None,
 ) -> tuple[CampaignTask | None, Any, float, dict]:
-    """Pre-seed shared caches by running the lowest-index task inline.
+    """Pre-seed shared caches by running the first task inline.
 
     :func:`run_sharded` calls this in the parent process before forking
     the pool.  Executing one representative cell up front populates both
@@ -225,7 +221,7 @@ def warm_cache(
     """
     if not tasks:
         return None, None, 0.0, {}
-    task = min(tasks, key=lambda t: t.index)
+    task = tasks[0]
     result, busy, delta = _execute_task(task.fn, task.kwargs, clock, stats)
     return task, result, busy, delta
 
@@ -240,8 +236,7 @@ def run_sharded(
     """Execute a campaign work-list across ``jobs`` worker processes.
 
     Args:
-        tasks: the work-list; indices must be unique (they key the
-            merge).
+        tasks: the work-list.
         jobs: worker processes; ``1`` runs inline in this process with
             no pool (bitwise-identical results either way).
         clock: optional monotonic-seconds callable (e.g.
@@ -251,65 +246,59 @@ def run_sharded(
         stats: optional picklable zero-arg callable returning a nested
             ``{str: number | dict}`` counter snapshot; per-task deltas
             are summed into :attr:`ShardedRun.stats`.
-        warm: when sharding across a pool, first run the lowest-index
-            task inline via :func:`warm_cache` so shared caches (memo
+        warm: when sharding across a pool, first run ``tasks[0]``
+            inline via :func:`warm_cache` so shared caches (memo
             tiers under ``fork``, the persistent disk tier under
             ``spawn``) are seeded before workers start.  Results are
             identical either way; only wall-clock timing differs.
 
     Returns:
-        A :class:`ShardedRun`; ``results[i]`` belongs to the task with
-        the ``i``-th smallest index, regardless of completion order.
+        A :class:`ShardedRun`; ``results[i]`` belongs to ``tasks[i]``,
+        regardless of completion order.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    indices = [t.index for t in tasks]
-    if len(set(indices)) != len(indices):
-        raise ValueError("task indices must be unique (they key the merge)")
 
     wall_start = clock() if clock is not None else 0.0
-    by_index: dict[int, Any] = {}
+    results: list[Any] = [None] * len(tasks)
     busy_total = 0.0
     stat_totals: dict = {}
 
     if jobs == 1 or len(tasks) <= 1:
         start_method = "inline"
-        for task in tasks:
-            result, busy, delta = _execute_task(task.fn, task.kwargs, clock, stats)
-            by_index[task.index] = result
+        for i, task in enumerate(tasks):
+            results[i], busy, delta = _execute_task(task.fn, task.kwargs, clock, stats)
             busy_total += busy
             merge_counters(stat_totals, delta)
         jobs_used = 1
     else:
-        sharded = tasks
+        first = 0
         if warm:
-            warm_task, result, busy, delta = warm_cache(tasks, clock, stats)
-            by_index[warm_task.index] = result
+            _, results[0], busy, delta = warm_cache(tasks, clock, stats)
             busy_total += busy
             merge_counters(stat_totals, delta)
-            sharded = [t for t in tasks if t.index != warm_task.index]
+            first = 1
         start_method = preferred_start_method()
         context = multiprocessing.get_context(start_method)
         jobs_used = min(jobs, len(tasks))
         with ProcessPoolExecutor(
-            max_workers=min(jobs, len(sharded)), mp_context=context
+            max_workers=min(jobs, len(tasks) - first), mp_context=context
         ) as pool:
             pending = {
-                pool.submit(_execute_task, task.fn, task.kwargs, clock, stats): task
-                for task in sharded
+                pool.submit(_execute_task, task.fn, task.kwargs, clock, stats): i
+                for i, task in enumerate(tasks[first:], start=first)
             }
             while pending:
                 done, _ = wait(set(pending), return_when=FIRST_COMPLETED)
                 for future in done:
-                    task = pending.pop(future)
-                    result, busy, delta = future.result()
-                    by_index[task.index] = result
+                    i = pending.pop(future)
+                    results[i], busy, delta = future.result()
                     busy_total += busy
                     merge_counters(stat_totals, delta)
 
     wall = (clock() - wall_start) if clock is not None else 0.0
     return ShardedRun(
-        results=[by_index[i] for i in sorted(by_index)],
+        results=results,
         jobs=jobs_used,
         tasks=len(tasks),
         wall_s=wall,

@@ -57,7 +57,7 @@ times.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from repro.reliability.workerfaults import (
     FATE_CRASH,
@@ -251,32 +251,41 @@ POLICY_LADDER: tuple[str, ...] = (
 )
 
 
-def policy_named(name: str, deadline_us: float = 2_000_000.0) -> FaultTolerancePolicy:
-    """The default policy bundle of one :data:`POLICY_LADDER` rung.
+#: The template :func:`policy_named` cuts its rungs from by default:
+#: every mechanism at its stock knobs.
+_STOCK_FULL_STACK = FaultTolerancePolicy(
+    name=POLICY_LADDER[-1],
+    retry=RetryPolicy(),
+    hedge=HedgePolicy(),
+    breaker=BreakerPolicy(),
+    health=HealthPolicy(),
+)
+
+
+def policy_named(
+    name: str, full_stack: FaultTolerancePolicy = _STOCK_FULL_STACK
+) -> FaultTolerancePolicy:
+    """One :data:`POLICY_LADDER` rung, cut from a full-stack template.
 
     ``none`` is mechanism-free (deadline backstop only); each later rung
-    adds one mechanism on top of the previous (health checks ride with
-    every rung that has retries -- they are server-side and policy
-    comparisons above ``none`` assume a self-healing pool).
+    adds one of ``full_stack``'s mechanisms on top of the previous
+    (health checks ride with every rung that has retries -- they are
+    server-side and policy comparisons above ``none`` assume a
+    self-healing pool).  Every rung keeps ``full_stack.deadline_us``.
     """
     if name not in POLICY_LADDER:
         raise ValueError(
             f"unknown fault-tolerance policy {name!r}; choose from "
             f"{POLICY_LADDER}"
         )
-    if name == "none":
-        return FaultTolerancePolicy(name=name, deadline_us=deadline_us)
-    retry = RetryPolicy()
-    health = HealthPolicy()
-    hedge = HedgePolicy() if "hedge" in name else None
-    breaker = BreakerPolicy() if "breaker" in name else None
+    recovers = name != "none"
     return FaultTolerancePolicy(
         name=name,
-        retry=retry,
-        hedge=hedge,
-        breaker=breaker,
-        health=health,
-        deadline_us=deadline_us,
+        retry=full_stack.retry if recovers else None,
+        hedge=full_stack.hedge if "hedge" in name else None,
+        breaker=full_stack.breaker if "breaker" in name else None,
+        health=full_stack.health if recovers else None,
+        deadline_us=full_stack.deadline_us,
     )
 
 
@@ -289,7 +298,8 @@ _IDLE, _BUSY, _HUNG, _DEAD, _RESTARTING = "idle", "busy", "hung", "dead", "resta
 
 _CLOSED, _OPEN, _HALF_OPEN = "closed", "open", "half-open"
 
-#: Event counters of one run, reported by name in :class:`ChaosSummary`.
+#: Event counters of one run, reported by name in :class:`ChaosSummary`
+#: (the three worker fates under its ``faults``).
 _COUNTERS = (
     "dispatches", "retries", "hedges", "hedge_wins", "hedges_skipped",
     "timeouts", "late_completions", "redundant", "crashes", "hangs",
@@ -393,7 +403,8 @@ class ChaosSummary:
     first completion wins; later ones are counted in ``redundant`` and
     suppressed).  ``lost`` counts admitted requests with no terminal
     record and is likewise structurally zero (the per-request deadline
-    closes every straggler).
+    closes every straggler).  ``faults`` counts the injected worker
+    fates: ``crashes``, ``hangs`` and ``straggles``.
     """
 
     offered: int
@@ -415,9 +426,7 @@ class ChaosSummary:
     timeouts: int
     late_completions: int
     redundant: int
-    crashes: int
-    hangs: int
-    straggles: int
+    faults: dict
     evictions: int
     respawns_warm: int
     respawns_cold: int
@@ -432,76 +441,8 @@ class ChaosSummary:
     mean_quality_drop: float = 0.0
 
     def as_dict(self) -> dict:
-        """JSON-ready form (insertion-ordered, deterministic)."""
-        return {
-            "offered": self.offered,
-            "admitted": self.admitted,
-            "completed": self.completed,
-            "rejected": self.rejected,
-            "failed": self.failed,
-            "rejects_by_reason": dict(sorted(self.rejects_by_reason.items())),
-            "fails_by_reason": dict(sorted(self.fails_by_reason.items())),
-            "duration_ms": self.duration_ms,
-            "goodput_rps": self.goodput_rps,
-            "success_rate": self.success_rate,
-            "latency_ms": self.latency_ms,
-            "dispatches": self.dispatches,
-            "retries": self.retries,
-            "hedges": self.hedges,
-            "hedge_wins": self.hedge_wins,
-            "hedges_skipped": self.hedges_skipped,
-            "timeouts": self.timeouts,
-            "late_completions": self.late_completions,
-            "redundant": self.redundant,
-            "faults": {
-                "crashes": self.crashes,
-                "hangs": self.hangs,
-                "straggles": self.straggles,
-            },
-            "evictions": self.evictions,
-            "respawns_warm": self.respawns_warm,
-            "respawns_cold": self.respawns_cold,
-            "handed_back": self.handed_back,
-            "breaker_opens": self.breaker_opens,
-            "breaker_probes": self.breaker_probes,
-            "duplicates": self.duplicates,
-            "lost": self.lost,
-            "stage_counts": dict(self.stage_counts),
-            "early_exits": self.early_exits,
-            "mean_exit_depth": self.mean_exit_depth,
-            "mean_quality_drop": self.mean_quality_drop,
-        }
-
-    def format(self) -> str:
-        """Multi-line plain-text rendering for the CLI."""
-        lat = self.latency_ms
-        if lat["p50"] is None:
-            dist = "n/a"
-        else:
-            dist = (
-                f"p50 {lat['p50']:8.3f} ms  p95 {lat['p95']:8.3f} ms  "
-                f"p99 {lat['p99']:8.3f} ms  (max {lat['max']:.3f})"
-            )
-        lines = [
-            f"  requests   : {self.offered} offered, {self.admitted} admitted, "
-            f"{self.completed} completed, {self.failed} failed, "
-            f"{self.rejected} rejected",
-            f"  goodput    : {self.goodput_rps:.1f} req/s "
-            f"(success rate {self.success_rate:.3f}) over "
-            f"{self.duration_ms:.1f} ms simulated",
-            f"  latency    : {dist}",
-            f"  faults     : {self.crashes} crashes, {self.hangs} hangs, "
-            f"{self.straggles} straggles across {self.dispatches} dispatches",
-            f"  recovery   : {self.retries} retries, {self.hedges} hedges "
-            f"({self.hedge_wins} wins, {self.hedges_skipped} skipped), "
-            f"{self.timeouts} timeouts, {self.handed_back} handed back",
-            f"  fleet      : {self.evictions} evictions, "
-            f"{self.respawns_warm} warm + {self.respawns_cold} cold respawns, "
-            f"{self.breaker_opens} breaker opens "
-            f"({self.breaker_probes} probes)",
-            f"  invariants : duplicates={self.duplicates} lost={self.lost}",
-        ]
-        return "\n".join(lines)
+        """JSON-ready form: every field, in declaration order."""
+        return asdict(self)
 
 
 @dataclass
@@ -952,6 +893,8 @@ class FaultTolerantSimulator(_EventCore):
         duration_cycles = _duration_cycles(records)
         duration_s = duration_cycles / clock_hz
         admitted = len(completed) + len(failed)
+        counts = dict(self._counts)
+        faults = {fate: counts.pop(fate) for fate in ("crashes", "hangs", "straggles")}
         return ChaosSummary(
             offered=len(records),
             admitted=admitted,
@@ -967,8 +910,9 @@ class FaultTolerantSimulator(_EventCore):
             duplicates=self._duplicates,
             lost=lost,
             stage_counts=_stage_counts(completed, SERVING_LADDER),
+            faults=faults,
             **_exit_means(completed),
-            **self._counts,
+            **counts,
         )
 
 

@@ -14,7 +14,7 @@ latency SLOs, exact on small samples, and free of interpolation noise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 from repro.reporting import format_percent
 from repro.serving.overload import SERVING_LADDER
@@ -53,12 +53,12 @@ def _distribution(values_ms: list[float]) -> dict:
 
 
 def _reason_counts(records: list[RequestRecord]) -> dict:
-    """Reject/fail reason -> count over ``records``."""
+    """Reject/fail reason -> count over ``records``, sorted by reason."""
     counts: dict = {}
     for r in records:
         reason = r.reject_reason or "unknown"
         counts[reason] = counts.get(reason, 0) + 1
-    return counts
+    return dict(sorted(counts.items()))
 
 
 def _duration_cycles(records: list[RequestRecord]) -> int:
@@ -146,27 +146,8 @@ class SloSummary:
     mean_quality_drop: float = 0.0
 
     def as_dict(self) -> dict:
-        """JSON-ready form (insertion-ordered, deterministic)."""
-        return {
-            "offered": self.offered,
-            "completed": self.completed,
-            "rejected": self.rejected,
-            "reject_rate": self.reject_rate,
-            "rejects_by_reason": dict(sorted(self.rejects_by_reason.items())),
-            "duration_ms": self.duration_ms,
-            "throughput_rps": self.throughput_rps,
-            "latency_ms": self.latency_ms,
-            "queue_ms": self.queue_ms,
-            "batches": self.batches,
-            "mean_batch_size": self.mean_batch_size,
-            "stage_counts": dict(self.stage_counts),
-            "degraded": self.degraded,
-            "degrade_rate": self.degrade_rate,
-            "early_exits": self.early_exits,
-            "early_exit_rate": self.early_exit_rate,
-            "mean_exit_depth": self.mean_exit_depth,
-            "mean_quality_drop": self.mean_quality_drop,
-        }
+        """JSON-ready form: every field, in declaration order."""
+        return asdict(self)
 
     def format(self) -> str:
         """Multi-line plain-text rendering for the CLI."""
@@ -209,7 +190,7 @@ class SloSummary:
         if self.rejects_by_reason:
             reasons = "  ".join(
                 f"{reason}={count}"
-                for reason, count in sorted(self.rejects_by_reason.items())
+                for reason, count in self.rejects_by_reason.items()
             )
             lines.append(f"  rejects    : {reasons}")
         return "\n".join(lines)

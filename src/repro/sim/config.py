@@ -154,11 +154,6 @@ class DuetConfig:
         """INT4 MAC throughput of the systolic array."""
         return self.speculator_rows * self.speculator_cols
 
-    @property
-    def executor_macs_per_cycle(self) -> int:
-        """INT16 MAC throughput of the full PE array."""
-        return self.num_pes
-
     def cycles_to_ms(self, cycles: float) -> float:
         """Convert a cycle count to milliseconds at the configured clock."""
         return cycles / self.clock_hz * 1e3

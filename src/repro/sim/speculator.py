@@ -16,8 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.models.layer_spec import ConvSpec, RNNSpec
 from repro.sim.config import DuetConfig
 from repro.sim.energy import EnergyModel
@@ -89,39 +87,6 @@ class SpeculatorModel:
         # time step) can reuse the finished SpeculationCost.  Shared cost
         # objects must be treated as immutable by callers.
         self._memo: dict[tuple, SpeculationCost] = {}
-
-    # -- functional switching-map hook --------------------------------------
-
-    @staticmethod
-    def speculate_map(
-        y_approx,
-        activation: str,
-        threshold: float,
-        guard_band: float = 0.0,
-        bias: float = 0.0,
-    ):
-        """Produce a switching map the way the hardware Speculator would.
-
-        This is the functional face of the unit (the other methods cost it
-        in cycles): apply the Eq. (3) rule to approximate pre-activations.
-        Two reliability knobs attach here because they live *inside* the
-        Speculator in hardware:
-
-        - ``guard_band``: the threshold guard-band of
-          :mod:`repro.reliability.guards` -- borderline activations within
-          the band are routed to the accurate module.
-        - ``bias``: a systematic datapath error (fault-injection hook); a
-          miscalibrated quantizer or a stuck adder-tree bit shifts every
-          approximate pre-activation by a constant, flipping decisions near
-          the threshold.  The bias is applied *before* the rule, exactly
-          where the physical fault sits, so any map checksum computed by
-          the Speculator still matches -- only the consistency audit can
-          catch it.
-        """
-        from repro.core.switching import switching_map
-
-        y = np.asarray(y_approx, dtype=np.float64) + bias
-        return switching_map(y, activation, threshold, guard_band=guard_band)
 
     # -- CNN ---------------------------------------------------------------
 

@@ -90,8 +90,7 @@ def _square(x: int) -> dict:
 
 def _campaign(path=None, with_perf=True, history_keys=("smoke",), progress=None):
     tasks = [
-        CampaignTask(index=i, fn=_square, kwargs={"x": x})
-        for i, x in enumerate((3, 1, 2))
+        CampaignTask(fn=_square, kwargs={"x": x}) for x in (3, 1, 2)
     ]
 
     def merge(records):

@@ -1,12 +1,13 @@
 """Tests for the sharded campaign engine (:mod:`repro.parallel`).
 
-The determinism contract under test: results merge by task index, child
-seeds depend only on ``(root seed, position)``, and the whole run is a
-pure function of the work-list -- never of the worker count or the
-completion order.
+The determinism contract under test: results come back in work-list
+order, child seeds depend only on ``(root seed, position)``, and the
+whole run is a pure function of the work-list -- never of the worker
+count or the completion order.
 """
 
 import multiprocessing
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +33,12 @@ def _square(x):
 
 def _tag(index, seed):
     return {"index": index, "seed": seed}
+
+
+def _finish(x, delay_s):
+    """Return ``x`` and the moment it finished, after ``delay_s``."""
+    time.sleep(delay_s)
+    return x, time.monotonic()
 
 
 _CALLS = {"n": 0}
@@ -84,22 +91,7 @@ class TestMergeCounters:
 
 
 class TestRunShardedInline:
-    def test_results_merge_by_index(self):
-        """Work-list order is irrelevant: results come back sorted by
-        the task index, not submission position."""
-        tasks = [
-            CampaignTask(index=i, fn=_square, kwargs={"x": i})
-            for i in (3, 0, 2, 1)
-        ]
-        run = run_sharded(tasks, jobs=1)
-        assert run.results == [0, 1, 4, 9]
-        assert run.start_method == "inline"
-        assert run.tasks == 4
-
-    def test_rejects_duplicate_indices_and_bad_jobs(self):
-        tasks = [CampaignTask(index=0, fn=_square, kwargs={"x": 1})] * 2
-        with pytest.raises(ValueError, match="unique"):
-            run_sharded(tasks, jobs=1)
+    def test_rejects_bad_jobs(self):
         with pytest.raises(ValueError, match="jobs"):
             run_sharded([], jobs=0)
 
@@ -111,7 +103,7 @@ class TestRunShardedInline:
     def test_injected_clock_times_tasks(self):
         ticks = iter(range(100))
         run = run_sharded(
-            [CampaignTask(index=0, fn=_square, kwargs={"x": 2})],
+            [CampaignTask(fn=_square, kwargs={"x": 2})],
             jobs=1,
             clock=lambda: float(next(ticks)),
         )
@@ -121,24 +113,36 @@ class TestRunShardedInline:
 
     def test_no_clock_reports_zero_times(self):
         run = run_sharded(
-            [CampaignTask(index=0, fn=_square, kwargs={"x": 2})], jobs=1
+            [CampaignTask(fn=_square, kwargs={"x": 2})], jobs=1
         )
         assert run.wall_s == 0.0 and run.worker_busy_s == 0.0
 
     def test_stats_deltas_are_summed(self):
         _CALLS["n"] = 100  # nonzero baseline: deltas, not absolutes
-        tasks = [
-            CampaignTask(index=i, fn=_counting_task) for i in range(3)
-        ]
+        tasks = [CampaignTask(fn=_counting_task)] * 3
         run = run_sharded(tasks, jobs=1, stats=_calls_snapshot)
         assert run.stats == {"calls": 3, "nested": {"calls": 3}}
 
 
 class TestRunShardedPool:
+    def test_results_come_back_in_list_order(self):
+        """Tasks that finish out of order still land at their list
+        position; the warm task runs inline, the slow one in the pool."""
+        delays = (0.0, 0.5, 0.0, 0.0)
+        tasks = [
+            CampaignTask(fn=_finish, kwargs={"x": i, "delay_s": d})
+            for i, d in enumerate(delays)
+        ]
+        run = run_sharded(tasks, jobs=2)
+        assert [x for x, _ in run.results] == [0, 1, 2, 3]
+        finished = [t for _, t in run.results]
+        assert finished[1] > max(finished[2:])  # completed out of order
+        assert run.jobs == 2
+
     def test_jobs_do_not_change_results(self):
         seeds = spawn_task_seeds(0, 6)
         tasks = [
-            CampaignTask(index=i, fn=_tag, kwargs={"index": i, "seed": s})
+            CampaignTask(fn=_tag, kwargs={"index": i, "seed": s})
             for i, s in enumerate(seeds)
         ]
         serial = run_sharded(tasks, jobs=1)
@@ -148,10 +152,7 @@ class TestRunShardedPool:
         assert sharded.start_method == preferred_start_method()
 
     def test_jobs_capped_by_task_count(self):
-        tasks = [
-            CampaignTask(index=i, fn=_square, kwargs={"x": i})
-            for i in range(2)
-        ]
+        tasks = [CampaignTask(fn=_square, kwargs={"x": i}) for i in range(2)]
         run = run_sharded(tasks, jobs=8)
         assert run.jobs == 2
         assert run.results == [0, 1]
@@ -196,14 +197,11 @@ class TestShardedRunMetrics:
 
 
 class TestWarmCache:
-    def test_runs_lowest_index_task_inline(self):
-        tasks = [
-            CampaignTask(index=i, fn=_square, kwargs={"x": i})
-            for i in (3, 1, 2)
-        ]
+    def test_runs_first_task_inline(self):
+        tasks = [CampaignTask(fn=_square, kwargs={"x": i}) for i in (3, 1, 2)]
         warm_task, result, busy, delta = warm_cache(tasks)
-        assert warm_task.index == 1
-        assert result == 1
+        assert warm_task is tasks[0]
+        assert result == 9
         assert busy == 0.0
         assert delta == {}
 
@@ -213,7 +211,7 @@ class TestWarmCache:
     def test_injected_clock_and_stats(self):
         clock = iter([1.0, 3.5]).__next__
         stats = lambda: {"hits": _CALLS["n"]}  # noqa: E731
-        tasks = [CampaignTask(index=0, fn=_counting_task, kwargs={})]
+        tasks = [CampaignTask(fn=_counting_task, kwargs={})]
         _, result, busy, delta = warm_cache(tasks, clock=clock, stats=stats)
         assert busy == pytest.approx(2.5)
         assert delta == {"hits": 1}
@@ -221,7 +219,7 @@ class TestWarmCache:
     def test_pool_results_identical_with_and_without_warming(self):
         seeds = spawn_task_seeds(7, 5)
         tasks = [
-            CampaignTask(index=i, fn=_tag, kwargs={"index": i, "seed": s})
+            CampaignTask(fn=_tag, kwargs={"index": i, "seed": s})
             for i, s in enumerate(seeds)
         ]
         warmed = run_sharded(tasks, jobs=2, warm=True)

@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.bench.chaos import run_chaos_bench
+from repro.bench.chaos import chaos_policy, run_chaos_bench
 from repro.reliability.workerfaults import WorkerFaultModel
 from repro.serving import (
     BatchResult,
@@ -97,6 +97,43 @@ class TestPolicyLadder:
         assert full.breaker is not None and full.health is not None
         with pytest.raises(ValueError):
             policy_named("bogus")
+
+    def test_unknown_rung_is_rejected_by_name(self):
+        message = r"unknown fault-tolerance policy 'bogus'; choose from"
+        with pytest.raises(ValueError, match=message):
+            policy_named("bogus")
+        with pytest.raises(ValueError, match=message):
+            chaos_policy("bogus")
+
+    def test_rungs_keep_the_template_deadline(self):
+        template = replace(policy_named("retry-hedge-breaker"), deadline_us=9e6)
+        for name in POLICY_LADDER:
+            assert policy_named(name, template).deadline_us == 9e6
+
+    def test_chaos_policy_rungs(self):
+        """The bench's tuned rungs, pinned knob for knob."""
+        retry = RetryPolicy(
+            max_attempts=4, timeout_us=120_000.0, backoff_base_us=5_000.0
+        )
+        hedge = HedgePolicy(
+            initial_delay_us=60_000.0, latency_percentile=95.0, min_samples=20
+        )
+        breaker = BreakerPolicy(failure_threshold=3, reset_timeout_us=300_000.0)
+        health = HealthPolicy(heartbeat_us=100_000.0, miss_threshold=3)
+        assert [chaos_policy(name) for name in POLICY_LADDER] == [
+            FaultTolerancePolicy(name="none"),
+            FaultTolerancePolicy(name="retry", retry=retry, health=health),
+            FaultTolerancePolicy(
+                name="retry-hedge", retry=retry, hedge=hedge, health=health
+            ),
+            FaultTolerancePolicy(
+                name="retry-hedge-breaker",
+                retry=retry,
+                hedge=hedge,
+                breaker=breaker,
+                health=health,
+            ),
+        ]
 
     def test_breaker_requires_retry(self):
         with pytest.raises(ValueError):
@@ -281,6 +318,29 @@ class TestRecoveryMechanisms:
         assert result.summary.fails_by_reason == {
             "deadline": result.summary.failed
         }
+
+
+class TestChaosSummary:
+    def test_as_dict_follows_the_committed_key_order(self):
+        result = run_chaos(
+            uniform_trace(20, gap_cycles=2 * MS),
+            WorkerFaultModel(crash_rate=0.2, hang_rate=0.1, straggle_rate=0.1),
+            policy_named("retry-hedge-breaker"),
+            seed=3,
+            workers=2,
+        )
+        as_dict = result.summary.as_dict()
+        assert list(as_dict) == [
+            "offered", "admitted", "completed", "rejected", "failed",
+            "rejects_by_reason", "fails_by_reason", "duration_ms",
+            "goodput_rps", "success_rate", "latency_ms", "dispatches",
+            "retries", "hedges", "hedge_wins", "hedges_skipped", "timeouts",
+            "late_completions", "redundant", "faults", "evictions",
+            "respawns_warm", "respawns_cold", "handed_back", "breaker_opens",
+            "breaker_probes", "duplicates", "lost", "stage_counts",
+            "early_exits", "mean_exit_depth", "mean_quality_drop",
+        ]
+        assert list(as_dict["faults"]) == ["crashes", "hangs", "straggles"]
 
 
 class TestChaosBenchCampaign:

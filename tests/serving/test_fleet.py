@@ -7,10 +7,15 @@ milliseconds; the campaign-level behaviour is covered by
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
-from repro.bench.fleet import run_fleet_bench, serving_capacity_rps
+from repro.bench.fleet import (
+    FALLBACK_CAPACITY_RPS,
+    run_fleet_bench,
+    serving_capacity_rps,
+)
 
 from repro.serving import (
     AdmissionConfig,
@@ -382,3 +387,23 @@ class TestFleetBenchCampaign:
         capacity, source = serving_capacity_rps(str(tmp_path / "missing.json"))
         assert source == "fallback"
         assert capacity > 0
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("batched_throughput_rps", "fast"),
+            ("workers", True),
+            ("batched_throughput_rps", float("inf")),
+        ],
+    )
+    def test_capacity_feed_falls_back_on_unusable_values(self, tmp_path, field, value):
+        """A schema-valid document whose capacity inputs are not finite
+        positive numbers falls back instead of crashing the campaign."""
+        document = json.loads(Path("BENCH_serving.json").read_text())
+        if field == "workers":
+            document["workers"] = value
+        else:
+            document["batching"][field] = value
+        path = tmp_path / "BENCH_serving.json"
+        path.write_text(json.dumps(document))
+        assert serving_capacity_rps(str(path)) == (FALLBACK_CAPACITY_RPS, "fallback")

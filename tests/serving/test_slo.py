@@ -109,6 +109,19 @@ class TestSummarize:
         )
         assert tuple(summary.stage_counts) == SERVING_LADDER
 
+    def test_as_dict_follows_the_committed_key_order(self):
+        summary = summarize(
+            [completed(0, arrival=0, dispatch=0, done=1), rejected(1, 0)],
+            clock_hz=1e9,
+        )
+        assert list(summary.as_dict()) == [
+            "offered", "completed", "rejected", "reject_rate",
+            "rejects_by_reason", "duration_ms", "throughput_rps",
+            "latency_ms", "queue_ms", "batches", "mean_batch_size",
+            "stage_counts", "degraded", "degrade_rate", "early_exits",
+            "early_exit_rate", "mean_exit_depth", "mean_quality_drop",
+        ]
+
     def test_as_dict_round_trips_format(self):
         records = [
             completed(0, arrival=0, dispatch=500_000, done=2_000_000),

@@ -118,6 +118,16 @@ class TestCompare:
         b = _write(tmp_path, "b.json", {"schema": "duet-fleet/1", "x": 2})
         assert compare_bench.main([a, b]) == 1
 
+    def test_reordered_keys_differ(self, compare_bench, tmp_path, capsys):
+        """The contract is byte identity: the same keys in another order
+        are a different document."""
+        left = {"schema": "duet-faults/1", "x": {"p": 1, "q": 2}}
+        right = {"schema": "duet-faults/1", "x": {"q": 2, "p": 1}}
+        a = _write(tmp_path, "a.json", left)
+        b = _write(tmp_path, "b.json", right)
+        assert compare_bench.main([a, b]) == 1
+        assert "documents differ at $.x " in capsys.readouterr().out
+
     def test_dynamic_mismatch_prints_scenario_deltas(
         self, compare_bench, tmp_path, capsys
     ):

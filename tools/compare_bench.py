@@ -40,11 +40,15 @@ from repro.bench.document import deterministic_view  # noqa: E402
 
 
 def _first_diff(a, b, path: str = "$") -> str | None:
-    """Path of the first differing leaf between two JSON values."""
+    """Path of the first differing leaf between two JSON values.
+
+    Object keys compare in order: documents are byte-identical or they
+    differ, so a reordered object differs at its own path.
+    """
     if type(a) is not type(b):
         return path
     if isinstance(a, dict):
-        if sorted(a) != sorted(b):
+        if list(a) != list(b):
             return path
         for key in a:
             diff = _first_diff(a[key], b[key], f"{path}.{key}")
