@@ -165,49 +165,26 @@ def _collect_recurrent_pairs(cell, sequences: np.ndarray):
     """Run ``cell`` over sequences collecting (x_t, h_{t-1}, pre-activation).
 
     Works for both LSTM and GRU cells; for the GRU the teacher target for
-    the candidate gate includes the true reset-gate modulation.
+    the candidate gate includes the true reset-gate modulation (the
+    cell's ``cache["pre"]``).
     """
-    sequences = np.asarray(sequences, dtype=np.float64)
-    seq_len, batch = sequences.shape[0], sequences.shape[1]
-    xs, hs, pres = [], [], []
-    if isinstance(cell, LSTMCell):
-        h, c = cell.init_state(batch)
-        for t in range(seq_len):
-            x = sequences[t]
-            pre = x @ cell.w_ih.data.T + h @ cell.w_hh.data.T + cell.b.data
-            xs.append(x)
-            hs.append(h)
-            pres.append(pre)
-            (h, c), _ = cell(x, (h, c))
-        return np.concatenate(xs), np.concatenate(hs), np.concatenate(pres)
-    if isinstance(cell, GRUCell):
-        h = cell.init_state(batch)
-        hidden = cell.hidden_size
-        for t in range(seq_len):
-            x = sequences[t]
-            gi = x @ cell.w_ih.data.T + cell.b_ih.data
-            gh = h @ cell.w_hh.data.T + cell.b_hh.data
-            r = F.sigmoid(gi[:, :hidden] + gh[:, :hidden])
-            pre = np.concatenate(
-                [
-                    gi[:, :hidden] + gh[:, :hidden],
-                    gi[:, hidden : 2 * hidden] + gh[:, hidden : 2 * hidden],
-                    gi[:, 2 * hidden :] + r * gh[:, 2 * hidden :],
-                ],
-                axis=1,
-            )
-            xs.append(x)
-            hs.append(h)
-            pres.append(pre)
-            h, _ = cell(x, h)
-        return np.concatenate(xs), np.concatenate(hs), np.concatenate(pres)
-    raise TypeError(f"unsupported cell type {type(cell).__name__}")
+    if not isinstance(cell, (LSTMCell, GRUCell)):
+        raise TypeError(f"unsupported cell type {type(cell).__name__}")
+    _, _, caches = cell.unroll(np.asarray(sequences, dtype=np.float64))
+    return tuple(
+        np.concatenate([cache[key] for cache in caches])
+        for key in ("x", "h_prev", "pre")
+    )
 
 
 def _distill_recurrent(cell, approx, calibration_sequences, ridge,
                        quantization_aware=True):
     from repro.core.approx import _quantize_dequantize
 
+    if cell.input_size != approx.input_size:
+        raise ValueError("accurate/approx input sizes disagree")
+    if cell.hidden_size != approx.hidden_size:
+        raise ValueError("accurate/approx hidden sizes disagree")
     xs, hs, pres = _collect_recurrent_pairs(cell, calibration_sequences)
     if quantization_aware:
         rx = approx.proj_x.apply(_quantize_dequantize(xs, approx.input_bits))
@@ -242,10 +219,6 @@ def distill_lstm_cell(
     Returns:
         The fit RMSE over all gates and time steps.
     """
-    if accurate.input_size != approx.input_size:
-        raise ValueError("accurate/approx input sizes disagree")
-    if accurate.hidden_size != approx.hidden_size:
-        raise ValueError("accurate/approx hidden sizes disagree")
     return _distill_recurrent(accurate, approx, calibration_sequences, ridge)
 
 
@@ -263,8 +236,4 @@ def distill_gru_cell(
     Returns:
         The fit RMSE over all gates and time steps.
     """
-    if accurate.input_size != approx.input_size:
-        raise ValueError("accurate/approx input sizes disagree")
-    if accurate.hidden_size != approx.hidden_size:
-        raise ValueError("accurate/approx hidden sizes disagree")
     return _distill_recurrent(accurate, approx, calibration_sequences, ridge)

@@ -86,6 +86,11 @@ def _resolve_gate_thresholds(
 ) -> dict[str, float]:
     """Expand a scalar threshold to a per-gate dict, validating dict keys."""
     if isinstance(threshold, dict):
+        unknown = set(threshold) - set(gate_names)
+        if unknown:
+            raise ValueError(
+                f"unknown gates {sorted(unknown)}; expected {list(gate_names)}"
+            )
         missing = set(gate_names) - set(threshold)
         if missing:
             raise ValueError(f"missing thresholds for gates: {sorted(missing)}")
@@ -362,41 +367,28 @@ class DualModuleConv2d:
         return f"DualModuleConv2d({self.accurate!r}, theta={self.threshold})"
 
 
-#: Gate activations used by the switching rules, in stacking order.
-_LSTM_GATES: tuple[tuple[str, str], ...] = (
-    ("i", "sigmoid"),
-    ("f", "sigmoid"),
-    ("g", "tanh"),
-    ("o", "sigmoid"),
-)
-_GRU_GATES: tuple[tuple[str, str], ...] = (
-    ("r", "sigmoid"),
-    ("z", "sigmoid"),
-    ("n", "tanh"),
-)
+class _DualModuleRecurrentCell:
+    """Per-gate dual-module processing shared by the LSTM and GRU cells.
 
-
-class DualModuleLSTMCell:
-    """Dual-module LSTM cell with per-gate speculation (RNN path).
-
-    For each of the four gates the Speculator produces approximate
-    pre-activations; insensitive neurons keep the approximate *activated*
-    value while sensitive neurons are recomputed by the Executor.  Weight
-    rows of both ``w_ih`` and ``w_hh`` are only "fetched" for sensitive
-    neurons, which is the memory-access saving of Section IV-B.
+    Each subclass names its ``GATES`` (``(gate, activation)`` in stacking
+    order) and implements the gate-mixing ``forward(x, state)``; states
+    follow the accurate cell's protocol (:meth:`~repro.nn.recurrent.
+    LSTMCell.init_state` / ``hidden``).  Weight rows of both ``w_ih`` and
+    ``w_hh`` are only "fetched" for sensitive neurons, which is the
+    memory-access saving of Section IV-B.
 
     Args:
-        accurate: the pre-trained :class:`~repro.nn.recurrent.LSTMCell`.
-        approx: the distilled :class:`ApproximateLSTMCell`.
-        threshold: scalar or per-gate dict ``{"i","f","g","o"}``.
+        accurate: the pre-trained recurrent cell.
+        approx: its distilled QDR cell.
+        threshold: scalar or per-gate dict over every gate in ``GATES``.
     """
 
-    GATES = _LSTM_GATES
+    GATES: tuple[tuple[str, str], ...]
 
     def __init__(
         self,
-        accurate: LSTMCell,
-        approx: ApproximateLSTMCell,
+        accurate: LSTMCell | GRUCell,
+        approx: ApproximateLSTMCell | ApproximateGRUCell,
         threshold: float | dict[str, float],
     ):
         if accurate.input_size != approx.input_size:
@@ -408,6 +400,71 @@ class DualModuleLSTMCell:
         self.thresholds = _resolve_gate_thresholds(
             threshold, tuple(g for g, _ in self.GATES)
         )
+
+    def _switch(
+        self, k: int, pre_acc: np.ndarray, pre_approx: np.ndarray, maps: dict
+    ) -> np.ndarray:
+        """Switch gate ``GATES[k]``: record its map, return its mixed activation.
+
+        ``pre_acc`` is the gate's accurate pre-activation and
+        ``pre_approx`` the Speculator's all-gates output.
+        """
+        gate, act_name = self.GATES[k]
+        hs = self.accurate.hidden_size
+        speculated = pre_approx[:, k * hs : (k + 1) * hs]
+        gmap = switching_map(speculated, act_name, self.thresholds[gate])
+        maps[gate] = gmap
+        return F.activation_by_name(act_name)(mix_outputs(pre_acc, speculated, gmap))
+
+    def _report(self, batch: int, gate_maps: dict[str, np.ndarray]) -> DualModuleReport:
+        """The stacked OMap and MAC / weight-read account of one step."""
+        hs = self.accurate.hidden_size
+        rows = len(self.GATES) * hs
+        omap = np.concatenate([gate_maps[g] for g, _ in self.GATES], axis=1)
+        sensitive = int(omap.sum())
+        row_cost = self.accurate.input_size + hs
+        savings = LayerSavings(
+            dense_macs=batch * rows * row_cost,
+            executed_macs=sensitive * row_cost,
+            speculation_macs=batch * self.approx.macs_per_step(),
+            speculation_additions=batch * self.approx.additions_per_step(),
+            dense_weight_reads=batch * rows * row_cost,
+            weight_reads=sensitive * row_cost,
+            speculation_weight_reads=batch
+            * (self.approx.w_ih.size + self.approx.w_hh.size),
+            outputs_total=batch * rows,
+            outputs_sensitive=sensitive,
+        )
+        return DualModuleReport(omap, savings, gate_maps=gate_maps)
+
+    def __call__(self, x: np.ndarray, state):
+        return self.forward(x, state)
+
+    def run_sequence(
+        self, xs: np.ndarray, state=None
+    ) -> tuple[np.ndarray, object, list[DualModuleReport]]:
+        """Unroll over ``(T, batch, input_size)``; returns (outputs, state, reports)."""
+        xs = np.asarray(xs, dtype=np.float64)
+        return self.accurate.unroll(xs, state, step=self.forward)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.accurate!r}, thetas={self.thresholds})"
+
+
+class DualModuleLSTMCell(_DualModuleRecurrentCell):
+    """Dual-module LSTM cell with per-gate speculation (RNN path).
+
+    For each of the four gates the Speculator produces approximate
+    pre-activations; insensitive neurons keep the approximate *activated*
+    value while sensitive neurons are recomputed by the Executor.
+
+    Args:
+        accurate: the pre-trained :class:`~repro.nn.recurrent.LSTMCell`.
+        approx: the distilled :class:`ApproximateLSTMCell`.
+        threshold: scalar or per-gate dict ``{"i","f","g","o"}``.
+    """
+
+    GATES = (("i", "sigmoid"), ("f", "sigmoid"), ("g", "tanh"), ("o", "sigmoid"))
 
     def forward(
         self, x: np.ndarray, state: tuple[np.ndarray, np.ndarray]
@@ -423,9 +480,7 @@ class DualModuleLSTMCell:
         """
         x = np.asarray(x, dtype=np.float64)
         h_prev, c_prev = state
-        batch = x.shape[0]
         hs = self.accurate.hidden_size
-        d_in, d_hid = self.accurate.input_size, hs
 
         pre_approx = self.approx.pre_activations(x, h_prev, quantized=True)
         pre_acc = (
@@ -434,59 +489,17 @@ class DualModuleLSTMCell:
             + self.accurate.b.data
         )
 
-        gate_maps: dict[str, np.ndarray] = {}
-        gate_values: dict[str, np.ndarray] = {}
-        for idx, (gate, act_name) in enumerate(self.GATES):
-            sl = slice(idx * hs, (idx + 1) * hs)
-            gmap = switching_map(pre_approx[:, sl], act_name, self.thresholds[gate])
-            mixed = mix_outputs(pre_acc[:, sl], pre_approx[:, sl], gmap)
-            gate_values[gate] = F.activation_by_name(act_name)(mixed)
-            gate_maps[gate] = gmap
-
-        c_next = gate_values["f"] * c_prev + gate_values["i"] * gate_values["g"]
-        h_next = gate_values["o"] * F.tanh(c_next)
-
-        omap = np.concatenate([gate_maps[g] for g, _ in self.GATES], axis=1)
-        sensitive = int(omap.sum())
-        row_cost = d_in + d_hid
-        savings = LayerSavings(
-            dense_macs=batch * 4 * hs * row_cost,
-            executed_macs=sensitive * row_cost,
-            speculation_macs=batch * self.approx.macs_per_step(),
-            speculation_additions=batch * self.approx.additions_per_step(),
-            dense_weight_reads=batch * 4 * hs * row_cost,
-            weight_reads=sensitive * row_cost,
-            speculation_weight_reads=batch
-            * (self.approx.w_ih.size + self.approx.w_hh.size),
-            outputs_total=batch * 4 * hs,
-            outputs_sensitive=sensitive,
+        maps: dict[str, np.ndarray] = {}
+        i, f, g, o = (
+            self._switch(k, pre_acc[:, k * hs : (k + 1) * hs], pre_approx, maps)
+            for k in range(4)
         )
-        report = DualModuleReport(omap, savings, gate_maps=gate_maps)
-        return (h_next, c_next), report
-
-    __call__ = forward
-
-    def run_sequence(
-        self, xs: np.ndarray, state: tuple[np.ndarray, np.ndarray] | None = None
-    ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], list[DualModuleReport]]:
-        """Unroll over ``(T, batch, input_size)``; returns (outputs, state, reports)."""
-        xs = np.asarray(xs, dtype=np.float64)
-        seq_len, batch = xs.shape[0], xs.shape[1]
-        if state is None:
-            state = self.accurate.init_state(batch)
-        outputs = np.empty((seq_len, batch, self.accurate.hidden_size))
-        reports = []
-        for t in range(seq_len):
-            state, report = self.forward(xs[t], state)
-            outputs[t] = state[0]
-            reports.append(report)
-        return outputs, state, reports
-
-    def __repr__(self) -> str:
-        return f"DualModuleLSTMCell({self.accurate!r}, thetas={self.thresholds})"
+        c_next = f * c_prev + i * g
+        h_next = o * F.tanh(c_next)
+        return (h_next, c_next), self._report(x.shape[0], maps)
 
 
-class DualModuleGRUCell:
+class DualModuleGRUCell(_DualModuleRecurrentCell):
     """Dual-module GRU cell with per-gate speculation (RNN path).
 
     The reset gate ``r`` used in the accurate candidate pre-activation is
@@ -494,90 +507,23 @@ class DualModuleGRUCell:
     approximate value forward exactly as the hardware would.
     """
 
-    GATES = _GRU_GATES
-
-    def __init__(
-        self,
-        accurate: GRUCell,
-        approx: ApproximateGRUCell,
-        threshold: float | dict[str, float],
-    ):
-        if accurate.input_size != approx.input_size:
-            raise ValueError("accurate/approx input sizes disagree")
-        if accurate.hidden_size != approx.hidden_size:
-            raise ValueError("accurate/approx hidden sizes disagree")
-        self.accurate = accurate
-        self.approx = approx
-        self.thresholds = _resolve_gate_thresholds(
-            threshold, tuple(g for g, _ in self.GATES)
-        )
+    GATES = (("r", "sigmoid"), ("z", "sigmoid"), ("n", "tanh"))
 
     def forward(
         self, x: np.ndarray, h_prev: np.ndarray
     ) -> tuple[np.ndarray, DualModuleReport]:
         """Run one dual-module GRU step; returns ``(h_next, report)``."""
         x = np.asarray(x, dtype=np.float64)
-        batch = x.shape[0]
         hs = self.accurate.hidden_size
-        d_in, d_hid = self.accurate.input_size, hs
 
         pre_approx = self.approx.pre_activations(x, h_prev, quantized=True)
         gi = x @ self.accurate.w_ih.data.T + self.accurate.b_ih.data
         gh = h_prev @ self.accurate.w_hh.data.T + self.accurate.b_hh.data
 
-        # reset gate
-        r_acc = gi[:, :hs] + gh[:, :hs]
-        r_map = switching_map(pre_approx[:, :hs], "sigmoid", self.thresholds["r"])
-        r = F.sigmoid(mix_outputs(r_acc, pre_approx[:, :hs], r_map))
-        # update gate
-        z_acc = gi[:, hs : 2 * hs] + gh[:, hs : 2 * hs]
-        z_map = switching_map(
-            pre_approx[:, hs : 2 * hs], "sigmoid", self.thresholds["z"]
-        )
-        z = F.sigmoid(mix_outputs(z_acc, pre_approx[:, hs : 2 * hs], z_map))
+        maps: dict[str, np.ndarray] = {}
+        r = self._switch(0, gi[:, :hs] + gh[:, :hs], pre_approx, maps)
+        z = self._switch(1, gi[:, hs : 2 * hs] + gh[:, hs : 2 * hs], pre_approx, maps)
         # candidate gate (accurate path uses the mixed reset gate)
-        n_acc = gi[:, 2 * hs :] + r * gh[:, 2 * hs :]
-        n_map = switching_map(pre_approx[:, 2 * hs :], "tanh", self.thresholds["n"])
-        n = F.tanh(mix_outputs(n_acc, pre_approx[:, 2 * hs :], n_map))
-
+        n = self._switch(2, gi[:, 2 * hs :] + r * gh[:, 2 * hs :], pre_approx, maps)
         h_next = (1.0 - z) * n + z * h_prev
-
-        gate_maps = {"r": r_map, "z": z_map, "n": n_map}
-        omap = np.concatenate([r_map, z_map, n_map], axis=1)
-        sensitive = int(omap.sum())
-        row_cost = d_in + d_hid
-        savings = LayerSavings(
-            dense_macs=batch * 3 * hs * row_cost,
-            executed_macs=sensitive * row_cost,
-            speculation_macs=batch * self.approx.macs_per_step(),
-            speculation_additions=batch * self.approx.additions_per_step(),
-            dense_weight_reads=batch * 3 * hs * row_cost,
-            weight_reads=sensitive * row_cost,
-            speculation_weight_reads=batch
-            * (self.approx.w_ih.size + self.approx.w_hh.size),
-            outputs_total=batch * 3 * hs,
-            outputs_sensitive=sensitive,
-        )
-        report = DualModuleReport(omap, savings, gate_maps=gate_maps)
-        return h_next, report
-
-    __call__ = forward
-
-    def run_sequence(
-        self, xs: np.ndarray, h: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray, list[DualModuleReport]]:
-        """Unroll over ``(T, batch, input_size)``; returns (outputs, h, reports)."""
-        xs = np.asarray(xs, dtype=np.float64)
-        seq_len, batch = xs.shape[0], xs.shape[1]
-        if h is None:
-            h = self.accurate.init_state(batch)
-        outputs = np.empty((seq_len, batch, self.accurate.hidden_size))
-        reports = []
-        for t in range(seq_len):
-            h, report = self.forward(xs[t], h)
-            outputs[t] = h
-            reports.append(report)
-        return outputs, h, reports
-
-    def __repr__(self) -> str:
-        return f"DualModuleGRUCell({self.accurate!r}, thetas={self.thresholds})"
+        return h_next, self._report(x.shape[0], maps)

@@ -20,6 +20,8 @@ the next layer's input sparsity map (IMap).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -60,8 +62,14 @@ def switching_map(
         must compute), 0 = insensitive (approximate result kept).
 
     Raises:
-        ValueError: on an unknown activation name or a negative guard band.
+        ValueError: on an unknown activation name, a negative guard band,
+            or a NaN threshold or guard band (±inf stay legal: all
+            sensitive or all insensitive).
     """
+    if math.isnan(threshold) or math.isnan(guard_band):
+        raise ValueError(
+            f"threshold and guard_band must not be NaN, got {threshold}, {guard_band}"
+        )
     if guard_band < 0:
         raise ValueError(f"guard_band must be non-negative, got {guard_band}")
     y_approx = np.asarray(y_approx)

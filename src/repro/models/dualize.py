@@ -34,6 +34,7 @@ from repro.core.dual import (
     DualModuleConv2d,
     DualModuleGRUCell,
     DualModuleLSTMCell,
+    _resolve_gate_thresholds,
 )
 from repro.core.stats import LayerSavings
 from repro.core.cache import tune_threshold_cached
@@ -41,7 +42,7 @@ from repro.core.switching import imap_from_activations
 from repro.models.proxies import ProxyCNN, ProxyLanguageModel, ProxySeq2Seq
 from repro.nn.layers import Conv2d, ReLU
 from repro.nn.losses import CrossEntropyLoss, perplexity, topk_accuracy
-from repro.nn.recurrent import GRU, LSTM
+from repro.nn.recurrent import GRUCell, LSTMCell
 
 __all__ = [
     "reduced_dim",
@@ -266,39 +267,15 @@ class DualizedLanguageModel:
             threshold: initial saturation threshold(s) for all gates.
         """
         rng = rng if rng is not None else np.random.default_rng(0)
-        embedded = model.embedding(np.asarray(calibration_tokens))
-        layer_inputs = embedded
+        layer_inputs = model.embedding(np.asarray(calibration_tokens))
         dual_cells = []
-        is_lstm = isinstance(model.rnn, LSTM)
         for cell in model.rnn.cells:
-            kx = reduced_dim(cell.input_size, reduction)
-            kh = reduced_dim(cell.hidden_size, reduction)
-            if is_lstm:
-                approx = ApproximateLSTMCell(
-                    cell.input_size,
-                    cell.hidden_size,
-                    kx,
-                    kh,
-                    rng=rng,
-                    weight_bits=weight_bits,
-                    input_bits=input_bits,
-                )
-                distill_lstm_cell(cell, approx, layer_inputs)
-                dual_cells.append(DualModuleLSTMCell(cell, approx, threshold))
-            else:
-                approx = ApproximateGRUCell(
-                    cell.input_size,
-                    cell.hidden_size,
-                    kx,
-                    kh,
-                    rng=rng,
-                    weight_bits=weight_bits,
-                    input_bits=input_bits,
-                )
-                distill_gru_cell(cell, approx, layer_inputs)
-                dual_cells.append(DualModuleGRUCell(cell, approx, threshold))
+            dual = _dualize_cell(
+                cell, layer_inputs, reduction, weight_bits, input_bits, threshold, rng
+            )
+            dual_cells.append(dual)
             # propagate accurately to get the next layer's calibration input
-            layer_inputs = _run_accurate_layer(cell, layer_inputs, is_lstm)
+            layer_inputs, _, _ = cell.unroll(layer_inputs)
         return cls(model, dual_cells)
 
     def set_thresholds_by_fraction(
@@ -312,34 +289,14 @@ class DualizedLanguageModel:
         """
         xs = self.model.embedding(np.asarray(calibration_tokens))
         for layer_idx, dual in enumerate(self.dual_cells):
-            hs = dual.accurate.hidden_size
-            gate_pre: dict[str, list[np.ndarray]] = {g: [] for g, _ in dual.GATES}
-            state = _init_state(dual, xs.shape[1])
-            seq_len = xs.shape[0]
-            outputs = np.empty((seq_len, xs.shape[1], hs))
-            for t in range(seq_len):
-                h_prev = state[0] if isinstance(state, tuple) else state
-                pre_approx = dual.approx.pre_activations(xs[t], h_prev, quantized=True)
-                for idx, (gate, _) in enumerate(dual.GATES):
-                    gate_pre[gate].append(pre_approx[:, idx * hs : (idx + 1) * hs])
-                state, _ = _step_dual(dual, xs[t], state)
-                outputs[t] = state[0] if isinstance(state, tuple) else state
-            for gate, act_name in dual.GATES:
-                stacked = np.concatenate(gate_pre[gate])
-                dual.thresholds[gate] = tune_threshold_cached(
-                    stacked, act_name, fraction, layer=("rnn", layer_idx, gate)
-                )
-            xs = outputs
+            xs = _tune_gate_thresholds(dual, xs, dual, fraction, ("rnn", layer_idx))
 
     def forward(self, tokens: np.ndarray) -> tuple[np.ndarray, LayerSavings]:
         """Dual-module LM forward; returns ``(logits, total savings)``."""
         xs = self.model.embedding(np.asarray(tokens))
         total = LayerSavings()
         for dual in self.dual_cells:
-            if isinstance(dual, DualModuleLSTMCell):
-                xs, _, reports = dual.run_sequence(xs)
-            else:
-                xs, _, reports = dual.run_sequence(xs)
+            xs, _, reports = dual.run_sequence(xs)
             for report in reports:
                 total = total.merge(report.savings)
         seq_len, batch, hidden = xs.shape
@@ -381,35 +338,32 @@ class DualizedSeq2Seq:
     ) -> "DualizedSeq2Seq":
         """Distill QDR cells for both the encoder and decoder LSTMs."""
         rng = rng if rng is not None else np.random.default_rng(0)
-        duals = []
-        for lstm_module, emb, tokens in (
-            (model.encoder, model.src_embedding, calibration_src),
-            (model.decoder, model.tgt_embedding, calibration_tgt_in),
-        ):
-            cell = lstm_module.cells[0]
-            approx = ApproximateLSTMCell(
-                cell.input_size,
-                cell.hidden_size,
-                reduced_dim(cell.input_size, reduction),
-                reduced_dim(cell.hidden_size, reduction),
-                rng=rng,
-                weight_bits=weight_bits,
-                input_bits=input_bits,
-            )
-            distill_lstm_cell(cell, approx, emb(np.asarray(tokens)))
-            duals.append(DualModuleLSTMCell(cell, approx, threshold))
-        return cls(model, duals[0], duals[1])
+        cells = (model.encoder.cells[0], model.decoder.cells[0])
+        src = model.src_embedding(np.asarray(calibration_src))
+        tgt = model.tgt_embedding(np.asarray(calibration_tgt_in))
+        encoder, decoder = (
+            _dualize_cell(cell, xs, reduction, weight_bits, input_bits, threshold, rng)
+            for cell, xs in zip(cells, (src, tgt))
+        )
+        return cls(model, encoder, decoder)
 
     def set_thresholds(self, threshold: float | dict[str, float]) -> None:
-        """Set the same gate threshold(s) on both cells."""
+        """Set the same gate threshold(s) on both cells.
+
+        A dict updates only the gates it names.
+
+        Raises:
+            ValueError: if a dict names a gate the cells do not have.
+        """
         for dual in (self.dual_encoder, self.dual_decoder):
-            if isinstance(threshold, dict):
-                dual.thresholds.update(
-                    {k: float(v) for k, v in threshold.items()}
-                )
-            else:
-                for gate in dual.thresholds:
-                    dual.thresholds[gate] = float(threshold)
+            merged = (
+                {**dual.thresholds, **threshold}
+                if isinstance(threshold, dict)
+                else threshold
+            )
+            dual.thresholds.update(
+                _resolve_gate_thresholds(merged, tuple(dual.thresholds))
+            )
 
     def set_thresholds_by_fraction(
         self, fraction: float, src: np.ndarray, tgt_in: np.ndarray
@@ -424,21 +378,8 @@ class DualizedSeq2Seq:
             (self.dual_decoder, self.model.tgt_embedding, tgt_in),
         ):
             xs = emb(np.asarray(tokens))
-            hs = dual.accurate.hidden_size
-            state = dual.accurate.init_state(xs.shape[1])
-            gate_pre: dict[str, list[np.ndarray]] = {g: [] for g, _ in dual.GATES}
-            for t in range(xs.shape[0]):
-                pre = dual.approx.pre_activations(xs[t], state[0], quantized=True)
-                for idx, (gate, _) in enumerate(dual.GATES):
-                    gate_pre[gate].append(pre[:, idx * hs : (idx + 1) * hs])
-                state, _ = dual.accurate(xs[t], state)
-            for gate, act_name in dual.GATES:
-                dual.thresholds[gate] = tune_threshold_cached(
-                    np.concatenate(gate_pre[gate]),
-                    act_name,
-                    fraction,
-                    layer=("seq2seq", id(dual), gate),
-                )
+            layer = ("seq2seq", id(dual))
+            _tune_gate_thresholds(dual, xs, dual.accurate, fraction, layer)
 
     def greedy_decode(
         self, src: np.ndarray, max_len: int
@@ -465,7 +406,7 @@ class DualizedSeq2Seq:
             emb = self.model.tgt_embedding(current[None, :])[0]
             state, report = self.dual_decoder.forward(emb, state)
             total = total.merge(report.savings)
-            head_in = state[0]
+            head_in = self.dual_decoder.accurate.hidden(state)
             if attention is not None:
                 head_in, _ = attention.forward_step(head_in, memory)
             logits = self.model.head(head_in)
@@ -485,32 +426,49 @@ class DualizedSeq2Seq:
 
 # -- helpers -------------------------------------------------------------------
 
+#: accurate cell type -> (approximate class, distill function, dual class)
+_DUAL_RECIPES = {
+    LSTMCell: (ApproximateLSTMCell, distill_lstm_cell, DualModuleLSTMCell),
+    GRUCell: (ApproximateGRUCell, distill_gru_cell, DualModuleGRUCell),
+}
 
-def _run_accurate_layer(cell, xs: np.ndarray, is_lstm: bool) -> np.ndarray:
-    """Unroll one accurate recurrent layer over a sequence."""
-    seq_len, batch = xs.shape[0], xs.shape[1]
-    outputs = np.empty((seq_len, batch, cell.hidden_size))
-    if is_lstm:
-        state = cell.init_state(batch)
-        for t in range(seq_len):
-            state, _ = cell(xs[t], state)
-            outputs[t] = state[0]
-    else:
-        h = cell.init_state(batch)
-        for t in range(seq_len):
-            h, _ = cell(xs[t], h)
-            outputs[t] = h
+
+def _dualize_cell(
+    cell, calibration_sequences, reduction, weight_bits, input_bits, threshold, rng
+):
+    """Build, distill and wrap the QDR twin of one accurate recurrent cell."""
+    approx_class, distill, dual_class = _DUAL_RECIPES[type(cell)]
+    approx = approx_class(
+        cell.input_size,
+        cell.hidden_size,
+        reduced_dim(cell.input_size, reduction),
+        reduced_dim(cell.hidden_size, reduction),
+        rng=rng,
+        weight_bits=weight_bits,
+        input_bits=input_bits,
+    )
+    distill(cell, approx, calibration_sequences)
+    return dual_class(cell, approx, threshold)
+
+
+def _tune_gate_thresholds(dual, xs: np.ndarray, step, fraction: float, layer: tuple):
+    """Tune each gate threshold of ``dual`` to ``fraction`` over ``xs``.
+
+    Unrolls ``step`` (the dual cell, or its accurate cell for a
+    teacher-forced pass) and sets each gate threshold to the matching
+    quantile of the speculated pre-activations; returns the hidden outputs.
+    """
+    hidden = dual.accurate.hidden
+
+    def speculate_then_step(x, state):
+        pre = dual.approx.pre_activations(x, hidden(state), quantized=True)
+        return step(x, state)[0], pre
+
+    outputs, _, pres = dual.accurate.unroll(xs, step=speculate_then_step)
+    hs = dual.accurate.hidden_size
+    for k, (gate, act_name) in enumerate(dual.GATES):
+        gate_pre = np.concatenate([pre[:, k * hs : (k + 1) * hs] for pre in pres])
+        dual.thresholds[gate] = tune_threshold_cached(
+            gate_pre, act_name, fraction, layer=(*layer, gate)
+        )
     return outputs
-
-
-def _init_state(dual, batch: int):
-    """Initial state for a dual cell (tuple for LSTM, array for GRU)."""
-    return dual.accurate.init_state(batch)
-
-
-def _step_dual(dual, x, state):
-    """One step of a dual cell, normalising the return signature."""
-    if isinstance(dual, DualModuleLSTMCell):
-        return dual.forward(x, state)
-    new_h, report = dual.forward(x, state)
-    return new_h, report

@@ -178,12 +178,10 @@ class ProxyLanguageModel(Module):
         rng = rng if rng is not None else np.random.default_rng(0)
         self.vocab_size = vocab_size
         self.embedding = Embedding(vocab_size, embed_dim, rng=rng)
-        if cell == "lstm":
-            self.rnn: Module = LSTM(embed_dim, hidden_size, num_layers, rng=rng)
-        elif cell == "gru":
-            self.rnn = GRU(embed_dim, hidden_size, num_layers, rng=rng)
-        else:
+        rnn_class = {"lstm": LSTM, "gru": GRU}.get(cell)
+        if rnn_class is None:
             raise ValueError(f"cell must be 'lstm' or 'gru', got {cell!r}")
+        self.rnn: Module = rnn_class(embed_dim, hidden_size, num_layers, rng=rng)
         self.decoder = Linear(hidden_size, vocab_size, rng=rng)
         self.cell_kind = cell
         self.hidden_size = hidden_size

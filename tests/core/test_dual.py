@@ -321,6 +321,12 @@ class TestDualModuleLSTM:
         with pytest.raises(ValueError, match="missing thresholds"):
             DualModuleLSTMCell(cell, ap, {"i": 0.0})
 
+    def test_unknown_gate_threshold(self, lstm_pair):
+        cell, ap = lstm_pair
+        thetas = {"i": 0.5, "f": 0.5, "g": 0.5, "o": 0.5, "I": 0.5}
+        with pytest.raises(ValueError, match=r"unknown gates \['I'\]"):
+            DualModuleLSTMCell(cell, ap, thetas)
+
     def test_weight_read_savings(self, lstm_pair, rng):
         cell, ap = lstm_pair
         dual = DualModuleLSTMCell(cell, ap, threshold=1.0)

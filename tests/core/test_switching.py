@@ -36,6 +36,12 @@ class TestSwitchingRules:
         with pytest.raises(ValueError, match="non-negative"):
             switching_map(np.zeros(3), "tanh", -1.0)
 
+    @pytest.mark.parametrize("act", ["relu", "sigmoid", "tanh"])
+    @pytest.mark.parametrize("threshold, guard_band", [(np.nan, 0.0), (1.0, np.nan)])
+    def test_nan_threshold_or_guard_band_rejected(self, act, threshold, guard_band):
+        with pytest.raises(ValueError, match="NaN"):
+            switching_map(np.zeros(3), act, threshold, guard_band)
+
     def test_unknown_activation(self):
         with pytest.raises(ValueError, match="no switching rule"):
             switching_map(np.zeros(3), "softmax", 0.0)

@@ -204,6 +204,19 @@ class TestDualizedSeq2Seq:
         assert savings_inf.sensitive_fraction == 1.0
         assert savings_tiny.sensitive_fraction < 0.05
 
+    def test_set_thresholds_partial_dict_and_unknown_gate(self, rng):
+        task = SyntheticTranslationTask(vocab_size=10, seq_len=3)
+        model = ProxySeq2Seq(10, embed_dim=8, hidden_size=12, rng=rng)
+        src, tgt = task.sample(4, rng)
+        dual = DualizedSeq2Seq.build(model, src, tgt, threshold=1.0, rng=rng)
+        dual.set_thresholds({"i": 0.5})
+        for cell in (dual.dual_encoder, dual.dual_decoder):
+            assert cell.thresholds == {"i": 0.5, "f": 1.0, "g": 1.0, "o": 1.0}
+        with pytest.raises(ValueError, match="unknown gates"):
+            dual.set_thresholds({"I": 0.25})
+        for cell in (dual.dual_encoder, dual.dual_decoder):
+            assert cell.thresholds == {"i": 0.5, "f": 1.0, "g": 1.0, "o": 1.0}
+
 
 class TestSeq2SeqThresholdTuning:
     def test_fraction_tuning_monotone(self, rng):

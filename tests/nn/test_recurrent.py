@@ -34,7 +34,7 @@ class TestLSTMCell:
         seed_h = rng.normal(size=(2, 4))
 
         (h, _), cache = cell(x, state)
-        grad_x, _, _ = cell.backward(seed_h, np.zeros((2, 4)), cache)
+        grad_x, _ = cell.backward(seed_h, cell.init_state(2), cache)
 
         def scalar(z):
             (hh, _), _ = cell(z, state)
@@ -52,7 +52,7 @@ class TestLSTMCell:
         seed_c = rng.normal(size=(2, 4))
 
         (_, _), cache = cell(x, (h0, c0))
-        _, grad_h, grad_c = cell.backward(seed_h, seed_c, cache)
+        _, (grad_h, grad_c) = cell.backward(seed_h, (np.zeros((2, 4)), seed_c), cache)
 
         def scalar_h(z):
             (hh, cc), _ = cell(x, (z, c0))
@@ -76,7 +76,7 @@ class TestLSTMCell:
         seed = rng.normal(size=(2, 3))
         (_, _), cache = cell(x, state)
         cell.zero_grad()
-        cell.backward(seed, np.zeros((2, 3)), cache)
+        cell.backward(seed, state, cache)
         analytic = cell.w_ih.grad.copy()
 
         def scalar(w):
@@ -115,7 +115,7 @@ class TestGRUCell:
         h0 = rng.normal(size=(2, 4))
         seed = rng.normal(size=(2, 4))
         _, cache = cell(x, h0)
-        grad_x, _ = cell.backward(seed, cache)
+        grad_x, _ = cell.backward(seed, cell.init_state(2), cache)
 
         def scalar(z):
             h, _ = cell(z, h0)
@@ -131,7 +131,7 @@ class TestGRUCell:
         h0 = rng.normal(size=(2, 4))
         seed = rng.normal(size=(2, 4))
         _, cache = cell(x, h0)
-        _, grad_h = cell.backward(seed, cache)
+        _, grad_h = cell.backward(seed, cell.init_state(2), cache)
 
         def scalar(z):
             h, _ = cell(x, z)
@@ -166,25 +166,40 @@ class TestSequenceWrappers:
             grad, numerical_gradient(scalar, x.copy()), atol=1e-5
         )
 
-    def test_lstm_weight_gradient_accumulates_over_time(self, rng):
-        net = LSTM(2, 3, rng=rng)
+    @pytest.mark.parametrize("cls", [LSTM, GRU])
+    def test_weight_gradient_accumulates_over_time(self, cls, rng):
+        net = cls(2, 3, rng=rng)
         x = rng.normal(size=(4, 1, 2))
         out, _ = net(x)
         net.zero_grad()
         net.backward(np.ones_like(out))
         assert np.any(net.cells[0].w_hh.grad != 0)
 
-    def test_sequence_equals_manual_unroll(self, rng):
-        net = LSTM(3, 4, rng=rng)
+    @pytest.mark.parametrize("num_layers", [1, 2])
+    @pytest.mark.parametrize("cls", [LSTM, GRU])
+    def test_sequence_equals_manual_unroll(self, cls, num_layers, rng):
+        net = cls(3, 4, num_layers=num_layers, rng=rng)
         x = rng.normal(size=(3, 2, 3))
-        out, _ = net(x)
-        cell = net.cells[0]
-        state = cell.init_state(2)
-        for t in range(3):
-            state, _ = cell(x[t], state)
-            np.testing.assert_allclose(out[t], state[0], atol=1e-12)
+        out, final_states = net(x)
+        layer_input = x
+        for cell, final in zip(net.cells, final_states):
+            state = cell.init_state(2)
+            outputs = []
+            for t in range(3):
+                state, _ = cell(layer_input[t], state)
+                outputs.append(cell.hidden(state))
+            layer_input = np.stack(outputs)
+            assert np.array_equal(np.asarray(final), np.asarray(state))
+        assert np.array_equal(out, layer_input)
 
-    def test_backward_before_forward_raises(self, rng):
-        net = GRU(2, 3, rng=rng)
+    @pytest.mark.parametrize("cls", [LSTM, GRU])
+    def test_backward_before_forward_raises(self, cls, rng):
+        net = cls(2, 3, rng=rng)
         with pytest.raises(RuntimeError, match="before forward"):
             net.backward(np.zeros((2, 1, 3)))
+
+    @pytest.mark.parametrize("num_layers", [0, -1])
+    @pytest.mark.parametrize("cls", [LSTM, GRU])
+    def test_rejects_fewer_than_one_layer(self, cls, num_layers, rng):
+        with pytest.raises(ValueError, match=f"{cls.__name__}.num_layers"):
+            cls(2, 3, num_layers=num_layers, rng=rng)
