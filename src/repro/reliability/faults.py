@@ -201,8 +201,7 @@ class DramFaultStream:
     Both execution paths of :class:`repro.sim.dram.Dram` consume this
     one object, and both see the *same* underlying uniform stream:
 
-    - the per-event path calls :meth:`fails` once per transfer attempt
-      (exactly what the old closure-based fault model did);
+    - the per-event path calls :meth:`fails` once per transfer attempt;
     - the vectorized path calls :meth:`failures` once per batch and gets
       every transfer's leading-failure count in one shot.
 
@@ -240,14 +239,8 @@ class DramFaultStream:
             self._pos = 0
         return self._buffer[self._pos:]
 
-    def fails(self, direction: str, num_bytes: int, attempt: int) -> bool:
-        """Per-event fault model: does this transfer attempt fail?
-
-        Drop-in replacement for the closure
-        :meth:`FaultInjector.dram_fault_model` used to return; attached
-        to :attr:`repro.sim.dram.Dram.fault_model` so the per-event path
-        needs no changes at all.
-        """
+    def fails(self) -> bool:
+        """Per-event draw: does the next transfer attempt fail?"""
         draw = self._ensure(1)[0]
         self._pos += 1
         return bool(draw < self.rate)
@@ -535,36 +528,16 @@ class FaultInjector:
             rows |= picked
         return frozenset(rows)
 
-    def dram_fault_model(self, stream: int = 0):
-        """A ``(direction, nbytes, attempt) -> bool`` fault model for one
-        DRAM channel, or None when the campaign has no DRAM faults.
-
-        Failed attempts are *not* tallied in :attr:`injected` -- the
-        :class:`repro.sim.dram.Dram` counters are authoritative for the
-        channel (the reliability context folds them into its per-layer
-        records), and counting in both places would double-bill.
-        """
-        faults = self.campaign.by_site("dram")
-        if not faults:
-            return None
-        rng = self._rng(stream, "dram")
-        rate = max(f.rate for f in faults)
-
-        def fails(direction: str, num_bytes: int, attempt: int) -> bool:
-            return bool(rng.random() < rate)
-
-        return fails
-
     def dram_fault_stream(self, stream: int = 0) -> DramFaultStream | None:
         """The campaign's DRAM channel faults as a :class:`DramFaultStream`.
 
-        Derives the *same* ``(seed, stream, "dram")`` generator and the
-        same max-rate composition as :meth:`dram_fault_model`, so a
-        stream-backed channel replays the closure-backed one draw for
-        draw -- but also serves the vectorized bulk path.  Returns None
-        when the campaign has no DRAM faults.  Like the closure, failed
-        attempts are tallied by the :class:`repro.sim.dram.Dram`
-        counters, not in :attr:`injected`.
+        Draws from the ``(seed, stream, "dram")`` generator at the
+        highest DRAM fault rate of the campaign; None when the campaign
+        has no DRAM faults.  Failed attempts are *not* tallied in
+        :attr:`injected` -- the :class:`repro.sim.dram.Dram` counters are
+        authoritative for the channel (the reliability context folds them
+        into its per-layer records), and counting in both places would
+        double-bill.
         """
         faults = self.campaign.by_site("dram")
         if not faults:

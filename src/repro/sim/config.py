@@ -54,8 +54,8 @@ class DuetConfig:
             channel grouping is fixed across the window and within-window
             tile variance remains unbalanced.
         fast_path: use the vectorized/memoized simulator kernels (batched
-            tile aggregation, analytic uniform-layer shortcuts, cached
-            tiling/speculation costs).  The fast path is *exact*: it
+            tile aggregation, analytic uniform-layer shortcuts, the
+            batched RNN gate grid).  The fast path is *exact*: it
             produces bit-identical :class:`~repro.sim.report.ModelReport`
             cycle/energy counters to the reference implementation
             (``fast_path=False``), which is kept as the oracle the

@@ -7,7 +7,7 @@ traffic to cycles at a configured bandwidth and keeps cumulative counters
 for the energy model.
 
 For the reliability layer (:mod:`repro.reliability`) the interface also
-models *flaky* channels: an optional fault model may fail individual
+models *flaky* channels: an optional fault stream may fail individual
 transfers, which are then retried with exponential backoff.  A transfer
 that exhausts its retries is recorded as unrecoverable -- the caller's
 guards must treat the affected data as untrusted (fail-safe dense
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -56,10 +55,6 @@ def shared_channel_cycles(num_bytes: int, bandwidth: int, chips: int = 1) -> int
         return 0
     return math.ceil(num_bytes * chips / bandwidth)
 
-#: fault-model signature: ``(direction, num_bytes, attempt) -> bool``
-#: returning True marks the attempt as failed (corrupted burst).
-TransferFaultModel = Callable[[str, int, int], bool]
-
 
 @dataclass(frozen=True)
 class TransferRetryPolicy:
@@ -87,6 +82,15 @@ class TransferRetryPolicy:
 class Dram:
     """Bandwidth model of the off-chip memory interface.
 
+    Args:
+        bandwidth: bytes per cycle at the accelerator clock.
+        retry_policy: retry-with-backoff semantics for failed transfers.
+        fault_stream: the channel's faults, or None for a clean channel:
+            any object whose ``fails()`` says whether the next transfer
+            attempt fails and whose ``failures(n, max_retries)`` gives the
+            leading-failure counts of the next ``n`` transfers from the
+            same draws (:class:`repro.reliability.faults.DramFaultStream`).
+
     Attributes:
         bandwidth: bytes per cycle at the accelerator clock.
         bytes_read / bytes_written: cumulative *useful* traffic counters
@@ -104,23 +108,13 @@ class Dram:
     def __init__(
         self,
         bandwidth: int,
-        fault_model: TransferFaultModel | None = None,
         retry_policy: TransferRetryPolicy | None = None,
         fault_stream=None,
     ):
         if bandwidth <= 0:
             raise ValueError("bandwidth must be positive")
-        if fault_stream is not None and fault_model is not None:
-            raise ValueError(
-                "pass either fault_model or fault_stream, not both"
-            )
         self.bandwidth = bandwidth
-        # a stream serves both paths: its per-event fails() method *is*
-        # the fault model, and read_bulk batches it via failures()
         self.fault_stream = fault_stream
-        self.fault_model = (
-            fault_stream.fails if fault_stream is not None else fault_model
-        )
         self.retry_policy = (
             retry_policy if retry_policy is not None else TransferRetryPolicy()
         )
@@ -140,15 +134,15 @@ class Dram:
         self.unrecoverable_transfers = 0
         self.retry_cycles = 0
 
-    def _transfer(self, num_bytes: int, direction: str) -> int:
+    def _transfer(self, num_bytes: int) -> int:
         if num_bytes < 0:
             raise ValueError("negative byte count")
         base = self.cycles_for(num_bytes)
-        if self.fault_model is None or num_bytes == 0:
+        if self.fault_stream is None or num_bytes == 0:
             return base
         cycles = base
         for attempt in range(self.retry_policy.max_retries + 1):
-            if not self.fault_model(direction, num_bytes, attempt):
+            if not self.fault_stream.fails():
                 return cycles
             self.failed_transfers += 1
             if attempt == self.retry_policy.max_retries:
@@ -162,7 +156,7 @@ class Dram:
 
     def read(self, num_bytes: int) -> int:
         """Record a read; returns the cycles it occupies the interface."""
-        cycles = self._transfer(num_bytes, "read")
+        cycles = self._transfer(num_bytes)
         self.bytes_read += num_bytes
         return cycles
 
@@ -172,13 +166,10 @@ class Dram:
         Fast-path helper: records every entry as one demand read and
         returns the per-entry cycle counts -- identical counters and
         cycles to calling :meth:`read` element by element, without the
-        per-event Python overhead.  A flaky channel is supported when it
-        is backed by a ``fault_stream``
-        (:class:`repro.reliability.faults.DramFaultStream`): the batch
+        per-event Python overhead.  On a flaky channel the batch
         resolves every transfer's retry/backoff outcome vectorized from
-        the same draw sequence the per-event path consumes, so counters
-        and cycles stay bit-identical.  A bare ``fault_model`` callable
-        has no batched form and must take the per-transfer path.
+        the same fault-stream draws the per-transfer path consumes, so
+        counters and cycles stay bit-identical.
 
         Args:
             byte_counts: non-negative integer array (numpy).
@@ -190,11 +181,6 @@ class Dram:
             raise ValueError("negative byte count")
         if self.fault_stream is not None:
             return self._read_bulk_flaky(byte_counts)
-        if self.fault_model is not None:
-            raise RuntimeError(
-                "read_bulk bypasses retry handling; use read() when a "
-                "fault model is attached"
-            )
         self.bytes_read += int(byte_counts.sum())
         return -(-byte_counts // self.bandwidth)
 
@@ -235,7 +221,7 @@ class Dram:
 
     def write(self, num_bytes: int) -> int:
         """Record a write; returns the cycles it occupies the interface."""
-        cycles = self._transfer(num_bytes, "write")
+        cycles = self._transfer(num_bytes)
         self.bytes_written += num_bytes
         return cycles
 

@@ -28,7 +28,7 @@ from repro.sim.executor import ExecutorModel
 from repro.sim.glb import GlobalBuffer
 from repro.sim.report import LayerReport, ModelReport
 from repro.sim.speculator import SpeculatorModel
-from repro.sim.tiling import choose_tiling, choose_tiling_cached
+from repro.sim.tiling import choose_tiling_cached
 from repro.workloads.sparsity import (
     CnnLayerWorkload,
     FcLayerWorkload,
@@ -65,8 +65,13 @@ class _UnitCache:
         return units
 
 
-class CnnPipeline:
-    """Layer-pipelined CNN execution (paper Section IV-A).
+class _Pipeline:
+    """The per-layer account both dataflows share.
+
+    Owns the layer loop -- DRAM/GLB set-up, the reliability context's
+    degradation rung and guard hook, the report -- and the one builder
+    that turns a layer's cycles, MACs and traffic into its
+    :class:`LayerReport`.  Subclasses price one layer in :meth:`_layer`.
 
     Args:
         config: hardware/feature configuration (base stage).
@@ -90,16 +95,90 @@ class CnnPipeline:
         self.reduction = reduction
         self.reliability = reliability
         self._units = _UnitCache()
-        self.executor, self.speculator = self._units(self.config)
 
-    def _speculation_for(self, workload, cfg: DuetConfig):
-        """Speculation cost of producing ``workload``'s switching maps."""
-        _, speculator = self._units(cfg)
-        if isinstance(workload, FcLayerWorkload):
-            return speculator.fc_layer(workload.spec, self.reduction)
-        return speculator.cnn_layer(
-            workload.spec, self.reduction, with_reorder=cfg.enable_adaptive_mapping
+    def run(self, model: ModelSpec, workloads: list) -> ModelReport:
+        """Simulate ``workloads`` (one per layer of ``model``, in order).
+
+        Returns:
+            A :class:`ModelReport` with per-layer breakdowns.
+        """
+        cfg = self.config
+        ctx = self.reliability
+        dram = ctx.make_dram(cfg.dram_bandwidth) if ctx else Dram(cfg.dram_bandwidth)
+        glb = GlobalBuffer(cfg.glb_bytes, cfg.glb_bandwidth)
+        report = ModelReport(model.name, cfg)
+
+        for i, workload in enumerate(workloads):
+            # under a reliability context the layer runs at the current
+            # degradation-ladder rung, and its switching maps go through
+            # the fault injector and the guards first
+            cfg_now = ctx.effective_config(cfg) if ctx else cfg
+            if ctx:
+                workload = self._guard(ctx, i, workload, cfg_now)
+            upcoming = workloads[i + 1] if i + 1 < len(workloads) else None
+            report.layers.append(self._layer(workload, upcoming, cfg_now, dram, glb))
+            if ctx:
+                ctx.finalize_layer(workload.spec.name)
+        if ctx:
+            report.reliability = ctx.summary()
+        return report
+
+    def _guard(self, ctx: "ReliabilityContext", index: int, workload, cfg: DuetConfig):
+        """``workload`` after the context's fault injector and guards."""
+        raise NotImplementedError
+
+    def _layer(
+        self, workload, upcoming, cfg: DuetConfig, dram: Dram, glb: GlobalBuffer
+    ) -> LayerReport:
+        """Price one layer; ``upcoming`` is the next layer's workload or None."""
+        raise NotImplementedError
+
+    def _layer_report(
+        self,
+        name: str,
+        *,
+        executed_macs: int,
+        speculator_energy: tuple[float, float],
+        glb_words: int,
+        dram_words: int,
+        **fields,
+    ) -> LayerReport:
+        """The layer's :class:`LayerReport` with its energy split.
+
+        ``speculator_energy`` is the (compute, buffers) pair of
+        :meth:`SpeculationCost.energy`; every GLB word moved traverses
+        the Y-bus plus one X-bus (2 NoC hops).  ``fields`` are the
+        report's cycle fields, ``dense_macs`` and ``utilization``.
+        """
+        em = self.energy_model
+        energy = EnergyBreakdown(
+            executor_compute=executed_macs * em.mac_int16,
+            executor_local=executed_macs * _LOCAL_ACCESSES_PER_MAC * em.local_access,
+            speculator_compute=speculator_energy[0],
+            speculator_buffers=speculator_energy[1],
+            glb=glb_words * em.glb_access,
+            noc=2 * glb_words * em.noc_hop,
+            dram=dram_words * em.dram_access,
         )
+        return LayerReport(
+            name=name,
+            executed_macs=executed_macs,
+            energy=energy,
+            dram_bytes=dram_words * BYTES_PER_ELEMENT,
+            **fields,
+        )
+
+
+class CnnPipeline(_Pipeline):
+    """Layer-pipelined CNN execution (paper Section IV-A).
+
+    :meth:`run` takes one :class:`CnnLayerWorkload` per CONV layer, in
+    order, optionally followed by :class:`FcLayerWorkload` entries for the
+    classifier (see :func:`repro.workloads.sparsity.cnn_workloads`).
+    """
+
+    def _guard(self, ctx, index, workload, cfg):
+        return ctx.process_cnn_workload(index, workload, cfg)
 
     def _conv_costs(self, workload: CnnLayerWorkload, cfg: DuetConfig):
         """(exec cycles, executed, dense, util, dram read words, write words).
@@ -109,16 +188,11 @@ class CnnPipeline:
         re-fetch the ifmap per output-channel group and/or spill psums,
         exactly as a real configuration generator would schedule them.
         """
-        spec = workload.spec
         executor, _ = self._units(cfg)
         cost = executor.cnn_layer(workload)
         # ~10% of the GLB is reserved for Speculator data (QDR weights,
         # switching maps, mapping configuration -- paper Section III-A)
-        usable = int(cfg.glb_bytes * 0.9)
-        if cfg.fast_path:
-            tiling = choose_tiling_cached(spec, usable)
-        else:
-            tiling = choose_tiling(spec, usable)
+        tiling = choose_tiling_cached(workload.spec, int(cfg.glb_bytes * 0.9))
         return (
             cost.cycles,
             cost.executed_macs,
@@ -154,350 +228,172 @@ class CnnPipeline:
             write_words,
         )
 
-    def run(self, model: ModelSpec, workloads: list) -> ModelReport:
-        """Simulate the (CONV and optionally FC) layers of ``model``.
+    def _layer(self, workload, upcoming, cfg, dram, glb):
+        spec = workload.spec
+        speculation_on = cfg.enable_output_switching
+        if isinstance(workload, FcLayerWorkload):
+            costs = self._fc_costs(workload, cfg)
+        else:
+            costs = self._conv_costs(workload, cfg)
+        exec_cycles, executed, dense, utilization, read_words, write_words = costs
 
-        Args:
-            model: the model spec (used for naming and speculation shapes).
-            workloads: one :class:`CnnLayerWorkload` per CONV layer, in
-                order, optionally followed by :class:`FcLayerWorkload`
-                entries for the classifier (see
-                :func:`repro.workloads.sparsity.cnn_workloads`).
-
-        Returns:
-            A :class:`ModelReport` with per-layer breakdowns.
-        """
-        cfg = self.config
-        ctx = self.reliability
-        dram = ctx.make_dram(cfg.dram_bandwidth) if ctx else Dram(cfg.dram_bandwidth)
-        glb = GlobalBuffer(cfg.glb_bytes, cfg.glb_bandwidth)
-        report = ModelReport(model.name, cfg)
-
-        for i, workload in enumerate(workloads):
-            # under a reliability context the layer runs at the current
-            # degradation-ladder rung, and its switching maps go through
-            # the fault injector and the guards first
-            cfg_now = ctx.effective_config(cfg) if ctx else cfg
-            if ctx:
-                workload = ctx.process_cnn_workload(i, workload, cfg_now)
-            speculation_on = cfg_now.enable_output_switching
-            spec = workload.spec
-            if isinstance(workload, FcLayerWorkload):
-                (
-                    exec_cycles,
-                    executed,
-                    dense,
-                    utilization,
-                    read_words,
-                    write_words,
-                ) = self._fc_costs(workload, cfg_now)
+        # Speculation task overlapped with this layer: switching maps for
+        # the next layer (paper Fig. 7); nothing to speculate after the
+        # last layer.
+        spec_cycles = 0
+        spec_energy = (0.0, 0.0)
+        if speculation_on and upcoming is not None:
+            _, speculator = self._units(cfg)
+            if isinstance(upcoming, FcLayerWorkload):
+                spec_cost = speculator.fc_layer(upcoming.spec, self.reduction)
             else:
-                (
-                    exec_cycles,
-                    executed,
-                    dense,
-                    utilization,
-                    read_words,
-                    write_words,
-                ) = self._conv_costs(workload, cfg_now)
-
-            # Speculation task overlapped with this layer: switching maps
-            # for layer i+1 (paper Fig. 7); nothing to speculate after the
-            # last layer.
-            spec_cycles = 0
-            spec_energy_compute = 0.0
-            spec_energy_buffers = 0.0
-            if speculation_on and i + 1 < len(workloads):
-                spec_cost = self._speculation_for(workloads[i + 1], cfg_now)
-                spec_cycles = spec_cost.cycles
-                spec_energy_compute, spec_energy_buffers = spec_cost.energy(
-                    self.energy_model
+                spec_cost = speculator.cnn_layer(
+                    upcoming.spec,
+                    self.reduction,
+                    with_reorder=cfg.enable_adaptive_mapping,
                 )
+            spec_cycles = spec_cost.cycles
+            spec_energy = spec_cost.energy(self.energy_model)
 
-            dram_words = read_words + write_words
-            dram_bytes = dram_words * BYTES_PER_ELEMENT
-            memory_cycles = dram.read(read_words * BYTES_PER_ELEMENT) + dram.write(
-                write_words * BYTES_PER_ELEMENT
-            )
+        dram_words = read_words + write_words
+        memory_cycles = dram.read(read_words * BYTES_PER_ELEMENT) + dram.write(
+            write_words * BYTES_PER_ELEMENT
+        )
+        glb_words = dram_words + (
+            spec.output_elements // 8 if speculation_on else 0
+        )  # switching-map bits
+        glb.read(glb_words * BYTES_PER_ELEMENT)
 
-            glb_words = dram_words + (
-                spec.output_elements // 8 if speculation_on else 0
-            )  # switching-map bits
-            glb.read(glb_words * BYTES_PER_ELEMENT)
-
-            if cfg_now.enable_pipeline:
-                compute_cycles = max(exec_cycles, spec_cycles)
-                exposed = max(0, spec_cycles - exec_cycles)
-            else:
-                compute_cycles = exec_cycles + spec_cycles
-                exposed = spec_cycles
-            total_cycles = max(compute_cycles, memory_cycles)
-
-            # every on-chip word moved traverses the Y-bus plus one X-bus
-            noc_hops = 2 * glb_words
-            energy = EnergyBreakdown(
-                executor_compute=executed * self.energy_model.mac_int16,
-                executor_local=executed
-                * _LOCAL_ACCESSES_PER_MAC
-                * self.energy_model.local_access,
-                speculator_compute=spec_energy_compute,
-                speculator_buffers=spec_energy_buffers,
-                glb=glb_words * self.energy_model.glb_access,
-                noc=noc_hops * self.energy_model.noc_hop,
-                dram=dram_words * self.energy_model.dram_access,
-            )
-            report.layers.append(
-                LayerReport(
-                    name=spec.name,
-                    executor_cycles=exec_cycles,
-                    speculator_cycles=spec_cycles,
-                    exposed_speculation_cycles=exposed,
-                    memory_cycles=memory_cycles,
-                    compute_cycles=compute_cycles,
-                    total_cycles=total_cycles,
-                    executed_macs=executed,
-                    dense_macs=dense,
-                    utilization=utilization,
-                    energy=energy,
-                    dram_bytes=dram_bytes,
-                )
-            )
-            if ctx:
-                ctx.finalize_layer(spec.name)
-        if ctx:
-            report.reliability = ctx.summary()
-        return report
+        if cfg.enable_pipeline:
+            compute_cycles = max(exec_cycles, spec_cycles)
+            exposed = max(0, spec_cycles - exec_cycles)
+        else:
+            compute_cycles = exec_cycles + spec_cycles
+            exposed = spec_cycles
+        return self._layer_report(
+            spec.name,
+            executor_cycles=exec_cycles,
+            speculator_cycles=spec_cycles,
+            exposed_speculation_cycles=exposed,
+            memory_cycles=memory_cycles,
+            compute_cycles=compute_cycles,
+            total_cycles=max(compute_cycles, memory_cycles),
+            executed_macs=executed,
+            dense_macs=dense,
+            utilization=utilization,
+            speculator_energy=spec_energy,
+            glb_words=glb_words,
+            dram_words=dram_words,
+        )
 
 
-def _gate_fetch(dram: Dram, byte_counts: np.ndarray) -> np.ndarray:
-    """Per-event weight-fetch oracle: one ``dram.read`` per (step, gate).
-
-    The reference semantics of the batched fetch below: walk the
-    ``(seq_len, num_gates)`` byte grid in C order (time-step major,
-    exactly the nested loop order of the slow path) issuing one transfer
-    each, letting the DRAM model apply its per-transfer fault/retry
-    machinery.  Kept as the bit-identity oracle for
-    :func:`_gate_fetch_fast` (see ``tests/sim/test_fast_path.py``).
-    """
-    flat = np.asarray(byte_counts).ravel()
-    cycles = np.empty(flat.shape, dtype=np.int64)
-    for i, num_bytes in enumerate(flat):
-        cycles[i] = dram.read(int(num_bytes))
-    return cycles.reshape(np.asarray(byte_counts).shape)
-
-
-def _gate_fetch_fast(dram: Dram, byte_counts: np.ndarray) -> np.ndarray:
-    """Batched weight fetch: the whole (step, gate) grid in one call.
-
-    Delegates to :meth:`repro.sim.dram.Dram.read_bulk`, which resolves
-    flaky-channel retries vectorized from the same fault-stream draws
-    the per-event oracle consumes -- counters and cycles bit-identical
-    to :func:`_gate_fetch`.
-    """
-    return dram.read_bulk(byte_counts)
-
-
-class RnnPipeline:
+class RnnPipeline(_Pipeline):
     """Gate-level pipelined RNN execution (paper Section IV-B).
 
-    Accepts the same optional ``reliability`` context as
-    :class:`CnnPipeline`; faults there target the per-(step, gate)
+    Weight matrices of paper-scale RNN layers exceed the GLB, so every
+    gate's (sensitive rows of the) weight matrix streams from DRAM at
+    every time step; fetch overlaps compute via double buffering.  Under
+    a reliability context, faults target the per-(step, gate)
     sensitive-row counts the weight fetch is gated by.
     """
 
-    def __init__(
-        self,
-        config: DuetConfig | None = None,
-        energy_model: EnergyModel | None = None,
-        reduction: float = 0.125,
-        reliability: "ReliabilityContext | None" = None,
-    ):
-        self.config = config if config is not None else DuetConfig()
-        self.energy_model = energy_model if energy_model is not None else EnergyModel()
-        self.reduction = reduction
-        self.reliability = reliability
-        self._units = _UnitCache()
-        self.executor, self.speculator = self._units(self.config)
+    def _guard(self, ctx, index, workload, cfg):
+        return ctx.process_rnn_workload(index, workload, cfg)
 
-    def run(self, model: ModelSpec, workloads: list[RnnLayerWorkload]) -> ModelReport:
-        """Simulate the recurrent layers of ``model``.
+    def _gate_grid(self, spec, counts, resident: bool, cfg: DuetConfig, dram: Dram):
+        """The whole (time step, gate) grid in array arithmetic.
 
-        Weight matrices of paper-scale RNN layers exceed the GLB, so every
-        gate's (sensitive rows of the) weight matrix streams from DRAM at
-        every time step; fetch overlaps compute via double buffering.
+        Returns int64 ``(seq_len, num_gates)`` arrays of executor cycles,
+        executed MACs, DRAM-fetched weight words and fetch cycles.  Every
+        quantity is an integer, so the grid reproduces
+        :meth:`_gate_loop` bit for bit; :meth:`Dram.read_bulk` resolves a
+        flaky channel's retries from the same fault-stream draws the
+        per-transfer reads consume.
         """
-        cfg = self.config
-        ctx = self.reliability
-        dram = ctx.make_dram(cfg.dram_bandwidth) if ctx else Dram(cfg.dram_bandwidth)
-        glb = GlobalBuffer(cfg.glb_bytes, cfg.glb_bandwidth)
-        report = ModelReport(model.name, cfg)
+        row_len = spec.input_size + spec.hidden_size
+        wave_cycles = math.ceil(row_len / cfg.executor_cols) + math.ceil(
+            math.log2(max(2, cfg.executor_cols))
+        )
+        executed = counts * row_len
+        fetch_words = executed.copy()
+        if resident:
+            fetch_words[1:, :] = 0
+        fetch_cycles = dram.read_bulk(fetch_words * BYTES_PER_ELEMENT)
+        compute = -(-counts // cfg.executor_rows) * wave_cycles
+        return compute, executed, fetch_words, fetch_cycles
 
-        for i, workload in enumerate(workloads):
-            cfg_now = ctx.effective_config(cfg) if ctx else cfg
-            if ctx:
-                workload = ctx.process_rnn_workload(i, workload, cfg_now)
-            switching = cfg_now.enable_output_switching
-            executor, speculator = self._units(cfg_now)
-            spec = workload.spec
-            gate_weights_bytes = (
-                spec.hidden_size
-                * (spec.input_size + spec.hidden_size)
-                * BYTES_PER_ELEMENT
+    def _gate_loop(self, spec, counts, resident: bool, cfg: DuetConfig, dram: Dram):
+        """Per-gate oracle of :meth:`_gate_grid`: one executor gate and one
+        ``dram.read`` per (step, gate), time-step major."""
+        executor, _ = self._units(cfg)
+        grid = np.zeros((4,) + counts.shape, dtype=np.int64)
+        for t, g in np.ndindex(counts.shape):
+            gate = executor.rnn_gate(spec, int(counts[t, g]))
+            # only sensitive rows come from DRAM (once per layer if the
+            # GLB could hold them, which paper-scale layers never satisfy)
+            fetch = 0 if resident and t > 0 else gate.weight_words
+            grid[:, t, g] = (
+                gate.compute_cycles,
+                gate.executed_macs,
+                fetch,
+                dram.read(fetch * BYTES_PER_ELEMENT),
             )
-            weights_resident = glb.fits(gate_weights_bytes * spec.num_gates)
+        return tuple(grid)
 
-            layer_exec_cycles = 0
-            layer_spec_cycles = 0
-            layer_exposed = 0
-            layer_memory_cycles = 0
-            layer_compute_cycles = 0
-            layer_total = 0
-            layer_executed = 0
-            layer_dense = 0
-            layer_dram_words = 0
-            spec_compute_e = 0.0
-            spec_buffer_e = 0.0
-
-            if switching:
-                gate_spec_cost = speculator.rnn_gate(spec, self.reduction)
-
-            if cfg_now.fast_path:
-                # -- fast path: batch the whole (time step, gate) grid ----
-                # Every per-gate quantity in the reference loop is an
-                # integer and every accumulator adds integers, so the
-                # batched int64 reductions below reproduce the loop bit
-                # for bit.  Under a reliability context the DRAM channel
-                # is stream-backed, so the batched fetch resolves every
-                # transfer's fault/retry outcome from the same draws the
-                # per-event path would consume.
-                rows = cfg_now.executor_rows
-                row_len = spec.input_size + spec.hidden_size
-                wave_cycles = math.ceil(
-                    row_len / cfg_now.executor_cols
-                ) + math.ceil(math.log2(max(2, cfg_now.executor_cols)))
-                if switching:
-                    counts = workload.sensitive_counts.astype(np.int64)
-                else:
-                    counts = np.full(
-                        (spec.seq_len, spec.num_gates),
-                        spec.hidden_size,
-                        dtype=np.int64,
-                    )
-                waves = -(-counts // rows)
-                compute = waves * wave_cycles
-                executed = counts * row_len
-                fetch_words = executed.copy()
-                if weights_resident:
-                    fetch_words[1:, :] = 0
-                fetch_cycles = _gate_fetch_fast(
-                    dram, fetch_words * BYTES_PER_ELEMENT
-                )
-                glb.write(int(fetch_words.sum()) * BYTES_PER_ELEMENT)
-                glb.read(int(executed.sum()) * BYTES_PER_ELEMENT)
-                compute_cycles = compute.copy()
-                if switching:
-                    gate_cycles = gate_spec_cost.cycles
-                    layer_spec_cycles = (
-                        spec.seq_len * spec.num_gates * gate_cycles
-                    )
-                    # only the input gate's speculation is exposed
-                    layer_exposed = spec.seq_len * gate_cycles
-                    compute_cycles[:, 0] += gate_cycles
-                    compute_e, buffer_e = gate_spec_cost.energy(
-                        self.energy_model
-                    )
-                    # replicate the reference's repeated float additions
-                    # exactly (a single multiply would round differently)
-                    for _ in range(spec.seq_len * spec.num_gates):
-                        spec_compute_e += compute_e
-                        spec_buffer_e += buffer_e
-                layer_exec_cycles = int(compute.sum())
-                layer_memory_cycles = int(fetch_cycles.sum())
-                layer_compute_cycles = int(compute_cycles.sum())
-                layer_total = int(
-                    np.maximum(compute_cycles, fetch_cycles).sum()
-                )
-                layer_executed = int(executed.sum())
-                layer_dense = (
-                    spec.seq_len * spec.num_gates * spec.hidden_size * row_len
-                )
-                layer_dram_words = int(fetch_words.sum())
-                steps = ()
-            else:
-                steps = range(spec.seq_len)
-
-            for t in steps:
-                for g in range(spec.num_gates):
-                    sensitive = (
-                        int(workload.sensitive_counts[t, g])
-                        if switching
-                        else spec.hidden_size
-                    )
-                    gate_cost = executor.rnn_gate(spec, sensitive)
-                    # weight fetch: only sensitive rows come from DRAM
-                    # (plus once-per-layer residency if the GLB could hold
-                    # them, which paper-scale layers never satisfy)
-                    if weights_resident and t > 0:
-                        fetch_words = 0
-                    else:
-                        fetch_words = gate_cost.weight_words
-                    fetch_cycles = dram.read(fetch_words * BYTES_PER_ELEMENT)
-                    glb.write(fetch_words * BYTES_PER_ELEMENT)
-                    glb.read(gate_cost.weight_words * BYTES_PER_ELEMENT)
-
-                    exposed = 0
-                    if switching:
-                        layer_spec_cycles += gate_spec_cost.cycles
-                        # only the input gate's speculation is exposed
-                        if g == 0:
-                            exposed = gate_spec_cost.cycles
-                        compute_e, buffer_e = gate_spec_cost.energy(self.energy_model)
-                        spec_compute_e += compute_e
-                        spec_buffer_e += buffer_e
-
-                    compute_cycles = gate_cost.compute_cycles + exposed
-                    gate_total = max(compute_cycles, fetch_cycles)
-                    layer_exec_cycles += gate_cost.compute_cycles
-                    layer_exposed += exposed
-                    layer_memory_cycles += fetch_cycles
-                    layer_compute_cycles += compute_cycles
-                    layer_total += gate_total
-                    layer_executed += gate_cost.executed_macs
-                    layer_dense += gate_cost.dense_macs
-                    layer_dram_words += fetch_words
-
-            glb_words = (
-                layer_dram_words + layer_executed // max(1, cfg.executor_cols)
+    def _layer(self, workload, upcoming, cfg, dram, glb):
+        spec = workload.spec
+        switching = cfg.enable_output_switching
+        row_len = spec.input_size + spec.hidden_size
+        resident = glb.fits(
+            spec.hidden_size * row_len * BYTES_PER_ELEMENT * spec.num_gates
+        )
+        if switching:
+            counts = workload.sensitive_counts.astype(np.int64)
+        else:
+            counts = np.full(
+                (spec.seq_len, spec.num_gates), spec.hidden_size, dtype=np.int64
             )
-            energy = EnergyBreakdown(
-                executor_compute=layer_executed * self.energy_model.mac_int16,
-                executor_local=layer_executed
-                * _LOCAL_ACCESSES_PER_MAC
-                * self.energy_model.local_access,
-                speculator_compute=spec_compute_e,
-                speculator_buffers=spec_buffer_e,
-                glb=glb_words * self.energy_model.glb_access,
-                noc=2 * glb_words * self.energy_model.noc_hop,
-                dram=layer_dram_words * self.energy_model.dram_access,
-            )
-            report.layers.append(
-                LayerReport(
-                    name=spec.name,
-                    executor_cycles=layer_exec_cycles,
-                    speculator_cycles=layer_spec_cycles,
-                    exposed_speculation_cycles=layer_exposed,
-                    memory_cycles=layer_memory_cycles,
-                    compute_cycles=layer_compute_cycles,
-                    total_cycles=layer_total,
-                    executed_macs=layer_executed,
-                    dense_macs=layer_dense,
-                    utilization=0.0,
-                    energy=energy,
-                    dram_bytes=layer_dram_words * BYTES_PER_ELEMENT,
-                )
-            )
-            if ctx:
-                ctx.finalize_layer(spec.name)
-        if ctx:
-            report.reliability = ctx.summary()
-        return report
+        gates = self._gate_grid if cfg.fast_path else self._gate_loop
+        compute, executed, fetch_words, fetch_cycles = gates(
+            spec, counts, resident, cfg, dram
+        )
+        dram_words = int(fetch_words.sum())
+        executed_macs = int(executed.sum())
+        glb.write(dram_words * BYTES_PER_ELEMENT)
+        glb.read(executed_macs * BYTES_PER_ELEMENT)
+
+        spec_cycles = 0
+        exposed = 0
+        spec_compute_e = 0.0
+        spec_buffer_e = 0.0
+        compute_cycles = compute.copy()
+        if switching:
+            _, speculator = self._units(cfg)
+            gate_spec = speculator.rnn_gate(spec, self.reduction)
+            spec_cycles = counts.size * gate_spec.cycles
+            # speculation for gate g+1 hides behind gate g: only the
+            # input gate's speculation is exposed each step
+            exposed = spec.seq_len * gate_spec.cycles
+            compute_cycles[:, 0] += gate_spec.cycles
+            compute_e, buffer_e = gate_spec.energy(self.energy_model)
+            # one addition per (step, gate): a single multiply rounds
+            # differently and would move every committed energy figure
+            for _ in range(counts.size):
+                spec_compute_e += compute_e
+                spec_buffer_e += buffer_e
+
+        return self._layer_report(
+            spec.name,
+            executor_cycles=int(compute.sum()),
+            speculator_cycles=spec_cycles,
+            exposed_speculation_cycles=exposed,
+            memory_cycles=int(fetch_cycles.sum()),
+            compute_cycles=int(compute_cycles.sum()),
+            total_cycles=int(np.maximum(compute_cycles, fetch_cycles).sum()),
+            executed_macs=executed_macs,
+            dense_macs=counts.size * spec.hidden_size * row_len,
+            utilization=0.0,
+            speculator_energy=(spec_compute_e, spec_buffer_e),
+            glb_words=dram_words + executed_macs // max(1, cfg.executor_cols),
+            dram_words=dram_words,
+        )

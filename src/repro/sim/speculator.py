@@ -81,11 +81,11 @@ class SpeculatorModel:
 
     def __init__(self, config: DuetConfig | None = None):
         self.config = config if config is not None else DuetConfig()
-        # fast-path memo: the cost methods are pure in (spec, reduction,
-        # flags) for a fixed config, and layer specs are frozen dataclasses,
-        # so repeated speculation of the same layer (every image, every
-        # time step) can reuse the finished SpeculationCost.  Shared cost
-        # objects must be treated as immutable by callers.
+        # the cost methods are pure in (spec, reduction, flags) for a
+        # fixed config, and layer specs are frozen dataclasses, so repeated
+        # speculation of the same layer (every image, every time step)
+        # reuses the finished SpeculationCost.  Shared cost objects must
+        # be treated as immutable by callers.
         self._memo: dict[tuple, SpeculationCost] = {}
 
     # -- CNN ---------------------------------------------------------------
@@ -101,10 +101,9 @@ class SpeculatorModel:
             with_reorder: include the adaptive-mapping Reorder Unit pass.
         """
         memo_key = ("cnn", spec, reduction, with_reorder)
-        if self.config.fast_path:
-            cached = self._memo.get(memo_key)
-            if cached is not None:
-                return cached
+        cached = self._memo.get(memo_key)
+        if cached is not None:
+            return cached
         cfg = self.config
         k = max(1, math.ceil(reduction * spec.receptive_field))
         positions = spec.out_h * spec.out_w
@@ -142,8 +141,7 @@ class SpeculatorModel:
             qdr_weight_reads=qdr_weight_reads,
             buffer_accesses=buffer_accesses,
         )
-        if self.config.fast_path:
-            self._memo[memo_key] = cost
+        self._memo[memo_key] = cost
         return cost
 
     # -- FC ----------------------------------------------------------------
@@ -156,10 +154,9 @@ class SpeculatorModel:
         channel imbalance).
         """
         memo_key = ("fc", spec, reduction)
-        if self.config.fast_path:
-            cached = self._memo.get(memo_key)
-            if cached is not None:
-                return cached
+        cached = self._memo.get(memo_key)
+        if cached is not None:
+            return cached
         cfg = self.config
         k = max(1, math.ceil(reduction * spec.in_features))
         n = spec.out_features
@@ -187,8 +184,7 @@ class SpeculatorModel:
             qdr_weight_reads=n * k,
             buffer_accesses=2 * k,
         )
-        if self.config.fast_path:
-            self._memo[memo_key] = cost
+        self._memo[memo_key] = cost
         return cost
 
     # -- RNN ---------------------------------------------------------------
@@ -201,10 +197,9 @@ class SpeculatorModel:
         GLB (paper Section III-B, Step 4).
         """
         memo_key = ("rnn", spec, reduction)
-        if self.config.fast_path:
-            cached = self._memo.get(memo_key)
-            if cached is not None:
-                return cached
+        cached = self._memo.get(memo_key)
+        if cached is not None:
+            return cached
         cfg = self.config
         kx = max(1, math.ceil(reduction * spec.input_size))
         kh = max(1, math.ceil(reduction * spec.hidden_size))
@@ -239,6 +234,5 @@ class SpeculatorModel:
             qdr_weight_reads=qdr_weight_reads,
             buffer_accesses=buffer_accesses,
         )
-        if self.config.fast_path:
-            self._memo[memo_key] = cost
+        self._memo[memo_key] = cost
         return cost

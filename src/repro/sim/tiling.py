@@ -149,7 +149,7 @@ def choose_tiling(spec: ConvSpec, glb_bytes: int) -> TilingChoice:
 
 @lru_cache(maxsize=4096)
 def choose_tiling_cached(spec: ConvSpec, glb_bytes: int) -> TilingChoice:
-    """Memoized :func:`choose_tiling` (the ``fast_path`` entry point).
+    """Memoized :func:`choose_tiling` (the CNN pipeline's entry point).
 
     The tiling search sweeps ``O(log C_out * log C_in)`` candidate points
     per call; a model sweep re-asks for the same ``(spec, glb_bytes)``

@@ -132,14 +132,20 @@ class TestFaultInjector:
         inj = FaultInjector(get_campaign("none"), seed=0)
         omap = (rng.random((4, 6, 6)) < 0.5).astype(np.int64)
         np.testing.assert_array_equal(inj.corrupt_omap(omap, 0), omap)
-        assert inj.dram_fault_model() is None
+        assert inj.dram_fault_stream() is None
         assert inj.stuck_rows(16) == frozenset()
         assert inj.total_injected == 0
 
-    def test_dram_fault_model_signature(self):
-        model = FaultInjector(get_campaign("dram-flaky"), seed=0).dram_fault_model()
-        outcome = model("read", 512, 0)
-        assert isinstance(outcome, bool)
+    def test_dram_fault_stream_draws(self):
+        """The channel fails at the campaign's rate, seeded per run."""
+        campaign = get_campaign("dram-flaky")
+        stream = FaultInjector(campaign, seed=0).dram_fault_stream()
+        twin = FaultInjector(campaign, seed=0).dram_fault_stream()
+        assert stream.rate == 0.15
+        draws = [stream.fails() for _ in range(200)]
+        assert all(isinstance(d, bool) for d in draws)
+        assert draws == [twin.fails() for _ in range(200)]
+        assert 0 < sum(draws) < 200
 
     def test_composed_campaign(self, rng):
         campaign = FaultCampaign(

@@ -33,7 +33,7 @@ def _oracle_failures(stream, n_transfers, max_retries):
     for _ in range(n_transfers):
         fails = 0
         for attempt in range(max_retries + 1):
-            if not stream.fails("read", 1, attempt):
+            if not stream.fails():
                 break
             fails += 1
         out.append(fails)
@@ -68,7 +68,7 @@ class TestFailuresParse:
             assert np.array_equal(
                 fast.failures(batch, 3), _oracle_failures(slow, batch, 3)
             )
-            assert fast.fails("read", 64, 0) == slow.fails("read", 64, 0)
+            assert fast.fails() == slow.fails()
 
     def test_zero_rate_shortcut(self):
         stream = DramFaultStream(np.random.default_rng(0), rate=0.0)

@@ -3,10 +3,16 @@
 import pytest
 
 from repro.models import get_model_spec
+from repro.models.registry import MODEL_REGISTRY
 from repro.sim import DuetAccelerator
-from repro.sim.config import DuetConfig, stage_config
+from repro.sim.config import STAGES, DuetConfig, stage_config
 from repro.sim.event import EventSimulator, Job, simulate_cnn_events
 from repro.workloads import cnn_workloads
+
+
+_ZOO_CNNS = [
+    name for name in MODEL_REGISTRY if get_model_spec(name).domain == "cnn"
+]
 
 
 class TestEventSimulator:
@@ -74,22 +80,15 @@ class TestEventSimulator:
 
 
 class TestPipelineValidation:
-    @pytest.mark.parametrize("model_name", ["alexnet", "resnet18"])
-    def test_event_schedule_matches_analytical_model(self, model_name):
+    @pytest.mark.parametrize("stage", STAGES)
+    @pytest.mark.parametrize("model_name", _ZOO_CNNS)
+    def test_event_schedule_matches_analytical_model(self, model_name, stage):
         """The analytical per-layer max() model and the event engine agree
-        on end-to-end latency within a few percent."""
+        on end-to-end latency within 15% for every zoo CNN at every
+        evaluation stage."""
         spec = get_model_spec(model_name)
         wl = cnn_workloads(spec)
-        cfg = stage_config("DUET")
-        analytical = DuetAccelerator(config=cfg).run(spec, workloads=wl)
-        event = simulate_cnn_events(spec, wl, cfg)
-        ratio = event.makespan / analytical.total_cycles
-        assert 0.85 < ratio < 1.15, ratio
-
-    def test_base_stage_agreement(self):
-        spec = get_model_spec("alexnet")
-        wl = cnn_workloads(spec)
-        cfg = stage_config("BASE")
+        cfg = stage_config(stage)
         analytical = DuetAccelerator(config=cfg).run(spec, workloads=wl)
         event = simulate_cnn_events(spec, wl, cfg)
         ratio = event.makespan / analytical.total_cycles

@@ -33,7 +33,7 @@ from repro.sim.pe import (
 )
 from repro.reliability.faults import DramFaultStream
 from repro.sim.dram import Dram, TransferRetryPolicy
-from repro.sim.pipeline import RnnPipeline, _gate_fetch, _gate_fetch_fast
+from repro.sim.pipeline import RnnPipeline
 from repro.workloads import SparsityModel, cnn_workloads, rnn_workloads
 from repro.workloads.sparsity import CnnLayerWorkload
 
@@ -609,10 +609,17 @@ class TestRnnPipelineFastPath:
             assert fast.layers == slow.layers
 
 
+def _read_each(dram, byte_counts):
+    """The per-transfer oracle of ``Dram.read_bulk``: one ``Dram.read``
+    per entry, in C order (time-step major, as the RNN gate loop runs)."""
+    cycles = [dram.read(int(n)) for n in byte_counts.ravel()]
+    return np.array(cycles, dtype=np.int64).reshape(byte_counts.shape)
+
+
 class TestGateFetchFastPath:
-    """``_gate_fetch_fast`` (``Dram.read_bulk``) vs the per-event
-    ``_gate_fetch`` oracle (PAR001 coverage), including a flaky channel
-    where both paths must consume the identical fault-draw sequence."""
+    """The RNN grid's batched weight fetch (``Dram.read_bulk``) vs one
+    ``Dram.read`` per transfer, including a flaky channel where both
+    paths must consume the identical fault-draw sequence."""
 
     @staticmethod
     def _dram(seed, rate):
@@ -633,8 +640,8 @@ class TestGateFetchFastPath:
         byte_counts = np.array(counts, dtype=np.int64)
         fast_dram = self._dram(seed, rate)
         slow_dram = self._dram(seed, rate)
-        fast = _gate_fetch_fast(fast_dram, byte_counts)
-        slow = _gate_fetch(slow_dram, byte_counts)
+        fast = fast_dram.read_bulk(byte_counts)
+        slow = _read_each(slow_dram, byte_counts)
         assert np.array_equal(fast, slow)
         for counter in (
             "bytes_read", "retries", "failed_transfers",
@@ -645,8 +652,8 @@ class TestGateFetchFastPath:
     def test_fault_free_channel_identical(self):
         byte_counts = np.arange(12, dtype=np.int64).reshape(3, 4) * 7
         fast_dram, slow_dram = Dram(bandwidth=64), Dram(bandwidth=64)
-        fast = _gate_fetch_fast(fast_dram, byte_counts)
-        slow = _gate_fetch(slow_dram, byte_counts)
+        fast = fast_dram.read_bulk(byte_counts)
+        slow = _read_each(slow_dram, byte_counts)
         assert np.array_equal(fast, slow)
         assert fast.shape == byte_counts.shape
         assert fast_dram.bytes_read == slow_dram.bytes_read
@@ -742,7 +749,7 @@ class TestFunctionalFastPath:
 
 
 class TestTilingFastPath:
-    """``choose_tiling_cached`` (the fast-path entry used by the CNN
+    """``choose_tiling_cached`` (the memoized entry used by the CNN
     pipeline's ``_conv_costs``) vs the uncached search."""
 
     @settings(deadline=None, max_examples=30)

@@ -68,6 +68,17 @@ class TestDram:
             Dram(16).read(-5)
 
 
+class _ScriptedFaults:
+    """A fault stream whose attempts fail as scripted (then succeed)."""
+
+    def __init__(self, *outcomes: bool, forever: bool = False):
+        self.outcomes = list(outcomes)
+        self.forever = forever
+
+    def fails(self) -> bool:
+        return self.outcomes.pop(0) if self.outcomes else self.forever
+
+
 class TestDramRetry:
     def test_no_fault_model_means_no_retries(self):
         dram = Dram(32)
@@ -80,8 +91,7 @@ class TestDramRetry:
         """First attempt fails, second succeeds: one retry, and the cycle
         count carries the base transfer, the wait, and the re-transfer."""
         policy = TransferRetryPolicy(max_retries=3, backoff_cycles=8)
-        fails_once = lambda direction, n, attempt: attempt == 0
-        dram = Dram(32, fault_model=fails_once, retry_policy=policy)
+        dram = Dram(32, retry_policy=policy, fault_stream=_ScriptedFaults(True))
         cycles = dram.read(64)
         base = 2  # 64 bytes / 32 per cycle
         assert dram.retries == 1
@@ -96,8 +106,9 @@ class TestDramRetry:
 
     def test_unrecoverable_after_max_retries(self):
         policy = TransferRetryPolicy(max_retries=2, backoff_cycles=1)
-        always_fails = lambda direction, n, attempt: True
-        dram = Dram(32, fault_model=always_fails, retry_policy=policy)
+        dram = Dram(
+            32, retry_policy=policy, fault_stream=_ScriptedFaults(forever=True)
+        )
         dram.write(64)
         assert dram.retries == 2
         assert dram.failed_transfers == 3  # initial + 2 retries
@@ -105,14 +116,12 @@ class TestDramRetry:
 
     def test_demand_traffic_excludes_retries(self):
         """bytes_read counts what the pipeline asked for, not re-sends."""
-        always_fails = lambda direction, n, attempt: True
-        dram = Dram(32, fault_model=always_fails)
+        dram = Dram(32, fault_stream=_ScriptedFaults(forever=True))
         dram.read(64)
         assert dram.bytes_read == 64
 
     def test_reset_clears_fault_counters(self):
-        fails_once = lambda direction, n, attempt: attempt == 0
-        dram = Dram(32, fault_model=fails_once)
+        dram = Dram(32, fault_stream=_ScriptedFaults(True))
         dram.read(64)
         dram.reset()
         assert dram.retries == 0

@@ -1,12 +1,17 @@
 """Tests for the CNN layer pipeline and RNN gate-level pipeline."""
 
 import dataclasses
+import hashlib
+import json
 
 import numpy as np
 import pytest
 
 from repro.models import get_model_spec
-from repro.sim.config import DuetConfig, stage_config
+from repro.models.registry import MODEL_REGISTRY
+from repro.reliability.context import GuardSettings, ReliabilityContext
+from repro.sim.accelerator import DuetAccelerator
+from repro.sim.config import STAGES, DuetConfig, stage_config
 from repro.sim.pipeline import CnnPipeline, RnnPipeline
 from repro.workloads import SparsityModel, cnn_workloads, rnn_workloads
 
@@ -136,3 +141,60 @@ class TestRnnPipeline:
         base = RnnPipeline(stage_config("BASE")).run(spec, wl)
         weights_bytes = spec.rnn_layers[0].weight_elements * 2
         assert base.layers[0].dram_bytes < weights_bytes * 2
+
+
+def _plain(value):
+    """``value`` with numpy scalars cast to int/float, so the JSON text
+    does not depend on how numpy spells its scalars."""
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, (float, np.floating)):
+        return float(value)
+    return value
+
+
+def _layers_digest(runs: dict) -> str:
+    """SHA-256 over a canonical JSON of every run's ``LayerReport`` list."""
+    doc = {
+        key: [_plain(dataclasses.asdict(layer)) for layer in report.layers]
+        for key, report in runs.items()
+    }
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _seed0_workloads(spec):
+    sparsity = SparsityModel(seed=0)
+    if spec.domain == "cnn":
+        return cnn_workloads(spec, sparsity, include_fc=True)
+    return rnn_workloads(spec, sparsity)
+
+
+class TestPinnedReports:
+    """Absolute per-layer reports, pinned by digest.
+
+    The fast and slow paths share the per-layer report builder, so the
+    fast==slow suites cannot see an error in it; this digest does.  It
+    covers every zoo model at every evaluation stage (CNN classifiers
+    included) plus a guarded flaky-DRAM campaign per domain.  A change
+    that moves any cycle, MAC or energy figure must re-pin it on purpose.
+    """
+
+    DIGEST = "42bcf880a8ebec047d4aaeed798c89a0f0557043b88bd8de643d682eadf750d6"
+
+    def test_zoo_and_flaky_campaign_reports_are_pinned(self):
+        runs = {}
+        for name in MODEL_REGISTRY:
+            spec = get_model_spec(name)
+            wl = _seed0_workloads(spec)
+            for stage in STAGES:
+                acc = DuetAccelerator(config=stage_config(stage))
+                runs[f"{name}/{stage}"] = acc.run(spec, wl)
+        for name in ("resnet18", "lstm"):
+            spec = get_model_spec(name)
+            ctx = ReliabilityContext("dram-flaky", seed=0, guards=GuardSettings())
+            acc = DuetAccelerator(reliability=ctx)
+            runs[f"dram-flaky/{name}"] = acc.run(spec, _seed0_workloads(spec))
+        assert _layers_digest(runs) == self.DIGEST
