@@ -212,7 +212,7 @@ class DramFaultStream:
     ``f`` leading failed attempts consumes ``min(f, R) + 1`` draws
     (its failures plus the success draw) unless it exhausts all
     ``R + 1`` attempts, which consumes exactly ``R + 1`` -- the same
-    accounting :meth:`repro.sim.dram.Dram._transfer` performs one
+    accounting :meth:`repro.sim.dram.Dram.read` performs one
     ``random()`` at a time.
     """
 

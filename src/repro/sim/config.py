@@ -6,7 +6,7 @@ The defaults reproduce the paper's design point:
   buffers and a MAC-instruction LUT.
 - Speculator: 16b->4b quantizer, ternary-projection adder trees, a 16x32
   INT4 systolic array (chosen by the Fig. 13a DSE), MFU, Reorder Unit.
-- GLB: 1 MB with 512 B/cycle of on-chip bandwidth.
+- GLB: 1 MB, ~10% of it reserved for Speculator data.
 - NoC: Eyeriss-style Y-bus driving 17 X-buses (16 Executor rows + 1 for
   the Speculator) with multicast (row, col) ID matching.
 - 1 GHz clock, so reported latencies in ms equal cycles / 1e6.
@@ -34,10 +34,8 @@ class DuetConfig:
         executor_rows / executor_cols: PE array geometry (16x16 default).
         speculator_rows / speculator_cols: INT4 systolic array geometry.
         glb_bytes: global buffer capacity.
-        glb_bandwidth: GLB bandwidth in bytes/cycle (Executor+Speculator).
         dram_bandwidth: off-chip bandwidth in bytes/cycle.
         clock_hz: clock frequency (1 GHz default).
-        executor_bits / speculator_bits: datapath widths.
         quantizer_throughput: 16b->4b conversions per cycle.
         adder_tree_lanes: parallel projection adder-tree lanes (each retires
             one reduced-dimension output element per cycle).
@@ -74,11 +72,8 @@ class DuetConfig:
     speculator_rows: int = 16
     speculator_cols: int = 32
     glb_bytes: int = 1 << 20
-    glb_bandwidth: int = 512
     dram_bandwidth: int = 32
     clock_hz: float = 1e9
-    executor_bits: int = 16
-    speculator_bits: int = 4
     quantizer_throughput: int = 32
     adder_tree_lanes: int = 16
     mfu_throughput: int = 16
@@ -100,11 +95,8 @@ class DuetConfig:
             "speculator_rows",
             "speculator_cols",
             "glb_bytes",
-            "glb_bandwidth",
             "dram_bandwidth",
             "clock_hz",
-            "executor_bits",
-            "speculator_bits",
             "quantizer_throughput",
             "adder_tree_lanes",
             "mfu_throughput",
@@ -130,24 +122,18 @@ class DuetConfig:
                     "the PE/systolic arrays, NoC multicast IDs and channel "
                     "tiling assume power-of-two geometry"
                 )
-        if self.speculator_bits >= self.executor_bits:
-            raise ValueError(
-                f"DuetConfig.speculator_bits ({self.speculator_bits}) must be "
-                f"narrower than executor_bits ({self.executor_bits}): the "
-                "Speculator is the reduced-precision module (paper "
-                "Section III-B)"
-            )
-        if self.glb_bytes % self.glb_bandwidth:
-            raise ValueError(
-                f"DuetConfig.glb_bytes ({self.glb_bytes}) must be a multiple "
-                f"of glb_bandwidth ({self.glb_bandwidth}): the GLB is banked "
-                "one bandwidth-width word per bank"
-            )
 
     @property
     def num_pes(self) -> int:
         """Total Executor PEs."""
         return self.executor_rows * self.executor_cols
+
+    @property
+    def tiling_glb_bytes(self) -> int:
+        """GLB bytes a CONV layer's loop tiling may use: ~10% of the GLB
+        is reserved for Speculator data (QDR weights, switching maps,
+        mapping configuration -- paper Section III-A)."""
+        return int(self.glb_bytes * 0.9)
 
     @property
     def speculator_macs_per_cycle(self) -> int:

@@ -1,10 +1,10 @@
-"""Off-chip DRAM model: bandwidth latency, access accounting, retries.
+"""Off-chip DRAM model: bandwidth latency and transfer retries.
 
 RNN execution is dominated by cyclically re-fetching weight matrices from
 DRAM (paper Section IV-B); the dynamic switching maps let DUET fetch only
 the rows belonging to sensitive output neurons.  This model converts byte
-traffic to cycles at a configured bandwidth and keeps cumulative counters
-for the energy model.
+traffic to cycles at a configured bandwidth; the pipelines bill DRAM
+energy from their own word counts.
 
 For the reliability layer (:mod:`repro.reliability`) the interface also
 models *flaky* channels: an optional fault stream may fail individual
@@ -93,16 +93,13 @@ class Dram:
 
     Attributes:
         bandwidth: bytes per cycle at the accelerator clock.
-        bytes_read / bytes_written: cumulative *useful* traffic counters
-            (retransmissions are charged as cycles, not counted as demand
-            traffic, so the energy model keeps billing logical accesses).
         retries: transfers that were re-issued after a fault.
         failed_transfers: individual transfer attempts that faulted.
         unrecoverable_transfers: transfers still faulty after
             ``retry_policy.max_retries`` re-issues.
-        retry_cycles: extra interface cycles spent on retransmission and
-            backoff (already included in the values ``read``/``write``
-            return).
+
+    Retransmission and backoff are charged as cycles in the values
+    ``read``/``write`` return.
     """
 
     def __init__(
@@ -118,23 +115,12 @@ class Dram:
         self.retry_policy = (
             retry_policy if retry_policy is not None else TransferRetryPolicy()
         )
-        self.bytes_read = 0
-        self.bytes_written = 0
         self.retries = 0
         self.failed_transfers = 0
         self.unrecoverable_transfers = 0
-        self.retry_cycles = 0
 
-    def reset(self) -> None:
-        """Zero the traffic and fault counters."""
-        self.bytes_read = 0
-        self.bytes_written = 0
-        self.retries = 0
-        self.failed_transfers = 0
-        self.unrecoverable_transfers = 0
-        self.retry_cycles = 0
-
-    def _transfer(self, num_bytes: int) -> int:
+    def read(self, num_bytes: int) -> int:
+        """One transfer; returns the cycles it occupies the interface."""
         if num_bytes < 0:
             raise ValueError("negative byte count")
         base = self.cycles_for(num_bytes)
@@ -148,25 +134,16 @@ class Dram:
             if attempt == self.retry_policy.max_retries:
                 self.unrecoverable_transfers += 1
                 return cycles
-            extra = self.retry_policy.wait_before(attempt) + base
             self.retries += 1
-            self.retry_cycles += extra
-            cycles += extra
-        return cycles
-
-    def read(self, num_bytes: int) -> int:
-        """Record a read; returns the cycles it occupies the interface."""
-        cycles = self._transfer(num_bytes)
-        self.bytes_read += num_bytes
+            cycles += self.retry_policy.wait_before(attempt) + base
         return cycles
 
     def read_bulk(self, byte_counts):
         """Vectorised :meth:`read` over an integer array of transfer sizes.
 
-        Fast-path helper: records every entry as one demand read and
-        returns the per-entry cycle counts -- identical counters and
-        cycles to calling :meth:`read` element by element, without the
-        per-event Python overhead.  On a flaky channel the batch
+        Fast-path helper: returns the per-entry cycle counts -- identical
+        counters and cycles to calling :meth:`read` element by element,
+        without the per-event Python overhead.  On a flaky channel the batch
         resolves every transfer's retry/backoff outcome vectorized from
         the same fault-stream draws the per-transfer path consumes, so
         counters and cycles stay bit-identical.
@@ -181,7 +158,6 @@ class Dram:
             raise ValueError("negative byte count")
         if self.fault_stream is not None:
             return self._read_bulk_flaky(byte_counts)
-        self.bytes_read += int(byte_counts.sum())
         return -(-byte_counts // self.bandwidth)
 
     def _read_bulk_flaky(self, byte_counts) -> np.ndarray:
@@ -190,14 +166,14 @@ class Dram:
         Transfer ``i`` with ``f`` leading failed attempts replays the
         per-event loop in closed form (``r = min(f, R)`` retries):
 
-        - ``retry_cycles`` gains ``base * r + backoff * (2^r - 1)``
-          (each retry re-issues the transfer after exponential backoff);
         - ``retries`` gains ``r``, ``failed_transfers`` gains ``f``, and
           ``f == R + 1`` marks the transfer unrecoverable;
-        - the returned cycles are ``base`` plus the retry cost.
+        - the returned cycles are ``base`` plus the retry cost
+          ``base * r + backoff * (2^r - 1)`` (each retry re-issues the
+          transfer after exponential backoff).
 
         Zero-byte entries never consult the fault stream, exactly like
-        the early return in :meth:`_transfer`.
+        the early return in :meth:`read`.
         """
         flat = np.asarray(byte_counts).ravel()
         base = -(-flat // self.bandwidth)
@@ -214,21 +190,11 @@ class Dram:
             self.retries += int(r.sum())
             self.failed_transfers += int(f.sum())
             self.unrecoverable_transfers += int((f > max_retries).sum())
-            self.retry_cycles += int(extra.sum())
             cycles[nonzero] += extra
-        self.bytes_read += int(flat.sum())
         return cycles.reshape(np.asarray(byte_counts).shape)
 
-    def write(self, num_bytes: int) -> int:
-        """Record a write; returns the cycles it occupies the interface."""
-        cycles = self._transfer(num_bytes)
-        self.bytes_written += num_bytes
-        return cycles
-
-    @property
-    def total_bytes(self) -> int:
-        """All demand traffic recorded so far."""
-        return self.bytes_read + self.bytes_written
+    #: a write occupies the interface exactly like a read
+    write = read
 
     def cycles_for(self, num_bytes: int) -> int:
         """Cycles to move ``num_bytes`` at the configured bandwidth."""

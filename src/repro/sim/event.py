@@ -137,11 +137,10 @@ def simulate_cnn_events(
     executor = ExecutorModel(cfg)
     speculator = SpeculatorModel(cfg)
     sim = EventSimulator()
-    usable_glb = int(cfg.glb_bytes * 0.9)
 
     for i, workload in enumerate(workloads):
         spec = workload.spec
-        tiling = choose_tiling(spec, usable_glb)
+        tiling = choose_tiling(spec, cfg.tiling_glb_bytes)
         dram_cycles = -(
             -(tiling.dram_total_words * BYTES_PER_ELEMENT) // cfg.dram_bandwidth
         )

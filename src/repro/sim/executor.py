@@ -18,7 +18,6 @@ import numpy as np
 from repro.core.cache import LAYER_COST_CACHE, caches_enabled
 from repro.models.layer_spec import RNNSpec
 from repro.sim.config import DuetConfig
-from repro.sim.mapping import adaptive_schedule, naive_schedule, schedule_cycles
 from repro.workloads.sparsity import CnnLayerWorkload
 
 __all__ = ["ExecutorModel", "CnnExecutionCost", "RnnGateCost"]
@@ -33,14 +32,12 @@ class CnnExecutionCost:
         executed_macs: INT16 MACs actually performed.
         dense_macs: MACs a no-skipping baseline performs.
         utilization: executed MACs over cycle-capacity of the array.
-        schedule: the channel groups executed per step.
     """
 
     cycles: int
     executed_macs: int
     dense_macs: int
     utilization: float
-    schedule: list[list[int]]
 
 
 @dataclass
@@ -152,14 +149,8 @@ class ExecutorModel:
             window_order = np.argsort(-window_counts, axis=0, kind="stable")
             order = np.repeat(window_order, window, axis=1)[:, :num_tiles]
             ordered = np.take_along_axis(tile_cycles, order, axis=0)
-            schedule = adaptive_schedule(
-                workload.channel_switch_counts(),
-                cfg.executor_rows,
-                buckets=cfg.reorder_buckets,
-            )
         else:
             ordered = tile_cycles
-            schedule = naive_schedule(spec.out_channels, cfg.executor_rows)
         # PE rows synchronise at every (group, spatial-tile) step; the step
         # lasts as long as its slowest row.
         rows = cfg.executor_rows
@@ -177,7 +168,6 @@ class ExecutorModel:
             executed_macs=executed,
             dense_macs=spec.macs,
             utilization=utilization,
-            schedule=schedule,
         )
 
     def _cnn_layer_fast(self, workload: CnnLayerWorkload) -> CnnExecutionCost:
@@ -248,7 +238,6 @@ class ExecutorModel:
             dense_cycles = -(-spec.receptive_field // cfg.executor_cols)
             num_groups = -(-spec.out_channels // rows)
             cycles = num_groups * positions * dense_cycles
-            schedule = naive_schedule(spec.out_channels, rows)
         else:
             tile_cycles = workload.channel_tile_cycles_fast(
                 cfg.executor_cols, in_sw, cfg.executor_step_positions
@@ -262,16 +251,8 @@ class ExecutorModel:
                     cfg.executor_step_positions, window, cfg.reorder_buckets
                 )
                 ordered = _window_gather(tile_cycles, window_order, window)
-                schedule = adaptive_schedule(
-                    workload.channel_tile_switch_counts_fast(
-                        cfg.executor_step_positions
-                    ).sum(axis=1),
-                    rows,
-                    buckets=cfg.reorder_buckets,
-                )
             else:
                 ordered = tile_cycles
-                schedule = naive_schedule(spec.out_channels, rows)
             cycles = _step_total(ordered, rows)
         executed = workload.executed_macs_total(out_sw, in_sw)
         capacity = float(cycles) * cfg.executor_rows * cfg.executor_cols
@@ -281,12 +262,25 @@ class ExecutorModel:
             executed_macs=executed,
             dense_macs=spec.macs,
             utilization=utilization,
-            schedule=schedule,
         )
         workload._slice_cache[key] = cost
         if memo_key is not None:
             LAYER_COST_CACHE.put(memo_key, cost)
         return cost
+
+    def gemv_cycles(self, rows, row_len: int):
+        """Executor cycles of a sparse GEMV over ``rows`` weight rows.
+
+        Each PE row computes one ``row_len``-long dot product split across
+        the row's PEs, plus a log-depth cross-PE reduction; the array takes
+        ``ceil(rows / executor_rows)`` row-waves.  ``rows`` is an int or an
+        int64 array (one GEMV per entry).
+        """
+        cfg = self.config
+        wave_cycles = -(-row_len // cfg.executor_cols) + math.ceil(
+            math.log2(max(2, cfg.executor_cols))
+        )
+        return -(-rows // cfg.executor_rows) * wave_cycles
 
     def fc_layer(self, spec, sensitive_rows: int, input_nonzeros: int | None = None):
         """Execute one FC layer's sparse GEMV (one input vector).
@@ -298,23 +292,20 @@ class ExecutorModel:
         Returns:
             An :class:`RnnGateCost` (the account is structurally the same).
         """
-        cfg = self.config
         if not 0 <= sensitive_rows <= spec.out_features:
             raise ValueError(
                 f"sensitive_rows {sensitive_rows} outside [0, {spec.out_features}]"
             )
         row_len = spec.in_features
-        effective_len = (
-            input_nonzeros if input_nonzeros is not None else row_len
-        )
-        waves = math.ceil(sensitive_rows / cfg.executor_rows)
-        wave_cycles = math.ceil(effective_len / cfg.executor_cols) + math.ceil(
-            math.log2(max(2, cfg.executor_cols))
-        )
-        executed = sensitive_rows * effective_len
+        if input_nonzeros is None:
+            input_nonzeros = row_len
+        elif not 0 <= input_nonzeros <= row_len:
+            raise ValueError(
+                f"input_nonzeros {input_nonzeros} outside [0, {row_len}]"
+            )
         return RnnGateCost(
-            compute_cycles=waves * wave_cycles if sensitive_rows else 0,
-            executed_macs=executed,
+            compute_cycles=self.gemv_cycles(sensitive_rows, input_nonzeros),
+            executed_macs=sensitive_rows * input_nonzeros,
             dense_macs=spec.out_features * row_len,
             weight_words=sensitive_rows * row_len,
         )
@@ -323,42 +314,22 @@ class ExecutorModel:
         """Execute one gate's sparse GEMV.
 
         Each PE row handles one sensitive output neuron's dot product of
-        length ``D + H`` split across the row's PEs; ``ceil(sens / rows)``
-        row-waves are needed.
+        length ``D + H`` (:meth:`gemv_cycles`).
 
         Args:
             spec: the recurrent layer shape.
             sensitive_rows: neurons the switching map marks sensitive (the
                 dense case passes ``hidden_size``).
         """
-        cfg = self.config
         if not 0 <= sensitive_rows <= spec.hidden_size:
             raise ValueError(
                 f"sensitive_rows {sensitive_rows} outside [0, {spec.hidden_size}]"
             )
         row_len = spec.input_size + spec.hidden_size
-        waves = math.ceil(sensitive_rows / cfg.executor_rows)
-        # one wave: each row accumulates row_len MACs over cols PEs, plus a
-        # log-depth cross-PE reduction
-        wave_cycles = math.ceil(row_len / cfg.executor_cols) + math.ceil(
-            math.log2(max(2, cfg.executor_cols))
-        )
         executed = sensitive_rows * row_len
         return RnnGateCost(
-            compute_cycles=waves * wave_cycles,
+            compute_cycles=self.gemv_cycles(sensitive_rows, row_len),
             executed_macs=executed,
             dense_macs=spec.hidden_size * row_len,
             weight_words=executed,
         )
-
-    def cycles_for(
-        self, channel_cycles: np.ndarray, adaptive: bool
-    ) -> int:
-        """Convenience: total cycles for raw per-channel row cycles."""
-        cfg = self.config
-        cycles = np.asarray(channel_cycles)
-        if adaptive:
-            schedule = adaptive_schedule(cycles, cfg.executor_rows)
-        else:
-            schedule = naive_schedule(cycles.shape[0], cfg.executor_rows)
-        return schedule_cycles(cycles, schedule)

@@ -15,7 +15,6 @@ Implements paper Section IV:
 
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -25,7 +24,6 @@ from repro.sim.config import DuetConfig
 from repro.sim.dram import Dram
 from repro.sim.energy import EnergyBreakdown, EnergyModel
 from repro.sim.executor import ExecutorModel
-from repro.sim.glb import GlobalBuffer
 from repro.sim.report import LayerReport, ModelReport
 from repro.sim.speculator import SpeculatorModel
 from repro.sim.tiling import choose_tiling_cached
@@ -68,7 +66,7 @@ class _UnitCache:
 class _Pipeline:
     """The per-layer account both dataflows share.
 
-    Owns the layer loop -- DRAM/GLB set-up, the reliability context's
+    Owns the layer loop -- DRAM set-up, the reliability context's
     degradation rung and guard hook, the report -- and the one builder
     that turns a layer's cycles, MACs and traffic into its
     :class:`LayerReport`.  Subclasses price one layer in :meth:`_layer`.
@@ -105,7 +103,6 @@ class _Pipeline:
         cfg = self.config
         ctx = self.reliability
         dram = ctx.make_dram(cfg.dram_bandwidth) if ctx else Dram(cfg.dram_bandwidth)
-        glb = GlobalBuffer(cfg.glb_bytes, cfg.glb_bandwidth)
         report = ModelReport(model.name, cfg)
 
         for i, workload in enumerate(workloads):
@@ -116,7 +113,7 @@ class _Pipeline:
             if ctx:
                 workload = self._guard(ctx, i, workload, cfg_now)
             upcoming = workloads[i + 1] if i + 1 < len(workloads) else None
-            report.layers.append(self._layer(workload, upcoming, cfg_now, dram, glb))
+            report.layers.append(self._layer(workload, upcoming, cfg_now, dram))
             if ctx:
                 ctx.finalize_layer(workload.spec.name)
         if ctx:
@@ -127,9 +124,7 @@ class _Pipeline:
         """``workload`` after the context's fault injector and guards."""
         raise NotImplementedError
 
-    def _layer(
-        self, workload, upcoming, cfg: DuetConfig, dram: Dram, glb: GlobalBuffer
-    ) -> LayerReport:
+    def _layer(self, workload, upcoming, cfg: DuetConfig, dram: Dram) -> LayerReport:
         """Price one layer; ``upcoming`` is the next layer's workload or None."""
         raise NotImplementedError
 
@@ -190,9 +185,7 @@ class CnnPipeline(_Pipeline):
         """
         executor, _ = self._units(cfg)
         cost = executor.cnn_layer(workload)
-        # ~10% of the GLB is reserved for Speculator data (QDR weights,
-        # switching maps, mapping configuration -- paper Section III-A)
-        tiling = choose_tiling_cached(workload.spec, int(cfg.glb_bytes * 0.9))
+        tiling = choose_tiling_cached(workload.spec, cfg.tiling_glb_bytes)
         return (
             cost.cycles,
             cost.executed_macs,
@@ -228,7 +221,7 @@ class CnnPipeline(_Pipeline):
             write_words,
         )
 
-    def _layer(self, workload, upcoming, cfg, dram, glb):
+    def _layer(self, workload, upcoming, cfg, dram):
         spec = workload.spec
         speculation_on = cfg.enable_output_switching
         if isinstance(workload, FcLayerWorkload):
@@ -262,7 +255,6 @@ class CnnPipeline(_Pipeline):
         glb_words = dram_words + (
             spec.output_elements // 8 if speculation_on else 0
         )  # switching-map bits
-        glb.read(glb_words * BYTES_PER_ELEMENT)
 
         if cfg.enable_pipeline:
             compute_cycles = max(exec_cycles, spec_cycles)
@@ -310,16 +302,14 @@ class RnnPipeline(_Pipeline):
         flaky channel's retries from the same fault-stream draws the
         per-transfer reads consume.
         """
+        executor, _ = self._units(cfg)
         row_len = spec.input_size + spec.hidden_size
-        wave_cycles = math.ceil(row_len / cfg.executor_cols) + math.ceil(
-            math.log2(max(2, cfg.executor_cols))
-        )
         executed = counts * row_len
         fetch_words = executed.copy()
         if resident:
             fetch_words[1:, :] = 0
         fetch_cycles = dram.read_bulk(fetch_words * BYTES_PER_ELEMENT)
-        compute = -(-counts // cfg.executor_rows) * wave_cycles
+        compute = executor.gemv_cycles(counts, row_len)
         return compute, executed, fetch_words, fetch_cycles
 
     def _gate_loop(self, spec, counts, resident: bool, cfg: DuetConfig, dram: Dram):
@@ -340,12 +330,13 @@ class RnnPipeline(_Pipeline):
             )
         return tuple(grid)
 
-    def _layer(self, workload, upcoming, cfg, dram, glb):
+    def _layer(self, workload, upcoming, cfg, dram):
         spec = workload.spec
         switching = cfg.enable_output_switching
         row_len = spec.input_size + spec.hidden_size
-        resident = glb.fits(
+        resident = (
             spec.hidden_size * row_len * BYTES_PER_ELEMENT * spec.num_gates
+            <= cfg.glb_bytes
         )
         if switching:
             counts = workload.sensitive_counts.astype(np.int64)
@@ -359,8 +350,6 @@ class RnnPipeline(_Pipeline):
         )
         dram_words = int(fetch_words.sum())
         executed_macs = int(executed.sum())
-        glb.write(dram_words * BYTES_PER_ELEMENT)
-        glb.read(executed_macs * BYTES_PER_ELEMENT)
 
         spec_cycles = 0
         exposed = 0

@@ -88,7 +88,48 @@ class SpeculatorModel:
         # be treated as immutable by callers.
         self._memo: dict[tuple, SpeculationCost] = {}
 
-    # -- CNN ---------------------------------------------------------------
+    def _cost(
+        self,
+        key: tuple,
+        *,
+        projected: int,
+        quantize_ops: int,
+        additions: int,
+        int4_macs: int,
+        mfu_ops: int,
+        reorder_bit_adds: int,
+        qdr_weight_reads: int,
+        buffer_accesses: int,
+    ) -> SpeculationCost:
+        """The memoized :class:`SpeculationCost` of one task from its op counts.
+
+        ``projected`` reduced-dimension elements pass the adder trees.  The
+        five stages pipeline over tiles, so the task takes its slowest
+        stage plus the systolic array's ``rows + cols`` fill.
+        """
+        cost = self._memo.get(key)
+        if cost is not None:
+            return cost
+        cfg = self.config
+        stage = {
+            "quantize": math.ceil(quantize_ops / cfg.quantizer_throughput),
+            "project": math.ceil(projected / cfg.adder_tree_lanes),
+            "systolic": math.ceil(int4_macs / cfg.speculator_macs_per_cycle),
+            "mfu": math.ceil(mfu_ops / cfg.mfu_throughput),
+            "reorder": math.ceil(reorder_bit_adds / cfg.reorder_unit_adders),
+        }
+        cost = self._memo[key] = SpeculationCost(
+            cycles=max(stage.values()) + cfg.speculator_rows + cfg.speculator_cols,
+            stage_cycles=stage,
+            int4_macs=int4_macs,
+            additions=additions,
+            quantize_ops=quantize_ops,
+            mfu_ops=mfu_ops,
+            reorder_bit_adds=reorder_bit_adds,
+            qdr_weight_reads=qdr_weight_reads,
+            buffer_accesses=buffer_accesses,
+        )
+        return cost
 
     def cnn_layer(
         self, spec: ConvSpec, reduction: float, with_reorder: bool
@@ -100,51 +141,19 @@ class SpeculatorModel:
             reduction: reduced-dimension ratio ``k / (C_in * k_h * k_w)``.
             with_reorder: include the adaptive-mapping Reorder Unit pass.
         """
-        memo_key = ("cnn", spec, reduction, with_reorder)
-        cached = self._memo.get(memo_key)
-        if cached is not None:
-            return cached
-        cfg = self.config
         k = max(1, math.ceil(reduction * spec.receptive_field))
         positions = spec.out_h * spec.out_w
-        outputs = spec.output_elements
-
-        quantize_ops = spec.input_elements
-        additions = int(positions * k * spec.receptive_field * _PROJECTION_DENSITY)
-        int4_macs = positions * k * spec.out_channels
-        mfu_ops = outputs
-        reorder_bit_adds = outputs if with_reorder else 0
-
-        stage = {
-            "quantize": math.ceil(quantize_ops / cfg.quantizer_throughput),
-            "project": math.ceil(positions * k / cfg.adder_tree_lanes),
-            "systolic": math.ceil(int4_macs / cfg.speculator_macs_per_cycle),
-            "mfu": math.ceil(mfu_ops / cfg.mfu_throughput),
-            "reorder": (
-                math.ceil(reorder_bit_adds / cfg.reorder_unit_adders)
-                if with_reorder
-                else 0
-            ),
-        }
-        fill = cfg.speculator_rows + cfg.speculator_cols
-        cycles = max(stage.values()) + fill
-        qdr_weight_reads = k * spec.out_channels
-        buffer_accesses = 2 * positions * k  # QDR input write + read
-        cost = SpeculationCost(
-            cycles=cycles,
-            stage_cycles=stage,
-            int4_macs=int4_macs,
-            additions=additions,
-            quantize_ops=quantize_ops,
-            mfu_ops=mfu_ops,
-            reorder_bit_adds=reorder_bit_adds,
-            qdr_weight_reads=qdr_weight_reads,
-            buffer_accesses=buffer_accesses,
+        return self._cost(
+            ("cnn", spec, reduction, with_reorder),
+            projected=positions * k,
+            quantize_ops=spec.input_elements,
+            additions=int(positions * k * spec.receptive_field * _PROJECTION_DENSITY),
+            int4_macs=positions * k * spec.out_channels,
+            mfu_ops=spec.output_elements,
+            reorder_bit_adds=spec.output_elements if with_reorder else 0,
+            qdr_weight_reads=k * spec.out_channels,
+            buffer_accesses=2 * positions * k,  # QDR input write + read
         )
-        self._memo[memo_key] = cost
-        return cost
-
-    # -- FC ----------------------------------------------------------------
 
     def fc_layer(self, spec, reduction: float) -> SpeculationCost:
         """Speculation cost for one FC layer (one input vector).
@@ -153,86 +162,42 @@ class SpeculatorModel:
         insensitive outputs) and no Reorder Unit (row mapping has no
         channel imbalance).
         """
-        memo_key = ("fc", spec, reduction)
-        cached = self._memo.get(memo_key)
-        if cached is not None:
-            return cached
-        cfg = self.config
         k = max(1, math.ceil(reduction * spec.in_features))
         n = spec.out_features
-
-        quantize_ops = spec.in_features
-        additions = int(k * spec.in_features * _PROJECTION_DENSITY)
-        int4_macs = n * k
-        mfu_ops = n
-        stage = {
-            "quantize": math.ceil(quantize_ops / cfg.quantizer_throughput),
-            "project": math.ceil(k / cfg.adder_tree_lanes),
-            "systolic": math.ceil(int4_macs / cfg.speculator_macs_per_cycle),
-            "mfu": math.ceil(mfu_ops / cfg.mfu_throughput),
-            "reorder": 0,
-        }
-        fill = cfg.speculator_rows + cfg.speculator_cols
-        cost = SpeculationCost(
-            cycles=max(stage.values()) + fill,
-            stage_cycles=stage,
-            int4_macs=int4_macs,
-            additions=additions,
-            quantize_ops=quantize_ops,
-            mfu_ops=mfu_ops,
+        return self._cost(
+            ("fc", spec, reduction),
+            projected=k,
+            quantize_ops=spec.in_features,
+            additions=int(k * spec.in_features * _PROJECTION_DENSITY),
+            int4_macs=n * k,
+            mfu_ops=n,
             reorder_bit_adds=0,
             qdr_weight_reads=n * k,
             buffer_accesses=2 * k,
         )
-        self._memo[memo_key] = cost
-        return cost
-
-    # -- RNN ---------------------------------------------------------------
 
     def rnn_gate(self, spec: RNNSpec, reduction: float) -> SpeculationCost:
         """Speculation cost for one gate of one time step.
 
         Includes the RNN-only dequantizer work: approximate results for
         insensitive neurons are converted back to 16-bit and stored to the
-        GLB (paper Section III-B, Step 4).
+        GLB (paper Section III-B, Step 4).  The RNN dataflow has no
+        imbalance, so the Reorder Unit is bypassed.
         """
-        memo_key = ("rnn", spec, reduction)
-        cached = self._memo.get(memo_key)
-        if cached is not None:
-            return cached
-        cfg = self.config
         kx = max(1, math.ceil(reduction * spec.input_size))
         kh = max(1, math.ceil(reduction * spec.hidden_size))
         h = spec.hidden_size
-
-        quantize_ops = spec.input_size + spec.hidden_size + h  # in + hidden + dequant
-        additions = int(
-            (kx * spec.input_size + kh * spec.hidden_size) * _PROJECTION_DENSITY
-        )
-        int4_macs = h * (kx + kh)
-        mfu_ops = h
-
-        stage = {
-            "quantize": math.ceil(quantize_ops / cfg.quantizer_throughput),
-            "project": math.ceil((kx + kh) / cfg.adder_tree_lanes),
-            "systolic": math.ceil(int4_macs / cfg.speculator_macs_per_cycle),
-            "mfu": math.ceil(mfu_ops / cfg.mfu_throughput),
-            "reorder": 0,  # RNN dataflow has no imbalance; reorder bypassed
-        }
-        fill = cfg.speculator_rows + cfg.speculator_cols
-        cycles = max(stage.values()) + fill
-        qdr_weight_reads = h * (kx + kh)
-        buffer_accesses = 2 * (kx + kh) + h  # QDR input r/w + approx store
-        cost = SpeculationCost(
-            cycles=cycles,
-            stage_cycles=stage,
-            int4_macs=int4_macs,
-            additions=additions,
-            quantize_ops=quantize_ops,
-            mfu_ops=mfu_ops,
+        return self._cost(
+            ("rnn", spec, reduction),
+            projected=kx + kh,
+            # input + hidden quantization, plus the dequantizer
+            quantize_ops=spec.input_size + spec.hidden_size + h,
+            additions=int(
+                (kx * spec.input_size + kh * spec.hidden_size) * _PROJECTION_DENSITY
+            ),
+            int4_macs=h * (kx + kh),
+            mfu_ops=h,
             reorder_bit_adds=0,
-            qdr_weight_reads=qdr_weight_reads,
-            buffer_accesses=buffer_accesses,
+            qdr_weight_reads=h * (kx + kh),
+            buffer_accesses=2 * (kx + kh) + h,  # QDR input r/w + approx store
         )
-        self._memo[memo_key] = cost
-        return cost

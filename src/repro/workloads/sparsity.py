@@ -575,10 +575,6 @@ class CnnLayerWorkload:
         flat_omap = self.omap.reshape(self.spec.out_channels, -1)
         return flat_omap.astype(np.float64) @ costs
 
-    def channel_switch_counts(self) -> np.ndarray:
-        """Per-channel switching-index sums (layer-level Reorder view)."""
-        return self.omap.reshape(self.spec.out_channels, -1).sum(axis=1)
-
     def channel_tile_switch_counts(self, tile_positions: int) -> np.ndarray:
         """Switching-index sums per (channel, tile), shape ``(C_out, S)``.
 
@@ -631,6 +627,10 @@ class FcLayerWorkload:
             raise ValueError(
                 f"imap shape {self.imap.shape} != ({self.spec.in_features},)"
             )
+        # both maps are summed as row and MAC counts
+        for name, array in (("omap", self.omap), ("imap", self.imap)):
+            if not _is_binary(array):
+                raise ValueError(f"{name} holds values outside {{0, 1}}")
 
     @property
     def sensitive_count(self) -> int:
@@ -667,6 +667,12 @@ class RnnLayerWorkload:
         if self.sensitive_counts.shape != expected:
             raise ValueError(
                 f"sensitive_counts shape {self.sensitive_counts.shape} != {expected}"
+            )
+        # a float count truncates, and NaN passes the range check below
+        if self.sensitive_counts.dtype.kind not in "iu":
+            raise ValueError(
+                "sensitive_counts must hold integers, got dtype "
+                f"{self.sensitive_counts.dtype}"
             )
         if self.sensitive_counts.min() < 0 or self.sensitive_counts.max() > self.spec.hidden_size:
             raise ValueError("sensitive counts out of [0, hidden_size]")

@@ -27,7 +27,7 @@ from repro.sim.config import DuetConfig
 
 
 def _oracle_failures(stream, n_transfers, max_retries):
-    """Failure counts via the per-event retry loop ``Dram._transfer``
+    """Failure counts via the per-event retry loop ``Dram.read``
     runs: draw until a success or until the attempt budget is spent."""
     out = []
     for _ in range(n_transfers):

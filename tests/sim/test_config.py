@@ -13,7 +13,6 @@ class TestDuetConfig:
         assert cfg.num_pes == 256
         assert cfg.speculator_macs_per_cycle == 16 * 32
         assert cfg.glb_bytes == 1 << 20
-        assert cfg.glb_bandwidth == 512
         assert cfg.clock_hz == 1e9
 
     def test_cycles_to_ms(self):
@@ -24,7 +23,7 @@ class TestDuetConfig:
         with pytest.raises(ValueError, match="positive"):
             DuetConfig(executor_rows=0)
         with pytest.raises(ValueError, match="positive"):
-            DuetConfig(glb_bandwidth=-1)
+            DuetConfig(glb_bytes=-1)
 
     def test_error_names_field_and_value(self):
         """Validation messages say which field broke and what it held."""
@@ -44,18 +43,6 @@ class TestDuetConfig:
                 DuetConfig(**{field: 12})
         # powers of two build fine at any scale
         DuetConfig(executor_rows=4, executor_cols=64)
-
-    def test_speculator_must_be_narrower_than_executor(self):
-        with pytest.raises(ValueError, match="speculator_bits"):
-            DuetConfig(speculator_bits=16)  # == executor_bits
-        with pytest.raises(ValueError, match="narrower"):
-            DuetConfig(executor_bits=8, speculator_bits=12)
-        DuetConfig(executor_bits=8, speculator_bits=4)
-
-    def test_glb_must_divide_into_banks(self):
-        with pytest.raises(ValueError, match="glb_bytes"):
-            DuetConfig(glb_bytes=1000, glb_bandwidth=512)
-        DuetConfig(glb_bytes=1024, glb_bandwidth=512)
 
     def test_frozen(self):
         cfg = DuetConfig()

@@ -32,6 +32,12 @@ class TestFcWorkload:
                 np.zeros(5, dtype=np.uint8),
                 np.zeros(9216, dtype=np.uint8),
             )
+        # non-binary maps would be priced as extra (or negative) MACs
+        ones = np.ones(4096, dtype=np.int64)
+        with pytest.raises(ValueError, match="imap holds values outside"):
+            FcLayerWorkload(fc_spec, ones, np.full(9216, 2))
+        with pytest.raises(ValueError, match="omap holds values outside"):
+            FcLayerWorkload(fc_spec, -ones, np.ones(9216, dtype=np.int64))
 
     def test_counts(self, fc_workload):
         assert fc_workload.sensitive_count == int(fc_workload.omap.sum())
@@ -79,6 +85,9 @@ class TestFcExecution:
     def test_out_of_range(self, fc_spec):
         with pytest.raises(ValueError, match="outside"):
             ExecutorModel().fc_layer(fc_spec, 5000)
+        for nonzeros in (-1, 9217):
+            with pytest.raises(ValueError, match="input_nonzeros"):
+                ExecutorModel().fc_layer(fc_spec, 2048, input_nonzeros=nonzeros)
 
     def test_speculation_cost(self, fc_spec):
         cost = SpeculatorModel().fc_layer(fc_spec, 0.125)

@@ -1,65 +1,19 @@
-"""Tests for the GLB, DRAM, and NoC models."""
+"""Tests for the DRAM and NoC models."""
 
 import pytest
 
 from repro.sim.dram import Dram, TransferRetryPolicy, shared_channel_cycles
-from repro.sim.glb import GlobalBuffer
 from repro.sim.noc import MulticastNoc, interchip_transfer_cycles
-
-
-class TestGlobalBuffer:
-    def test_traffic_counters(self):
-        glb = GlobalBuffer(capacity=1 << 20, bandwidth=512)
-        glb.read(1000)
-        glb.write(500)
-        assert glb.bytes_read == 1000
-        assert glb.bytes_written == 500
-        assert glb.total_bytes == 1500
-
-    def test_cycles_for(self):
-        glb = GlobalBuffer(capacity=1 << 20, bandwidth=512)
-        assert glb.cycles_for(512) == 1
-        assert glb.cycles_for(513) == 2
-
-    def test_fits_decides_rnn_streaming(self):
-        """Paper Section IV-B: a 1024-cell LSTM gate is 2 MB at 16 bits --
-        it does not fit in the 1 MB GLB, forcing per-step DRAM streaming."""
-        glb = GlobalBuffer(capacity=1 << 20, bandwidth=512)
-        gate_bytes = 1024 * 2048 * 2
-        assert not glb.fits(gate_bytes)
-        small_gate = 128 * 256 * 2
-        assert glb.fits(small_gate)
-
-    def test_reset(self):
-        glb = GlobalBuffer(1024, 16)
-        glb.read(100)
-        glb.reset()
-        assert glb.total_bytes == 0
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="positive"):
-            GlobalBuffer(0, 512)
-        glb = GlobalBuffer(1024, 16)
-        with pytest.raises(ValueError, match="negative"):
-            glb.read(-1)
 
 
 class TestDram:
     def test_read_returns_cycles(self):
         dram = Dram(bandwidth=32)
         assert dram.read(64) == 2
-        assert dram.bytes_read == 64
 
     def test_write(self):
         dram = Dram(bandwidth=32)
         assert dram.write(33) == 2
-        assert dram.bytes_written == 33
-
-    def test_total(self):
-        dram = Dram(16)
-        dram.read(10)
-        dram.write(20)
-        assert dram.total_bytes == 30
 
     def test_validation(self):
         with pytest.raises(ValueError, match="positive"):
@@ -98,7 +52,6 @@ class TestDramRetry:
         assert dram.failed_transfers == 1
         assert dram.unrecoverable_transfers == 0
         assert cycles == base + policy.wait_before(0) + base
-        assert dram.retry_cycles == policy.wait_before(0) + base
 
     def test_backoff_is_exponential(self):
         policy = TransferRetryPolicy(max_retries=4, backoff_cycles=8)
@@ -113,20 +66,6 @@ class TestDramRetry:
         assert dram.retries == 2
         assert dram.failed_transfers == 3  # initial + 2 retries
         assert dram.unrecoverable_transfers == 1
-
-    def test_demand_traffic_excludes_retries(self):
-        """bytes_read counts what the pipeline asked for, not re-sends."""
-        dram = Dram(32, fault_stream=_ScriptedFaults(forever=True))
-        dram.read(64)
-        assert dram.bytes_read == 64
-
-    def test_reset_clears_fault_counters(self):
-        dram = Dram(32, fault_stream=_ScriptedFaults(True))
-        dram.read(64)
-        dram.reset()
-        assert dram.retries == 0
-        assert dram.retry_cycles == 0
-        assert dram.failed_transfers == 0
 
 
 class TestMulticastNoc:

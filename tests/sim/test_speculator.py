@@ -33,6 +33,13 @@ class TestCnnSpeculation:
         assert without.stage_cycles["reorder"] == 0
         assert with_r.int4_macs == without.int4_macs
 
+    def test_reorder_cycle_model(self, conv_spec):
+        cost = SpeculatorModel().cnn_layer(conv_spec, 0.25, True)
+        # one switching bit per output, reorder_unit_adders bits per cycle
+        assert cost.stage_cycles["reorder"] == -(
+            -conv_spec.output_elements // DuetConfig().reorder_unit_adders
+        )
+
     def test_bigger_systolic_array_faster(self, conv_spec):
         small = SpeculatorModel(DuetConfig().scaled_speculator(8, 8))
         big = SpeculatorModel(DuetConfig().scaled_speculator(32, 32))
