@@ -1,8 +1,13 @@
-"""Stateless tensor functions: activations, im2col/col2im, softmax.
+"""Stateless tensor functions: activations, the conv lowering, softmax.
 
 These are the numerical primitives the rest of :mod:`repro.nn` (and the
 dual-module algorithm in :mod:`repro.core`) are built from.  All functions
 take and return ``numpy.ndarray`` and never mutate their inputs.
+
+The conv lowering is tap-major: :func:`unfold` writes each kernel tap as
+one contiguous row, :func:`fold` adds them back, and ``Conv2d`` and the
+pooling layers train on them.  :func:`im2col`/:func:`col2im`, the
+row-major layout :mod:`repro.core` and the simulator read, transpose them.
 """
 
 from __future__ import annotations
@@ -18,6 +23,9 @@ __all__ = [
     "tanh_grad",
     "softmax",
     "log_softmax",
+    "tap_views",
+    "unfold",
+    "fold",
     "im2col",
     "col2im",
     "conv_output_size",
@@ -84,40 +92,64 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return out
 
 
+def tap_views(
+    x: np.ndarray, kernel: tuple[int, int], stride: int = 1, padding: int = 0, value: float = 0.0
+) -> list[np.ndarray]:
+    """The strided ``(C, N, H', W')`` view under each kernel tap, in
+    row-major tap order, of NCHW ``x`` bordered by ``padding`` cells of
+    ``value``.  Views of ``x`` itself when unpadded."""
+    out_h, out_w = (conv_output_size(d, k, stride, padding) for d, k in zip(x.shape[2:], kernel))
+    x = x.transpose(1, 0, 2, 3)
+    if padding:
+        x = np.pad(x, ((0, 0), (0, 0), (padding,) * 2, (padding,) * 2), constant_values=value)
+    rows = [slice(i, i + stride * out_h, stride) for i in range(kernel[0])]
+    cols = [slice(j, j + stride * out_w, stride) for j in range(kernel[1])]
+    return [x[:, :, r, c] for r in rows for c in cols]
+
+
+def unfold(
+    x: np.ndarray, kernel: tuple[int, int], stride: int = 1, padding: int = 0
+) -> np.ndarray:
+    """Tap-major lowering of NCHW ``x`` (the paper's CONV-to-GEMM, Section
+    II-B): the C-contiguous ``(C * kh * kw, N * H' * W')`` matrix whose row
+    ``(c, i, j)`` is tap ``(i, j)`` of channel ``c`` at every output position."""
+    views = tap_views(x, kernel, stride, padding)
+    return np.stack(views, axis=1).reshape(x.shape[1] * len(views), -1)
+
+
+def fold(
+    taps: np.ndarray,
+    x_shape: tuple[int, int, int, int],
+    kernel: tuple[int, int],
+    stride: int = 1,
+    padding: int = 0,
+) -> np.ndarray:
+    """Adjoint of :func:`unfold`: add each tap's ``(C, N, H', W')`` block
+    back onto the image in row-major tap order.  Returns an NCHW view of a
+    channel-major array."""
+    n, c, h, w = x_shape
+    p = padding
+    image = np.zeros((c, n, h + 2 * p, w + 2 * p), dtype=taps.dtype).transpose(1, 0, 2, 3)
+    views = tap_views(image, kernel, stride)
+    for view, tap in zip(views, taps.reshape(c, len(views), -1).swapaxes(0, 1)):
+        view += tap.reshape(view.shape)
+    return image[:, :, p : p + h, p : p + w]
+
+
 def im2col(
     x: np.ndarray, kernel: tuple[int, int], stride: int = 1, padding: int = 0
 ) -> np.ndarray:
-    """Unfold image patches into columns (the paper's CONV-to-GEMM lowering).
-
-    Section II-B of the paper applies dual-module processing to CONV layers
-    by "first doing the im2col transformation on the input tensor"; this is
-    that transformation.
-
-    Args:
-        x: input of shape ``(N, C, H, W)``.
-        kernel: ``(kh, kw)`` filter spatial size.
-        stride: convolution stride (same in both dimensions).
-        padding: zero padding (same on all sides).
-
-    Returns:
-        Array of shape ``(N * out_h * out_w, C * kh * kw)`` where each row
-        is one receptive field flattened in ``(C, kh, kw)`` order.
-    """
-    n, c, h, w = x.shape
-    kh, kw = kernel
-    out_h = conv_output_size(h, kh, stride, padding)
-    out_w = conv_output_size(w, kw, stride, padding)
-    if padding > 0:
-        x = np.pad(
-            x, ((0, 0), (0, 0), (padding, padding), (padding, padding)), mode="constant"
-        )
-    cols = np.empty((n, c, kh, kw, out_h, out_w), dtype=x.dtype)
-    for i in range(kh):
-        i_end = i + stride * out_h
-        for j in range(kw):
-            j_end = j + stride * out_w
-            cols[:, :, i, j, :, :] = x[:, :, i:i_end:stride, j:j_end:stride]
-    return cols.transpose(0, 4, 5, 1, 2, 3).reshape(n * out_h * out_w, c * kh * kw)
+    """:func:`unfold` transposed to ``(N * H' * W', C * kh * kw)``: C-contiguous
+    for a batch, the free view for one image (the layouts callers' GEMMs saw)."""
+    taps = unfold(x, kernel, stride, padding)
+    if len(x) == 1:
+        return taps.T
+    cols = np.empty(taps.shape[::-1], dtype=taps.dtype)
+    # transpose through narrow contiguous blocks: rows a power-of-two
+    # N*H'*W' apart share cache sets, 248-wide (1984-byte) rows do not
+    for start in range(0, len(cols), 248):
+        cols[start : start + 248] = taps[:, start : start + 248].copy().T
+    return cols
 
 
 def col2im(
@@ -127,34 +159,8 @@ def col2im(
     stride: int = 1,
     padding: int = 0,
 ) -> np.ndarray:
-    """Fold columns back to an image, summing overlapping patches.
-
-    Inverse (adjoint) of :func:`im2col`; used by the Conv2d backward pass.
-
-    Args:
-        cols: array of shape ``(N * out_h * out_w, C * kh * kw)``.
-        x_shape: original input shape ``(N, C, H, W)``.
-        kernel: ``(kh, kw)`` filter spatial size.
-        stride: convolution stride.
-        padding: zero padding.
-
-    Returns:
-        Array of shape ``x_shape`` with overlapping contributions summed.
-    """
-    n, c, h, w = x_shape
-    kh, kw = kernel
-    out_h = conv_output_size(h, kh, stride, padding)
-    out_w = conv_output_size(w, kw, stride, padding)
-    cols = cols.reshape(n, out_h, out_w, c, kh, kw).transpose(0, 3, 4, 5, 1, 2)
-    padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
-    for i in range(kh):
-        i_end = i + stride * out_h
-        for j in range(kw):
-            j_end = j + stride * out_w
-            padded[:, :, i:i_end:stride, j:j_end:stride] += cols[:, :, i, j, :, :]
-    if padding > 0:
-        return padded[:, :, padding:-padding, padding:-padding]
-    return padded
+    """Adjoint of :func:`im2col`: :func:`fold` of the transposed columns."""
+    return fold(cols.T, x_shape, kernel, stride, padding)
 
 
 _ACTIVATIONS = {

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["kaiming_uniform", "xavier_uniform", "uniform_fan_in", "default_rng"]
+__all__ = ["kaiming_uniform", "uniform_fan_in", "default_rng"]
 
 
 def default_rng(seed: int | None = 0) -> np.random.Generator:
@@ -32,15 +32,6 @@ def kaiming_uniform(
     """He/Kaiming uniform init, appropriate for ReLU networks."""
     fan_in, _ = _fans(shape)
     bound = gain * np.sqrt(3.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape)
-
-
-def xavier_uniform(
-    shape: tuple[int, ...], rng: np.random.Generator, gain: float = 1.0
-) -> np.ndarray:
-    """Glorot/Xavier uniform init, appropriate for tanh/sigmoid networks."""
-    fan_in, fan_out = _fans(shape)
-    bound = gain * np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=shape)
 
 

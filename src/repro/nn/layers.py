@@ -13,6 +13,7 @@ import numpy as np
 from repro.nn import functional as F
 from repro.nn.init import default_rng, kaiming_uniform
 from repro.nn.module import Module, Parameter
+from repro.validation import check_range, require_range
 
 __all__ = [
     "Linear",
@@ -80,11 +81,14 @@ class Linear(Module):
 
 
 class Conv2d(Module):
-    """2-D convolution implemented as im2col followed by a GEMM.
+    """2-D convolution implemented as an im2col lowering and a GEMM.
 
     The im2col lowering is exactly how the paper extends dual-module
     processing from FF to CONV layers (Section II-B), so the dual-module
-    code in :mod:`repro.core` reuses the same column representation.
+    code in :mod:`repro.core` reuses the same column representation
+    (:meth:`forward_columns`).  Training runs on its tap-major transpose
+    (:func:`~repro.nn.functional.unfold`); outputs and input gradients are
+    NCHW views of channel-major arrays.
     """
 
     def __init__(
@@ -106,6 +110,8 @@ class Conv2d(Module):
         self.kernel_size = kernel_size
         self.stride = stride
         self.padding = padding
+        check_range(self, "kernel_size", "stride", ge=1)
+        check_range(self, "padding", ge=0)
         kh, kw = kernel_size
         self.weight = Parameter(
             kaiming_uniform((out_channels, in_channels, kh, kw), rng)
@@ -121,9 +127,12 @@ class Conv2d(Module):
         kh, kw = self.kernel_size
         out_h = F.conv_output_size(h, kh, self.stride, self.padding)
         out_w = F.conv_output_size(w, kw, self.stride, self.padding)
-        cols = F.im2col(x, self.kernel_size, self.stride, self.padding)
-        self._cache = (cols, x.shape)
-        return self.forward_columns(cols, (n, out_h, out_w))
+        taps = F.unfold(x, self.kernel_size, self.stride, self.padding)
+        self._cache = (taps, x.shape)
+        out = self.weight.data.reshape(self.out_channels, -1) @ taps
+        if self.bias is not None:
+            out += self.bias.data[:, None]
+        return out.reshape(self.out_channels, n, out_h, out_w).transpose(1, 0, 2, 3)
 
     def forward_columns(
         self, cols: np.ndarray, geometry: tuple[int, int, int]
@@ -156,16 +165,16 @@ class Conv2d(Module):
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called before forward")
-        cols, x_shape = self._cache
-        n, _, out_h, out_w = grad_out.shape
-        grad_mat = grad_out.transpose(0, 2, 3, 1).reshape(-1, self.out_channels)
+        taps, x_shape = self._cache
+        grad_t = grad_out.transpose(1, 0, 2, 3).reshape(self.out_channels, -1)
         w_mat = self.weight.data.reshape(self.out_channels, -1)
-        self.weight.grad += (grad_mat.T @ cols).reshape(self.weight.data.shape)
+        self.weight.grad += (grad_t @ taps.T).reshape(self.weight.data.shape)
         if self.bias is not None:
-            self.bias.grad += grad_mat.sum(axis=0)
-        grad_cols = grad_mat @ w_mat
+            # row by row over (N*H'*W', C_out): a sum along grad_t's
+            # contiguous rows would be pairwise and change the bits
+            self.bias.grad += grad_t.T.copy().sum(axis=0)
         self._cache = None
-        return F.col2im(grad_cols, x_shape, self.kernel_size, self.stride, self.padding)
+        return F.fold(w_mat.T @ grad_t, x_shape, self.kernel_size, self.stride, self.padding)
 
     def __repr__(self) -> str:
         return (
@@ -175,80 +184,77 @@ class Conv2d(Module):
         )
 
 
-class MaxPool2d(Module):
-    """Max pooling over non-overlapping or strided windows."""
+class _Pool2d(Module):
+    """Pooling over the ``k * k`` strided tap views of the input; outputs keep
+    the input's memory order, input gradients are channel-major NCHW views."""
 
     def __init__(self, kernel_size: int, stride: int | None = None, padding: int = 0):
         super().__init__()
         self.kernel_size = kernel_size
         self.stride = stride if stride is not None else kernel_size
         self.padding = padding
+        check_range(self, "kernel_size", "stride", ge=1)
+        # a wider border leaves windows wholly inside the padding
+        require_range(f"{type(self).__name__}.padding", padding, ge=0, le=kernel_size // 2)
         self._cache: tuple | None = None
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.kernel_size}, stride={self.stride})"
+
+
+class MaxPool2d(_Pool2d):
+    """Max pooling: a running maximum over the tap views that records the
+    first tap, in row-major order, holding each maximum; backward routes the
+    gradient there.  A NaN wins its window; ``-inf`` padding never does."""
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        n, c, h, w = x.shape
-        k, s, p = self.kernel_size, self.stride, self.padding
-        out_h = F.conv_output_size(h, k, s, p)
-        out_w = F.conv_output_size(w, k, s, p)
-        # reuse im2col per channel by folding channels into the batch axis
-        cols = F.im2col(x.reshape(n * c, 1, h, w), (k, k), s, p)
-        argmax = cols.argmax(axis=1)
-        out = cols[np.arange(cols.shape[0]), argmax]
-        self._cache = (argmax, cols.shape, (n, c, h, w))
-        return out.reshape(n, c, out_h, out_w)
+        taps = F.tap_views(x, (self.kernel_size,) * 2, self.stride, self.padding, -np.inf)
+        out = taps[0].copy(order="K")  # in the input's memory order
+        first = np.zeros_like(out, dtype=np.min_scalar_type(len(taps) - 1))
+        for tap, view in enumerate(taps[1:], start=1):
+            above = (view > out) | np.isnan(view)
+            np.copyto(out, view, where=above)
+            first[above] = tap
+        self._cache = (first, x.shape)
+        return out.transpose(1, 0, 2, 3)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called before forward")
-        argmax, cols_shape, x_shape = self._cache
-        n, c, h, w = x_shape
-        k, s, p = self.kernel_size, self.stride, self.padding
-        grad_cols = np.zeros(cols_shape)
-        grad_cols[np.arange(cols_shape[0]), argmax] = grad_out.reshape(-1)
-        grad_x = F.col2im(grad_cols, (n * c, 1, h, w), (k, k), s, p)
+        first, (n, c, h, w) = self._cache
+        p = self.padding
+        grad_x = np.zeros((c, n, h + 2 * p, w + 2 * p)).transpose(1, 0, 2, 3)
+        for tap, view in enumerate(F.tap_views(grad_x, (self.kernel_size,) * 2, self.stride)):
+            view += np.where(first == tap, grad_out.transpose(1, 0, 2, 3), 0.0)
         self._cache = None
-        return grad_x.reshape(n, c, h, w)
-
-    def __repr__(self) -> str:
-        return f"MaxPool2d({self.kernel_size}, stride={self.stride})"
+        return grad_x[:, :, p : p + h, p : p + w]
 
 
-class AvgPool2d(Module):
+class AvgPool2d(_Pool2d):
     """Average pooling; with ``kernel_size`` equal to the feature map size
-    this doubles as the global-average-pool used by ResNets."""
+    this doubles as the global-average-pool used by ResNets.  Taps are
+    summed in row-major tap order."""
 
     def __init__(self, kernel_size: int, stride: int | None = None):
-        super().__init__()
-        self.kernel_size = kernel_size
-        self.stride = stride if stride is not None else kernel_size
-        self._cache: tuple | None = None
+        super().__init__(kernel_size, stride)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        n, c, h, w = x.shape
-        k, s = self.kernel_size, self.stride
-        cols = F.im2col(x.reshape(n * c, 1, h, w), (k, k), s, 0)
-        out_h = F.conv_output_size(h, k, s, 0)
-        out_w = F.conv_output_size(w, k, s, 0)
-        self._cache = ((n, c, h, w), cols.shape)
-        return cols.mean(axis=1).reshape(n, c, out_h, out_w)
+        self._cache = x.shape
+        taps = F.tap_views(x, (self.kernel_size,) * 2, self.stride)
+        return (sum(taps) / len(taps)).transpose(1, 0, 2, 3)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called before forward")
-        x_shape, cols_shape = self._cache
-        n, c, h, w = x_shape
-        k, s = self.kernel_size, self.stride
-        grad_cols = np.repeat(
-            grad_out.reshape(-1, 1) / (k * k), cols_shape[1], axis=1
-        )
-        grad_x = F.col2im(grad_cols, (n * c, 1, h, w), (k, k), s, 0)
+        n, c, h, w = self._cache
+        grad_x = np.zeros((c, n, h, w)).transpose(1, 0, 2, 3)
+        share = grad_out.transpose(1, 0, 2, 3) / self.kernel_size**2
+        for view in F.tap_views(grad_x, (self.kernel_size,) * 2, self.stride):
+            view += share
         self._cache = None
-        return grad_x.reshape(n, c, h, w)
-
-    def __repr__(self) -> str:
-        return f"AvgPool2d({self.kernel_size}, stride={self.stride})"
+        return grad_x
 
 
 class BatchNorm2d(Module):

@@ -5,17 +5,20 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn.module import Parameter
+from repro.validation import require_range
 
 __all__ = ["Optimizer", "SGD", "Adam"]
 
 
 class Optimizer:
-    """Base optimizer holding a parameter list."""
+    """Base optimizer holding a parameter list and a learning rate."""
 
-    def __init__(self, parameters):
+    def __init__(self, parameters, lr: float):
         self.parameters: list[Parameter] = list(parameters)
         if not self.parameters:
             raise ValueError("optimizer received no parameters")
+        require_range(f"{type(self).__name__}.lr", lr, gt=0)
+        self.lr = lr
 
     def zero_grad(self) -> None:
         """Zero all parameter gradients."""
@@ -37,10 +40,7 @@ class SGD(Optimizer):
         momentum: float = 0.0,
         weight_decay: float = 0.0,
     ):
-        super().__init__(parameters)
-        if lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
-        self.lr = lr
+        super().__init__(parameters, lr)
         self.momentum = momentum
         self.weight_decay = weight_decay
         self._velocity = [np.zeros_like(p.data) for p in self.parameters]
@@ -68,10 +68,7 @@ class Adam(Optimizer):
         eps: float = 1e-8,
         weight_decay: float = 0.0,
     ):
-        super().__init__(parameters)
-        if lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
-        self.lr = lr
+        super().__init__(parameters, lr)
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.weight_decay = weight_decay

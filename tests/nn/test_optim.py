@@ -84,6 +84,11 @@ class TestAdam:
         with pytest.raises(ValueError, match="positive"):
             Adam([Parameter(np.zeros(1))], lr=-1.0)
 
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf")])
+    def test_non_finite_lr(self, lr):
+        with pytest.raises(ValueError, match="Adam.lr must be finite"):
+            Adam([Parameter(np.zeros(1))], lr=lr)
+
     def test_zero_grad(self):
         p = Parameter(np.zeros(2))
         opt = Adam([p])
