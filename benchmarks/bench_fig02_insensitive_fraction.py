@@ -84,26 +84,13 @@ def test_rnn_saturation_fractions(benchmark, report, trained_lms, rng):
             tokens = stream.sample(16, 8, rng)
             embedded = model.embedding(tokens)
             rnn_cell = model.rnn.cells[0]
+            state = rnn_cell.init_state(8)
             pre_list = []
-            if cell == "lstm":
-                state = rnn_cell.init_state(8)
-                for t in range(16):
-                    x = embedded[t]
-                    pre = (
-                        x @ rnn_cell.w_ih.data.T
-                        + state[0] @ rnn_cell.w_hh.data.T
-                        + rnn_cell.b.data
-                    )
-                    pre_list.append(pre)
-                    state, _ = rnn_cell(x, state)
-            else:
-                h = rnn_cell.init_state(8)
-                for t in range(16):
-                    x = embedded[t]
-                    gi = x @ rnn_cell.w_ih.data.T + rnn_cell.b_ih.data
-                    gh = h @ rnn_cell.w_hh.data.T + rnn_cell.b_hh.data
-                    pre_list.append(gi + gh)
-                    h, _ = rnn_cell(x, h)
+            for t in range(16):
+                # each cell's own gate pre-activations: for the GRU the
+                # candidate's is ``gi_n + r * gh_n``, not ``gi_n + gh_n``
+                state, step = rnn_cell(embedded[t], state)
+                pre_list.append(step["pre"])
             pre = np.concatenate(pre_list)
             results[cell] = {
                 theta: saturation_insensitive_fraction(pre, theta)

@@ -12,7 +12,18 @@ import pathlib
 import numpy as np
 import pytest
 
+from repro.core.cache import CACHE_DIR_ENV
+
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _disk_cache_outside_the_checkout(tmp_path_factory):
+    """Point the persistent caches at a scratch directory for the session,
+    so no benchmark reads values an earlier run left in ``.duet-cache/``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv(CACHE_DIR_ENV, str(tmp_path_factory.mktemp("duet-cache")))
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -3,6 +3,20 @@
 import numpy as np
 import pytest
 
+from repro.core.cache import CACHE_DIR_ENV
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _disk_cache_outside_the_checkout(tmp_path_factory):
+    """Point the persistent caches at a scratch directory for the session.
+
+    Without it the suite reads entries an earlier run left in
+    ``.duet-cache/`` under the working directory and writes new ones there.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv(CACHE_DIR_ENV, str(tmp_path_factory.mktemp("duet-cache")))
+        yield
+
 
 @pytest.fixture
 def rng():

@@ -37,17 +37,19 @@ class TestFingerprint:
 
 
 class TestIm2colCache:
-    def test_hit_returns_identical_buffer(self):
+    def test_hit_returns_identical_buffer(self, disk):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(2, 3, 8, 8))
         expected = im2col(x, (3, 3), 1, 1)
         first = cache.im2col_cached(x, (3, 3), 1, 1)
-        second = cache.im2col_cached(x.copy(), (3, 3), 1, 1)
+        second = cache.im2col_cached(x.copy(), (3, 3), 1, 1)  # admitted
+        third = cache.im2col_cached(x.copy(), (3, 3), 1, 1)
         np.testing.assert_array_equal(first, expected)
-        assert second is first  # shared read-only buffer
+        np.testing.assert_array_equal(second, expected)
+        assert third is second  # shared read-only buffer
         assert cache.IM2COL_CACHE.hits == 1
         with pytest.raises(ValueError):
-            first[0, 0] = 1.0  # cached buffers are immutable
+            third[0, 0] = 1.0  # cached buffers are immutable
 
     def test_geometry_is_part_of_the_key(self):
         x = np.random.default_rng(1).normal(size=(1, 2, 6, 6))
@@ -59,6 +61,7 @@ class TestIm2colCache:
         cache.set_cache_enabled(False)
         x = np.zeros((1, 1, 4, 4))
         cache.im2col_cached(x, (3, 3), 1, 0)
+        cache.im2col_cached(x, (3, 3), 1, 0)
         assert len(cache.IM2COL_CACHE) == 0
 
 
@@ -66,10 +69,12 @@ class TestSwitchingAndThresholdCaches:
     def test_switching_map_matches_uncached(self):
         y = np.random.default_rng(2).normal(size=(4, 8))
         for activation, theta in (("relu", 0.1), ("tanh", 0.5)):
+            first = cache.switching_map_cached(y, activation, theta, layer="L")
             cached = cache.switching_map_cached(y, activation, theta, layer="L")
-            np.testing.assert_array_equal(
-                cached, switching_map(y, activation, theta)
-            )
+            for omap in (first, cached):
+                np.testing.assert_array_equal(
+                    omap, switching_map(y, activation, theta)
+                )
             again = cache.switching_map_cached(y, activation, theta, layer="L")
             assert again is cached
 
@@ -168,7 +173,8 @@ class TestDiskTierIntegration:
         caches are wiped -- the cross-process sharing contract, observed
         within one process via ``clear_caches``."""
         x = np.random.default_rng(5).normal(size=(1, 2, 6, 6))
-        first = cache.im2col_cached(x, (3, 3), 1, 1)
+        cache.im2col_cached(x, (3, 3), 1, 1)
+        first = cache.im2col_cached(x, (3, 3), 1, 1)  # stored on both tiers
         cache.clear_caches()
         assert disk.hits == 0
         second = cache.im2col_cached(x, (3, 3), 1, 1)
@@ -179,6 +185,7 @@ class TestDiskTierIntegration:
         """The in-process ``layer`` partition token is process-local, so
         the disk key drops it: one layer's map is a hit for another."""
         y = np.random.default_rng(6).normal(size=(4, 8))
+        cache.switching_map_cached(y, "relu", 0.2, layer="conv1")
         cache.switching_map_cached(y, "relu", 0.2, layer="conv1")
         cache.clear_caches()
         cache.switching_map_cached(y, "relu", 0.2, layer="conv9")
@@ -198,6 +205,7 @@ class TestDiskTierIntegration:
         assert not cache.disk_cache_enabled()
         x = np.zeros((1, 1, 4, 4))
         cache.im2col_cached(x, (3, 3), 1, 0)
+        cache.im2col_cached(x, (3, 3), 1, 0)
         assert disk.stats()["entries"] == 0
 
     def test_env_toggle_disables_disk(self, disk, monkeypatch):
@@ -215,3 +223,108 @@ class TestDiskTierIntegration:
         assert set(cache.cache_stats()["disk"]) == {
             "entries", "bytes", "hits", "misses", "evictions",
         }
+
+
+def _x(seed: int = 8) -> np.ndarray:
+    return np.random.default_rng(seed).normal(size=(2, 3, 6, 6))
+
+
+def _array_memo(name: str):
+    """``(memo, call, uncached)`` for the array memo function ``name``."""
+    x, y = _x(), np.random.default_rng(9).normal(size=(4, 8))
+    return {
+        "im2col": (cache.IM2COL_CACHE,
+                   lambda: cache.im2col_cached(x, (3, 3), 1, 1),
+                   lambda: im2col(x, (3, 3), 1, 1)),
+        "switching_map": (cache.SWITCHING_CACHE,
+                          lambda: cache.switching_map_cached(y, "relu", 0.2, layer="L"),
+                          lambda: switching_map(y, "relu", 0.2)),
+    }[name]
+
+
+class TestSecondRequestAdmission:
+    """The array memos store a value only when its key is requested a
+    second time; a batch seen once costs no LRU slot and no disk write."""
+
+    @pytest.mark.parametrize("name", ["im2col", "switching_map"])
+    def test_key_seen_once_leaves_both_tiers_empty(self, disk, name):
+        memo, call, uncached = _array_memo(name)
+        value = call()
+        np.testing.assert_array_equal(value, uncached())
+        assert not value.flags.writeable
+        assert len(memo) == 0
+        assert disk.stats()["entries"] == 0
+
+    @pytest.mark.parametrize("name", ["im2col", "switching_map"])
+    def test_second_request_admits_and_third_shares(self, disk, name):
+        memo, call, uncached = _array_memo(name)
+        call()
+        second = call()
+        np.testing.assert_array_equal(second, uncached())
+        assert len(memo) == 1
+        assert disk.stats()["entries"] == 1
+        assert call() is second
+        assert memo.hits == 1
+
+    def test_disk_hit_is_admitted_at_once(self, disk):
+        x = _x()
+        cache.im2col_cached(x, (3, 3), 1, 1)
+        cache.im2col_cached(x, (3, 3), 1, 1)
+        cache.clear_caches()
+        from_disk = cache.im2col_cached(x, (3, 3), 1, 1)
+        assert disk.hits == 1
+        assert cache.im2col_cached(x, (3, 3), 1, 1) is from_disk
+
+    def test_clear_caches_forgets_recorded_keys(self, disk):
+        x = _x()
+        cache.im2col_cached(x, (3, 3), 1, 1)
+        cache.clear_caches()
+        cache.im2col_cached(x, (3, 3), 1, 1)  # a first request again
+        assert len(cache.IM2COL_CACHE) == 0
+        assert disk.stats()["entries"] == 0
+
+    def test_recorded_keys_are_bounded(self, disk):
+        """Only recently missed keys are remembered: a key pushed out by
+        a long run of one-shot keys is a first request again."""
+        y = np.zeros((2, 2))
+        bound = cache._RECENT_MISSES_PER_ENTRY * cache.SWITCHING_CACHE.capacity
+        for theta in range(bound + 1):
+            cache.switching_map_cached(y, "relu", float(theta))
+        cache.switching_map_cached(y, "relu", 0.0)  # the oldest key
+        assert len(cache.SWITCHING_CACHE) == 0
+        cache.switching_map_cached(y, "relu", float(bound))  # the newest
+        assert len(cache.SWITCHING_CACHE) == 1
+
+
+class TestWrongShapeDiskEntries:
+    """A well-formed disk entry of the wrong shape or dtype under the
+    right key is a miss, never a value the call returns."""
+
+    def _plant(self, disk, tag, fingerprint, params, value):
+        key = cache.PersistentCache.key_digest(tag, fingerprint, params)
+        disk.put_array(key, value)
+
+    @pytest.mark.parametrize(
+        "planted", [np.zeros((3, 5)), np.zeros((72, 27), dtype=np.float32)]
+    )
+    def test_im2col(self, disk, planted):
+        x = _x()
+        self._plant(disk, "im2col", cache.array_fingerprint(x),
+                    ((3, 3), 1, 1), planted)
+        np.testing.assert_array_equal(
+            cache.im2col_cached(x, (3, 3), 1, 1), im2col(x, (3, 3), 1, 1)
+        )
+        assert disk.hits == 0 and disk.misses == 1
+
+    @pytest.mark.parametrize(
+        "planted", [np.ones((8, 4), dtype=np.uint8), np.ones((4, 8))]
+    )
+    def test_switching_map(self, disk, planted):
+        y = np.random.default_rng(11).normal(size=(4, 8))
+        self._plant(disk, "switching_map", cache.array_fingerprint(y),
+                    ("relu", 0.2, 0.0), planted)
+        np.testing.assert_array_equal(
+            cache.switching_map_cached(y, "relu", 0.2),
+            switching_map(y, "relu", 0.2),
+        )
+        assert disk.hits == 0 and disk.misses == 1

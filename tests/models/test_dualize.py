@@ -126,6 +126,53 @@ class TestDualizedCNN:
         assert len(lowered) == len(dual.slots)
         assert thetas == [slot.dual.threshold for slot in dual.slots]
 
+    def test_offline_phase_matches_uncached_and_keeps_no_fresh_batch(
+        self, trained_cnn, monkeypatch
+    ):
+        """Tuning on a fixed calibration batch, then evaluating fresh
+        batches, gives bit-identical thresholds and accuracies with the
+        memos on and off, and no evaluation batch's im2col buffer is kept:
+        a key requested only once is never stored."""
+        import repro.core.approx as approx_module
+        from repro.core import cache
+
+        model, ds = trained_cnn
+        rng = np.random.default_rng(12)
+        cal, _ = ds.sample(8, rng)
+        dual = DualizedCNN.build(model, cal, rng=rng)
+        batches = [ds.sample(8, np.random.default_rng(100 + i)) for i in range(4)]
+        real_lower = approx_module.im2col_cached
+        evaluation_keys = []
+
+        def spy_lower(x, kernel_size, stride, padding):
+            evaluation_keys.append(
+                (cache.array_fingerprint(x), tuple(kernel_size), stride, padding)
+            )
+            return real_lower(x, kernel_size, stride, padding)
+
+        def run():
+            outputs = []
+            for i, (images, labels) in enumerate(batches):
+                thetas = dual.set_thresholds_by_fraction((0.3, 0.6)[i % 2], cal)
+                with monkeypatch.context() as patch:
+                    patch.setattr(approx_module, "im2col_cached", spy_lower)
+                    accuracy, _ = dual.evaluate(images, labels)
+                outputs.append((thetas, accuracy))
+            return outputs
+
+        cache.clear_caches()
+        try:
+            cached = run()
+            assert len(cache.IM2COL_CACHE) > 0  # calibration buffers repeat
+            assert len(evaluation_keys) == len(batches) * len(dual.slots)
+            for key in evaluation_keys:
+                assert cache.IM2COL_CACHE.get(key) is None
+            cache.set_cache_enabled(False)
+            assert run() == cached
+        finally:
+            cache.set_cache_enabled(True)
+            cache.clear_caches()
+
 
 class TestDualizedLanguageModel:
     @pytest.fixture(scope="class")
