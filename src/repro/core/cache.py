@@ -4,23 +4,36 @@ simulator's layer costs.
 The threshold-tuning flows (:mod:`repro.core.thresholds`,
 :meth:`repro.models.dualize.DualizedCNN.set_thresholds_by_fraction`) sweep
 many candidate operating points over the *same* calibration and evaluation
-batches.  Each sweep step re-runs the im2col lowering, the switching-map
-comparison and the threshold quantile on byte-identical inputs.  All three
-are pure functions of their array contents, so this module memoizes them
-behind content fingerprints:
+batches.  Each sweep step re-runs the im2col lowering, the Speculator, the
+switching-map comparison and the threshold quantile on byte-identical
+inputs.  All four are pure functions of their inputs, so this module
+memoizes them behind content keys:
 
 - :func:`im2col_cached` -- the im2col buffer of a conv input, keyed on the
   input fingerprint and the conv geometry.
+- :func:`speculate_cached` -- the lowering and the Speculator output of an
+  :class:`~repro.core.approx.ApproximateConv2d`.  It fingerprints the
+  input once, for the im2col key and for the output's *derived* key:
+  BLAKE2b over that fingerprint, the conv geometry and fingerprints of
+  every parameter the Speculator reads (projection signs and scale, QDR
+  weight and bias, both bit widths).  The parameters are a few KB and
+  are hashed on every call, so an in-place edit never leaves a key stale.
 - :func:`switching_map_cached` -- the OMap of a layer, keyed on
-  ``(layer, fingerprint, threshold)`` (plus activation and guard band).
+  ``(layer, key, threshold)`` (plus activation and guard band).
 - :func:`tune_threshold_cached` -- the tuned quantile threshold, keyed on
-  ``(layer, fingerprint, fraction)``.
+  ``(layer, key, fraction)``.
+
+The ``key`` of the last two stands for the pre-activations' content: the
+CNN path passes the derived key :func:`speculate_cached` returned, so a
+Speculator output is never hashed; other callers (the RNN gates) leave it
+out and the array is fingerprinted.
 
 Because keys are content fingerprints (BLAKE2b over dtype, shape and raw
-bytes), a hit returns exactly what the underlying function would have
-computed -- caching never changes numerics, it only skips recomputation.
-Cached arrays are stored read-only and shared between hits; callers must
-treat them as immutable (mutation raises ``ValueError``).
+bytes) or derived from them, a hit returns exactly what the underlying
+function would have computed -- caching never changes numerics, it only
+skips recomputation.  Cached arrays are stored read-only and shared
+between hits; callers must treat them as immutable (mutation raises
+``ValueError``).
 
 Two tiers back the memo:
 
@@ -38,22 +51,30 @@ Two tiers back the memo:
   the store is size-bounded with oldest-first eviction.  An entry of
   another shape or dtype than the call computes reads as a miss.
 
-The two array memos (im2col buffers and switching maps) store a value
-only on its key's second request.  A first miss computes the value and
-returns it read-only, recording just the key in a bounded set of
-recently missed keys (four per entry of the memo's capacity); the value
-enters the LRU and the disk tier when the key is requested again while
-still recorded.  A disk hit enters the LRU at once.  Threshold sweeps
-re-run one calibration batch, whose values are stored on the second
-sweep; the fresh evaluation batches between sweeps are seen once and
-are never stored.  On perfbench's ``calibrate`` workload (12 seeds, one
-BLAS thread, a 2-vCPU Xeon Linux host) this took peak RSS from 516 MB
-to 226 MB, and in a traced run the disk tier's end size from 258 MB to
-80 MB, while the im2col hit ratio fell only from 0.47 to 0.44 (a stored
-key's second request is a miss).  Tuned thresholds (one float each) and
-:data:`LAYER_COST_CACHE` store every miss at once.
+The three array memos (im2col buffers, Speculator outputs and switching
+maps) store a value only on its key's second request.  A first miss
+computes the value and returns it read-only, recording just the key in
+a bounded set of recently missed keys (four per entry of the memo's
+capacity); the value enters the LRU and the disk tier when the key is
+requested again while still recorded.  A disk hit enters the LRU at
+once.  Threshold sweeps re-run one calibration batch, whose values are
+stored on the second sweep; the fresh evaluation batches between sweeps
+are seen once and are never stored.  On perfbench's ``calibrate``
+workload (12 seeds, one BLAS thread, a 2-vCPU Xeon Linux host) this
+took peak RSS from 516 MB to 226 MB, and in a traced run the disk
+tier's end size from 258 MB to 80 MB, while the im2col hit ratio fell
+only from 0.47 to 0.44 (a stored key's second request is a miss).
+Tuned thresholds (one float each) and :data:`LAYER_COST_CACHE` store
+every miss at once.
 
-A fourth, in-process-only memo serves the simulator:
+Deriving the Speculator output's key instead of hashing it took the
+bytes hashed per ``calibrate`` op from 25.2 MB to 4.8 MB, and a
+calibration hit skips the quantize, project and QDR GEMM chain.  Over
+10 alternating pairs (seeds 11-20, same host) the op median fell from
+207 ms to 119 ms; peak RSS rose from 225.7 MB to 231.2 MB, the stored
+outputs.
+
+One more memo, in-process only, serves the simulator:
 :data:`LAYER_COST_CACHE` holds the Executor cost of each *sampled* CONV
 layer, keyed on the workload's recipe (the sparsity-model fields, the
 layer spec and its index, which fully determine the maps) plus the
@@ -83,6 +104,7 @@ __all__ = [
     "MemoCache",
     "PersistentCache",
     "im2col_cached",
+    "speculate_cached",
     "switching_map_cached",
     "tune_threshold_cached",
     "set_cache_enabled",
@@ -92,6 +114,7 @@ __all__ = [
     "clear_caches",
     "cache_stats",
     "IM2COL_CACHE",
+    "SPECULATE_CACHE",
     "SWITCHING_CACHE",
     "THRESHOLD_CACHE",
     "LAYER_COST_CACHE",
@@ -337,9 +360,11 @@ class PersistentCache:
         self.evictions = 0
 
 
-#: Global caches.  im2col buffers are large (a few MB per calibration
-#: batch), so that cache is kept small; maps and thresholds are tiny.
+#: Global caches.  im2col buffers and Speculator outputs are large (a
+#: few MB per calibration batch), so those caches are kept small; maps
+#: and thresholds are tiny.
 IM2COL_CACHE = MemoCache("im2col", capacity=32)
+SPECULATE_CACHE = MemoCache("speculate", capacity=32)
 SWITCHING_CACHE = MemoCache("switching_map", capacity=256)
 THRESHOLD_CACHE = MemoCache("threshold", capacity=4096)
 
@@ -350,16 +375,19 @@ THRESHOLD_CACHE = MemoCache("threshold", capacity=4096)
 #: while bounding memory on sweeps that never repeat a layer.
 LAYER_COST_CACHE = MemoCache("layer_cost", capacity=1024)
 
-#: The shared disk tier behind the three offline-phase memo functions.
+#: The shared disk tier behind the four offline-phase memo functions.
 DISK_CACHE = PersistentCache()
 
-_ALL_CACHES = (IM2COL_CACHE, SWITCHING_CACHE, THRESHOLD_CACHE, LAYER_COST_CACHE)
+_ALL_CACHES = (
+    IM2COL_CACHE, SPECULATE_CACHE, SWITCHING_CACHE, THRESHOLD_CACHE, LAYER_COST_CACHE
+)
 
 #: The memos that store a value only on its key's second request, each
 #: with the keys it was asked for once and has not stored (yet), oldest
 #: first, up to ``_RECENT_MISSES_PER_ENTRY`` times its capacity.
 _RECENT_MISSES: dict[MemoCache, OrderedDict[Hashable, bool]] = {
     IM2COL_CACHE: OrderedDict(),
+    SPECULATE_CACHE: OrderedDict(),
     SWITCHING_CACHE: OrderedDict(),
 }
 _RECENT_MISSES_PER_ENTRY = 4
@@ -470,20 +498,23 @@ def im2col_cached(
     kernel_size: tuple[int, int],
     stride: int,
     padding: int,
+    fingerprint: str | None = None,
 ) -> np.ndarray:
     """Memoized :func:`repro.nn.functional.im2col`.
 
     Keyed on the input fingerprint plus the conv geometry; returns a
     read-only ``(N * H' * W', C * kh * kw)`` buffer, shared once its key
     has been requested twice.  Backed by the disk tier: a buffer lowered
-    twice by any worker process is a read on every other.
+    twice by any worker process is a read on every other.  A caller that
+    has already fingerprinted ``x`` passes it as ``fingerprint``.
     """
     from repro.nn.functional import conv_output_size, im2col
 
     if not _enabled:
         return im2col(x, kernel_size, stride, padding)
     geometry = (tuple(kernel_size), int(stride), int(padding))
-    fingerprint = array_fingerprint(x)
+    if fingerprint is None:
+        fingerprint = array_fingerprint(x)
     n, c, h, w = x.shape
     out_h = conv_output_size(h, kernel_size[0], stride, padding)
     out_w = conv_output_size(w, kernel_size[1], stride, padding)
@@ -497,33 +528,97 @@ def im2col_cached(
     )
 
 
+def _speculator_parameters(approx) -> tuple:
+    """Every parameter :meth:`~repro.core.approx.ApproximateConv2d.
+    forward_columns` reads, arrays as content fingerprints: the ternary
+    projection's signs and scale, the QDR weight and bias, and both bit
+    widths.  They total a few KB, so they are hashed on every call and
+    an in-place edit can never leave a key stale."""
+    inner = approx.inner
+    return (
+        array_fingerprint(inner.projection.signs),
+        float(inner.projection.scale),
+        array_fingerprint(inner.weight),
+        array_fingerprint(inner.bias),
+        int(inner.weight_bits),
+        int(inner.input_bits),
+    )
+
+
+def speculate_cached(approx, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, str | None]:
+    """Memoized Speculator pass of an :class:`~repro.core.approx.ApproximateConv2d`.
+
+    Fingerprints ``x`` once, lowers it with :func:`im2col_cached` under
+    that fingerprint, and runs ``approx.forward_columns`` on the columns.
+    The pre-activations are a pure function of ``x`` and the module's
+    parameters, so their key is derived rather than hashed: BLAKE2b over
+    ``x``'s fingerprint, the conv geometry and the parameters
+    (:func:`_speculator_parameters`).  That derived key stands for the
+    pre-activations' content wherever a memo would hash them
+    (``key=`` of :func:`switching_map_cached` and
+    :func:`tune_threshold_cached`).  Stored on its second request, like
+    the other array memos.
+
+    Returns:
+        ``(cols, y_approx, key)``: the read-only columns, the read-only
+        ``(N, C_out, H', W')`` pre-activations, and their derived key
+        (``None`` when the caches are off).
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if not _enabled:
+        cols, geometry = approx.lower(x)
+        return cols, approx.forward_columns(cols, geometry), None
+    fingerprint = array_fingerprint(x)
+    cols, geometry = approx.lower(x, fingerprint=fingerprint)
+    key = PersistentCache.key_digest(
+        "speculate",
+        fingerprint,
+        (tuple(approx.kernel_size), int(approx.stride), int(approx.padding)),
+        _speculator_parameters(approx),
+    )
+    n, out_h, out_w = geometry
+    y_approx = _memoize(
+        SPECULATE_CACHE,
+        key,
+        (key,),
+        lambda: approx.forward_columns(cols, geometry),
+        (n, approx.out_channels, out_h, out_w),
+        np.float64,
+    )
+    return cols, y_approx, key
+
+
 def switching_map_cached(
     y_approx: np.ndarray,
     activation: str,
     threshold: float,
     guard_band: float = 0.0,
     layer: Hashable = None,
+    key: str | None = None,
 ) -> np.ndarray:
     """Memoized :func:`repro.core.switching.switching_map`.
 
-    Keyed on ``(layer, fingerprint(y_approx), activation, threshold,
-    guard_band)``.  The ``layer`` token only partitions the in-process
-    cache (useful so one layer's sweep cannot evict another's working
-    set); correctness comes from the fingerprint, which fully determines
-    the map -- so the disk tier drops the token and shares entries
-    across layers and processes alike.  Returns a read-only map, shared
-    once its key has been requested twice.
+    Keyed on ``(layer, key, activation, threshold, guard_band)``, where
+    ``key`` stands for ``y_approx``'s content: the derived key
+    :func:`speculate_cached` returned with it, or by default
+    ``array_fingerprint(y_approx)``.  The ``layer`` token only
+    partitions the in-process cache (useful so one layer's sweep cannot
+    evict another's working set); correctness comes from the key, which
+    fully determines the map -- so the disk tier drops the token and
+    shares entries across layers and processes alike.  Returns a
+    read-only map, shared once its key has been requested twice.
     """
     from repro.core.switching import switching_map
 
     if not _enabled:
         return switching_map(y_approx, activation, threshold, guard_band)
-    fingerprint = array_fingerprint(y_approx)
+    if key is None:
+        key = array_fingerprint(y_approx)
     params = (activation, float(threshold), float(guard_band))
     return _memoize(
         SWITCHING_CACHE,
-        (layer, fingerprint, *params),
-        ("switching_map", fingerprint, params),
+        (layer, key, *params),
+        ("switching_map", key, params),
         lambda: switching_map(y_approx, activation, threshold, guard_band),
         np.shape(y_approx),
         np.uint8,
@@ -535,11 +630,13 @@ def tune_threshold_cached(
     activation: str,
     target_insensitive_fraction: float,
     layer: Hashable = None,
+    key: str | None = None,
 ) -> float:
     """Memoized :func:`repro.core.thresholds.tune_threshold_for_fraction`.
 
-    Keyed on ``(layer, fingerprint(pre-activations), activation,
-    fraction)``; the greedy per-layer allocation in
+    Keyed on ``(layer, key, activation, fraction)``, with ``key`` as in
+    :func:`switching_map_cached` (default: the pre-activations'
+    fingerprint); the greedy per-layer allocation in
     :func:`repro.core.thresholds.allocate_layer_fractions` re-tunes
     upstream layers with unchanged inputs on every trial, which this
     turns into dictionary lookups.  Tuned values are stored on their
@@ -552,12 +649,13 @@ def tune_threshold_cached(
         return tune_threshold_for_fraction(
             approx_pre_activations, activation, target_insensitive_fraction
         )
-    fingerprint = array_fingerprint(approx_pre_activations)
+    if key is None:
+        key = array_fingerprint(approx_pre_activations)
     params = (activation, float(target_insensitive_fraction))
     theta = _memoize(
         THRESHOLD_CACHE,
-        (layer, fingerprint, *params),
-        ("threshold", fingerprint, params),
+        (layer, key, *params),
+        ("threshold", key, params),
         lambda: np.array([tune_threshold_for_fraction(
             approx_pre_activations, activation, target_insensitive_fraction
         )]),

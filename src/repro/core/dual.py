@@ -42,7 +42,7 @@ from repro.core.approx import (
     ApproximateLinear,
     ApproximateLSTMCell,
 )
-from repro.core.cache import switching_map_cached
+from repro.core.cache import speculate_cached, switching_map_cached
 from repro.core.stats import LayerSavings
 from repro.core.switching import (
     correct_omap_after_relu,
@@ -234,11 +234,12 @@ class DualModuleConv2d:
     to the next layer as its IMap -- the paper's "pay once, use twice".
 
     Each input is lowered once: :meth:`speculate` takes its ``im2col``
-    columns (memoized, see :func:`~repro.core.cache.im2col_cached`) and
-    runs the Speculator on them, and :meth:`execute` runs the accurate
-    GEMM on the same columns.  :meth:`forward` is the two in sequence; a
-    caller that needs the approximate pre-activations before switching
-    (threshold calibration) calls them separately and speculates once.
+    columns and runs the Speculator on them (both memoized, see
+    :func:`~repro.core.cache.speculate_cached`), and :meth:`execute` runs
+    the accurate GEMM on the same columns.  :meth:`forward` is the two in
+    sequence; a caller that needs the approximate pre-activations before
+    switching (threshold calibration) calls them separately and
+    speculates once.
     """
 
     def __init__(
@@ -257,23 +258,25 @@ class DualModuleConv2d:
         self.approx = approx
         self.threshold = float(threshold)
 
-    def speculate(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def speculate(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, str | None]:
         """Lower a batch once and run the Speculator on it.
 
         Args:
             x: inputs of shape ``(N, C, H, W)``.
 
         Returns:
-            ``(cols, y_approx)``: the shared read-only ``im2col`` columns
-            and the approximate pre-activations ``(N, C_out, H', W')``.
+            ``(cols, y_approx, key)``: the shared read-only ``im2col``
+            columns, the approximate pre-activations ``(N, C_out, H',
+            W')`` and the content key that stands for them in the
+            threshold and switching-map memos (``None`` with the caches
+            off).
         """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 4 or x.shape[1] != self.accurate.in_channels:
             raise ValueError(
                 f"expected {self.accurate.in_channels} channels, got shape {x.shape}"
             )
-        cols, geometry = self.approx.lower(x)
-        return cols, self.approx.forward_columns(cols, geometry)
+        return speculate_cached(self.approx, x)
 
     def execute(
         self,
@@ -281,12 +284,14 @@ class DualModuleConv2d:
         cols: np.ndarray,
         y_approx: np.ndarray,
         imap: np.ndarray | None = None,
+        key: str | None = None,
     ) -> tuple[np.ndarray, DualModuleReport]:
         """Switch on ``y_approx`` and run the Executor on ``cols``.
 
         Args:
             x: the batch ``(cols, y_approx)`` came from (:meth:`speculate`).
-            cols / y_approx: :meth:`speculate`'s result for ``x``.
+            cols / y_approx / key: :meth:`speculate`'s result for ``x``;
+                without ``key`` the switching-map memo hashes ``y_approx``.
             imap: optional 0/1 input sparsity map of ``x``'s shape.
 
         Returns:
@@ -302,9 +307,9 @@ class DualModuleConv2d:
         receptive = cols.shape[1]
 
         # tuning sweeps re-evaluate the same batch at repeated thresholds;
-        # the map is memoized on (layer, content fingerprint, threshold)
+        # the map is memoized on (layer, content key, threshold)
         omap = switching_map_cached(
-            y_approx, "relu", self.threshold, layer=("conv", id(self.accurate))
+            y_approx, "relu", self.threshold, layer=("conv", id(self.accurate)), key=key
         )
 
         y_acc = self.accurate.forward_columns(cols, (n_batch, out_h, out_w))
@@ -358,8 +363,8 @@ class DualModuleConv2d:
             ValueError: on a wrong channel count, or an ``imap`` of another
                 shape or with a value outside {0, 1}.
         """
-        cols, y_approx = self.speculate(x)
-        return self.execute(x, cols, y_approx, imap=imap)
+        cols, y_approx, key = self.speculate(x)
+        return self.execute(x, cols, y_approx, imap=imap, key=key)
 
     __call__ = forward
 

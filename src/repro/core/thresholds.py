@@ -23,7 +23,6 @@ import numpy as np
 
 __all__ = [
     "tune_threshold_for_fraction",
-    "suggest_guard_band",
     "ThresholdTuner",
     "TuningResult",
     "tune_dualized_classifier",
@@ -64,63 +63,6 @@ def tune_threshold_for_fraction(
     if activation in ("sigmoid", "tanh"):
         return float(np.quantile(np.abs(y), 1.0 - target_insensitive_fraction))
     raise ValueError(f"no threshold rule for activation {activation!r}")
-
-
-def suggest_guard_band(
-    approx_pre_activations: np.ndarray,
-    activation: str,
-    threshold: float,
-    extra_sensitive_fraction: float,
-) -> float:
-    """Guard-band margin that routes an extra slice of borderline
-    activations to the accurate module.
-
-    The reliability layer (:mod:`repro.reliability`) widens the switching
-    threshold by a hysteresis margin so that a biased Speculator cannot
-    silently flip borderline decisions.  This helper sizes that margin from
-    calibration data: it returns the smallest ``guard_band`` such that
-    :func:`repro.core.switching.switching_map` with that band marks at
-    least ``extra_sensitive_fraction`` more of the calibration activations
-    sensitive than the bare rule does.
-
-    Args:
-        approx_pre_activations: calibration outputs of the approximate
-            module (any shape).
-        activation: ``relu``, ``sigmoid`` or ``tanh``.
-        threshold: the tuned switching threshold ``theta``.
-        extra_sensitive_fraction: target additional sensitive fraction in
-            ``[0, 1]``; ``0`` returns a zero band.
-
-    Returns:
-        The non-negative guard-band margin.
-    """
-    if not 0.0 <= extra_sensitive_fraction <= 1.0:
-        raise ValueError(
-            f"fraction must be in [0, 1], got {extra_sensitive_fraction}"
-        )
-    y = np.asarray(approx_pre_activations, dtype=np.float64).reshape(-1)
-    if y.size == 0:
-        raise ValueError("empty calibration tensor")
-    if extra_sensitive_fraction == 0.0:
-        return 0.0
-    if activation == "relu":
-        # borderline set: y' just below theta; the band must reach down to
-        # the matching lower quantile of the currently-insensitive mass
-        insensitive = y[y < threshold]
-        if insensitive.size == 0:
-            return 0.0
-        take = min(1.0, extra_sensitive_fraction * y.size / insensitive.size)
-        cut = float(np.quantile(insensitive, 1.0 - take))
-        return max(0.0, threshold - cut)
-    if activation in ("sigmoid", "tanh"):
-        mag = np.abs(y)
-        insensitive = mag[mag > threshold]
-        if insensitive.size == 0:
-            return 0.0
-        take = min(1.0, extra_sensitive_fraction * y.size / insensitive.size)
-        cut = float(np.quantile(insensitive, take))
-        return max(0.0, cut - threshold)
-    raise ValueError(f"no guard-band rule for activation {activation!r}")
 
 
 @dataclass

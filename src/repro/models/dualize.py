@@ -150,7 +150,9 @@ class DualizedCNN:
         input once (:meth:`DualModuleConv2d.speculate`): the threshold is
         tuned on those pre-activations, and the same array and columns
         drive the layer's switching and accurate GEMM
-        (:meth:`DualModuleConv2d.execute`).
+        (:meth:`DualModuleConv2d.execute`).  The threshold and switching
+        memos key the pre-activations by the key :meth:`speculate`
+        derives from the layer input, so they are never hashed.
 
         Args:
             fraction: a single fraction applied to every layer, or one
@@ -176,16 +178,17 @@ class DualizedCNN:
         for index, layer in enumerate(self.model.features):
             slot = self._slot_by_index.get(index)
             if slot is not None:
-                cols, y_approx = slot.dual.speculate(x)
+                cols, y_approx, key = slot.dual.speculate(x)
                 theta = tune_threshold_cached(
                     y_approx,
                     "relu",
                     fractions[slot_counter],
                     layer=("conv", slot.index),
+                    key=key,
                 )
                 slot.dual.threshold = theta
                 thetas.append(theta)
-                x, _ = slot.dual.execute(x, cols, y_approx)
+                x, _ = slot.dual.execute(x, cols, y_approx, key=key)
                 slot_counter += 1
             elif isinstance(layer, ReLU):
                 continue  # fused into the dual conv

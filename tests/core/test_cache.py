@@ -328,3 +328,128 @@ class TestWrongShapeDiskEntries:
             switching_map(y, "relu", 0.2),
         )
         assert disk.hits == 0 and disk.misses == 1
+
+
+def _approx(seed: int = 14, padding: int = 1):
+    from repro.core.approx import ApproximateConv2d
+
+    return ApproximateConv2d(
+        3, 4, 3, reduced_features=6, padding=padding,
+        rng=np.random.default_rng(seed),
+    )
+
+
+def _uncached_speculation(approx, x) -> np.ndarray:
+    cache.set_cache_enabled(False)
+    try:
+        return approx.forward(x)
+    finally:
+        cache.set_cache_enabled(True)
+
+
+def _flip_sign(approx):
+    signs = approx.inner.projection.signs
+    signs[0, 0] = -1 if signs[0, 0] == 1 else 1
+
+
+class TestSpeculateKey:
+    """The Speculator's output is memoized under a key derived from its
+    input's fingerprint, the conv geometry and the module's parameters,
+    never from a hash of the output itself."""
+
+    def test_hit_returns_the_stored_output(self, disk):
+        approx, x = _approx(), _x()
+        cache.speculate_cached(approx, x)
+        cols, stored, key = cache.speculate_cached(approx, x)
+        again = cache.speculate_cached(approx, x)
+        assert again[1] is stored and again[2] == key
+        assert stored.tobytes() == _uncached_speculation(approx, x).tobytes()
+        np.testing.assert_array_equal(cols, im2col(x, (3, 3), 1, 1))
+        assert cache.SPECULATE_CACHE.hits == 1
+
+    @pytest.mark.parametrize("edit", [
+        lambda a: a.inner.weight.__setitem__((0, 0), a.inner.weight[0, 0] + 0.5),
+        lambda a: a.inner.bias.__setitem__(0, 0.25),
+        _flip_sign,
+        lambda a: setattr(a.inner, "input_bits", 3),
+        lambda a: setattr(a.inner, "weight_bits", 3),
+        lambda a: setattr(a.inner.projection, "scale", 0.5),
+    ], ids=["weight", "bias", "signs", "input_bits", "weight_bits", "scale"])
+    def test_in_place_parameter_edit_recomputes(self, disk, edit):
+        approx, x = _approx(), _x()
+        cache.speculate_cached(approx, x)
+        _, before, key = cache.speculate_cached(approx, x)
+        edit(approx)
+        misses = cache.SPECULATE_CACHE.misses
+        _, after, edited_key = cache.speculate_cached(approx, x)
+        assert edited_key != key
+        assert cache.SPECULATE_CACHE.misses == misses + 1
+        expected = _uncached_speculation(approx, x)
+        assert after.tobytes() == expected.tobytes()
+        assert not np.array_equal(after, before)
+
+    @pytest.mark.parametrize("other", [
+        lambda: _approx(seed=15),
+        lambda: _approx(padding=0),
+    ], ids=["parameters", "geometry"])
+    def test_modules_never_share_an_entry(self, disk, other):
+        x = _x()
+        for approx in (_approx(), other()):
+            for _ in range(3):
+                _, y_approx, _ = cache.speculate_cached(approx, x)
+            assert y_approx.tobytes() == _uncached_speculation(approx, x).tobytes()
+        assert len(cache.SPECULATE_CACHE) == 2
+        assert cache.SPECULATE_CACHE.hits == 2
+
+    def test_disk_hits_across_processes(self, tmp_path):
+        """A process with another hash seed reads the entries another
+        process stored under the same ``DUET_CACHE_DIR``."""
+        import hashlib
+        import json
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        script = (
+            "import hashlib, json, sys\n"
+            "import numpy as np\n"
+            "from repro.core import cache\n"
+            "from repro.core.approx import ApproximateConv2d\n"
+            "approx = ApproximateConv2d(3, 4, 3, reduced_features=6, padding=1,\n"
+            "                           rng=np.random.default_rng(14))\n"
+            "x = np.random.default_rng(8).normal(size=(2, 3, 6, 6))\n"
+            "for _ in range(int(sys.argv[1])):\n"
+            "    cols, y_approx, key = cache.speculate_cached(approx, x)\n"
+            "print(json.dumps({\n"
+            "    'key': key, 'disk_hits': cache.DISK_CACHE.hits,\n"
+            "    'speculate_misses': cache.SPECULATE_CACHE.misses,\n"
+            "    'cols': hashlib.sha256(cols.tobytes()).hexdigest(),\n"
+            "    'y_approx': hashlib.sha256(y_approx.tobytes()).hexdigest()}))\n"
+        )
+        src = str(Path(cache.__file__).resolve().parents[2])
+
+        def run(requests: int, hash_seed: str) -> dict:
+            env = dict(
+                os.environ,
+                PYTHONPATH=src,
+                PYTHONHASHSEED=hash_seed,
+                **{cache.CACHE_DIR_ENV: str(tmp_path / "shared"),
+                   cache.CACHE_DISK_ENV: "1"},
+            )
+            out = subprocess.run(
+                [sys.executable, "-c", script, str(requests)],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            return json.loads(out.stdout)
+
+        writer = run(2, "1")  # the second request stores both arrays
+        reader = run(1, "2")
+        assert writer["disk_hits"] == 0
+        assert reader["disk_hits"] == 2  # the columns and the Speculator output
+        assert reader["speculate_misses"] == 1  # in-process only
+        for field in ("key", "cols", "y_approx"):
+            assert reader[field] == writer[field]
+        approx, x = _approx(), _x()
+        expected = _uncached_speculation(approx, x)
+        assert reader["y_approx"] == hashlib.sha256(expected.tobytes()).hexdigest()

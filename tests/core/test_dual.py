@@ -176,9 +176,9 @@ class TestDualModuleConv2d:
         dual = DualModuleConv2d(conv, ap, threshold=0.1)
         x = rng.normal(size=(2, 3, 8, 8))
         imap = (x > 0).astype(np.uint8)
-        cols, y_approx = dual.speculate(x)
+        cols, y_approx, key = dual.speculate(x)
         assert y_approx.tobytes() == ap.forward(x).tobytes()
-        out, report = dual.execute(x, cols, y_approx, imap=imap)
+        out, report = dual.execute(x, cols, y_approx, imap=imap, key=key)
         ref_out, ref_report = dual(x, imap=imap)
         assert out.tobytes() == ref_out.tobytes()
         assert report.savings == ref_report.savings

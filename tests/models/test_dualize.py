@@ -98,18 +98,31 @@ class TestDualizedCNN:
     def test_threshold_tuning_speculates_once_per_slot(
         self, trained_cnn, rng, monkeypatch
     ):
-        """Each slot's Speculator runs once per ``set_thresholds_by_fraction``
-        and its input is lowered once: the tuned pre-activations and
-        columns are the ones the layer executes with."""
+        """Each slot's input is lowered and speculated once per
+        ``set_thresholds_by_fraction``: the tuned pre-activations, their
+        key and the columns are the ones the layer executes with."""
         import repro.core.approx as approx_module
+        import repro.core.dual as dual_module
         from repro.core.approx import ApproximateConv2d
+        from repro.core.dual import DualModuleConv2d
 
         model, ds = trained_cnn
         cal, _ = ds.sample(8, rng)
         dual = DualizedCNN.build(model, cal, rng=rng)
-        speculated, lowered = [], []
+        speculations, executions, speculated, lowered = [], [], [], []
+        real_speculate = dual_module.speculate_cached
+        real_execute = DualModuleConv2d.execute
         real_forward = ApproximateConv2d.forward_columns
         real_lower = approx_module.im2col_cached
+
+        def spy_speculate(approx, x):
+            result = real_speculate(approx, x)
+            speculations.append((id(approx), result))
+            return result
+
+        def spy_execute(self, x, cols, y_approx, imap=None, key=None):
+            executions.append((cols, y_approx, key))
+            return real_execute(self, x, cols, y_approx, imap=imap, key=key)
 
         def spy_forward(self, cols, geometry):
             speculated.append(id(self))
@@ -119,11 +132,18 @@ class TestDualizedCNN:
             lowered.append(args[0].shape)
             return real_lower(*args, **kwargs)
 
+        monkeypatch.setattr(dual_module, "speculate_cached", spy_speculate)
+        monkeypatch.setattr(DualModuleConv2d, "execute", spy_execute)
         monkeypatch.setattr(ApproximateConv2d, "forward_columns", spy_forward)
         monkeypatch.setattr(approx_module, "im2col_cached", spy_lower)
         thetas = dual.set_thresholds_by_fraction(0.6, cal)
-        assert speculated == [id(slot.dual.approx) for slot in dual.slots]
+        approx_ids = [id(slot.dual.approx) for slot in dual.slots]
+        assert [approx_id for approx_id, _ in speculations] == approx_ids
+        assert speculated == approx_ids
         assert len(lowered) == len(dual.slots)
+        for (_, (cols, y_approx, key)), executed in zip(speculations, executions):
+            assert executed[0] is cols and executed[1] is y_approx
+            assert key is not None and executed[2] == key
         assert thetas == [slot.dual.threshold for slot in dual.slots]
 
     def test_offline_phase_matches_uncached_and_keeps_no_fresh_batch(
@@ -131,9 +151,10 @@ class TestDualizedCNN:
     ):
         """Tuning on a fixed calibration batch, then evaluating fresh
         batches, gives bit-identical thresholds and accuracies with the
-        memos on and off, and no evaluation batch's im2col buffer is kept:
-        a key requested only once is never stored."""
-        import repro.core.approx as approx_module
+        memos on and off, and no evaluation batch's im2col buffer or
+        Speculator output is kept: a key requested only once is never
+        stored."""
+        import repro.core.dual as dual_module
         from repro.core import cache
 
         model, ds = trained_cnn
@@ -141,21 +162,21 @@ class TestDualizedCNN:
         cal, _ = ds.sample(8, rng)
         dual = DualizedCNN.build(model, cal, rng=rng)
         batches = [ds.sample(8, np.random.default_rng(100 + i)) for i in range(4)]
-        real_lower = approx_module.im2col_cached
+        real_speculate = dual_module.speculate_cached
         evaluation_keys = []
 
-        def spy_lower(x, kernel_size, stride, padding):
-            evaluation_keys.append(
-                (cache.array_fingerprint(x), tuple(kernel_size), stride, padding)
-            )
-            return real_lower(x, kernel_size, stride, padding)
+        def spy_speculate(approx, x):
+            cols, y_approx, key = real_speculate(approx, x)
+            geometry = (tuple(approx.kernel_size), approx.stride, approx.padding)
+            evaluation_keys.append(((cache.array_fingerprint(x), *geometry), key))
+            return cols, y_approx, key
 
         def run():
             outputs = []
             for i, (images, labels) in enumerate(batches):
                 thetas = dual.set_thresholds_by_fraction((0.3, 0.6)[i % 2], cal)
                 with monkeypatch.context() as patch:
-                    patch.setattr(approx_module, "im2col_cached", spy_lower)
+                    patch.setattr(dual_module, "speculate_cached", spy_speculate)
                     accuracy, _ = dual.evaluate(images, labels)
                 outputs.append((thetas, accuracy))
             return outputs
@@ -163,15 +184,63 @@ class TestDualizedCNN:
         cache.clear_caches()
         try:
             cached = run()
-            assert len(cache.IM2COL_CACHE) > 0  # calibration buffers repeat
+            # calibration buffers and pre-activations repeat
+            assert len(cache.IM2COL_CACHE) > 0
+            assert len(cache.SPECULATE_CACHE) > 0
             assert len(evaluation_keys) == len(batches) * len(dual.slots)
-            for key in evaluation_keys:
-                assert cache.IM2COL_CACHE.get(key) is None
+            for im2col_key, speculate_key in evaluation_keys:
+                assert cache.IM2COL_CACHE.get(im2col_key) is None
+                assert cache.SPECULATE_CACHE.get(speculate_key) is None
             cache.set_cache_enabled(False)
             assert run() == cached
         finally:
             cache.set_cache_enabled(True)
             cache.clear_caches()
+
+    def test_offline_phase_never_hashes_speculator_outputs(
+        self, trained_cnn, monkeypatch
+    ):
+        """In one tune + evaluate round only layer inputs and Speculator
+        parameters are fingerprinted: no pre-activation array is hashed,
+        and the bytes hashed are at most those of the inputs and
+        parameters of every speculation."""
+        import repro.core.dual as dual_module
+        from repro.core import cache
+
+        model, ds = trained_cnn
+        rng = np.random.default_rng(13)
+        cal, _ = ds.sample(8, rng)
+        dual = DualizedCNN.build(model, cal, rng=rng)
+        images, labels = ds.sample(8, np.random.default_rng(113))
+        real_fingerprint = cache.array_fingerprint
+        real_speculate = dual_module.speculate_cached
+        hashed, speculations = [], []
+
+        def spy_fingerprint(x):
+            fingerprint = real_fingerprint(x)
+            hashed.append((fingerprint, np.asarray(x).nbytes))
+            return fingerprint
+
+        def spy_speculate(approx, x):
+            result = real_speculate(approx, x)
+            inner = approx.inner
+            params = inner.projection.signs.nbytes + inner.weight.nbytes + inner.bias.nbytes
+            speculations.append((np.asarray(x).nbytes + params, result[1]))
+            return result
+
+        cache.clear_caches()
+        try:
+            with monkeypatch.context() as patch:
+                patch.setattr(cache, "array_fingerprint", spy_fingerprint)
+                patch.setattr(dual_module, "speculate_cached", spy_speculate)
+                dual.set_thresholds_by_fraction(0.5, cal)
+                dual.evaluate(images, labels)
+        finally:
+            cache.clear_caches()
+        assert len(speculations) == 2 * len(dual.slots)
+        outputs = {real_fingerprint(y_approx) for _, y_approx in speculations}
+        assert outputs.isdisjoint(fingerprint for fingerprint, _ in hashed)
+        assert sum(size for _, size in hashed) <= sum(size for size, _ in speculations)
 
 
 class TestDualizedLanguageModel:
