@@ -24,7 +24,6 @@ substrate small, fast, and easy to property-test.
 
 from repro.nn import functional
 from repro.nn.layers import (
-    AvgPool2d,
     BatchNorm2d,
     Conv2d,
     Dropout,
@@ -44,7 +43,6 @@ __all__ = [
     "Linear",
     "Conv2d",
     "MaxPool2d",
-    "AvgPool2d",
     "BatchNorm2d",
     "Dropout",
     "Embedding",

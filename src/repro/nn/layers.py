@@ -19,7 +19,6 @@ __all__ = [
     "Linear",
     "Conv2d",
     "MaxPool2d",
-    "AvgPool2d",
     "BatchNorm2d",
     "Dropout",
     "Embedding",
@@ -184,9 +183,12 @@ class Conv2d(Module):
         )
 
 
-class _Pool2d(Module):
-    """Pooling over the ``k * k`` strided tap views of the input; outputs keep
-    the input's memory order, input gradients are channel-major NCHW views."""
+class MaxPool2d(Module):
+    """Max pooling over the ``k * k`` strided tap views of the input: a
+    running maximum that records the first tap, in row-major order, holding
+    each maximum; backward routes the gradient there.  Outputs keep the
+    input's memory order, input gradients are channel-major NCHW views.  A
+    NaN wins its window; ``-inf`` padding never does."""
 
     def __init__(self, kernel_size: int, stride: int | None = None, padding: int = 0):
         super().__init__()
@@ -195,17 +197,8 @@ class _Pool2d(Module):
         self.padding = padding
         check_range(self, "kernel_size", "stride", ge=1)
         # a wider border leaves windows wholly inside the padding
-        require_range(f"{type(self).__name__}.padding", padding, ge=0, le=kernel_size // 2)
+        require_range("MaxPool2d.padding", padding, ge=0, le=kernel_size // 2)
         self._cache: tuple | None = None
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.kernel_size}, stride={self.stride})"
-
-
-class MaxPool2d(_Pool2d):
-    """Max pooling: a running maximum over the tap views that records the
-    first tap, in row-major order, holding each maximum; backward routes the
-    gradient there.  A NaN wins its window; ``-inf`` padding never does."""
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -230,31 +223,8 @@ class MaxPool2d(_Pool2d):
         self._cache = None
         return grad_x[:, :, p : p + h, p : p + w]
 
-
-class AvgPool2d(_Pool2d):
-    """Average pooling; with ``kernel_size`` equal to the feature map size
-    this doubles as the global-average-pool used by ResNets.  Taps are
-    summed in row-major tap order."""
-
-    def __init__(self, kernel_size: int, stride: int | None = None):
-        super().__init__(kernel_size, stride)
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        self._cache = x.shape
-        taps = F.tap_views(x, (self.kernel_size,) * 2, self.stride)
-        return (sum(taps) / len(taps)).transpose(1, 0, 2, 3)
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("backward called before forward")
-        n, c, h, w = self._cache
-        grad_x = np.zeros((c, n, h, w)).transpose(1, 0, 2, 3)
-        share = grad_out.transpose(1, 0, 2, 3) / self.kernel_size**2
-        for view in F.tap_views(grad_x, (self.kernel_size,) * 2, self.stride):
-            view += share
-        self._cache = None
-        return grad_x
+    def __repr__(self) -> str:
+        return f"MaxPool2d({self.kernel_size}, stride={self.stride})"
 
 
 class BatchNorm2d(Module):

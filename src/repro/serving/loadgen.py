@@ -26,6 +26,8 @@ reproducible.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,10 +94,15 @@ class TraceConfig:
                     f"entries for {len(self.models)} models"
                 )
             check_range(self, "model_weights", ge=0)
-            if not sum(self.model_weights):
+            total = sum(self.model_weights)
+            try:
+                usable = 0 < float(total) < math.inf
+            except OverflowError:  # an int sum past the float range
+                usable = False
+            if not usable:
                 raise ValueError(
-                    "TraceConfig.model_weights must be non-negative and sum "
-                    "to a positive total"
+                    "TraceConfig.model_weights must sum to a positive finite "
+                    f"total, got {total}"
                 )
         check_range(self, "workload_variants", "burst_factor", ge=1)
         check_range(self, "switch_probability", ge=0, le=1)
@@ -171,36 +178,57 @@ class ClosedLoopConfig:
 
 
 def generate_trace(config: TraceConfig) -> list[Request]:
-    """Generate one arrival trace; a pure function of ``config``."""
+    """Generate one arrival trace; a pure function of ``config``.
+
+    Stream contract: one ``np.random.default_rng(config.seed)`` makes,
+    per request and in this order, the bursty phase-flip ``random()``
+    (``bursty`` only), the ``exponential(1 / rate)`` gap at the phase's
+    rate before the flip, one ``random()`` that picks the model, and
+    ``integers(workload_variants)``.  The model pick is what
+    ``Generator.choice(len(models), p=...)`` does for one draw: the
+    first index whose normalised cumulative weight exceeds the uniform,
+    so a trace is the same bits as one drawn with ``choice``.
+    """
     rng = np.random.default_rng(config.seed)
+    models = config.models
     weights = config.model_weights
     if weights is None:
-        probabilities = np.full(len(config.models), 1.0 / len(config.models))
+        probabilities = np.full(len(models), 1.0 / len(models))
     else:
         probabilities = np.asarray(weights, dtype=float) / sum(weights)
+    # the CDF exactly as ``Generator.choice`` builds it
+    cdf = probabilities.cumsum()
+    cdf /= cdf[-1]
+    cdf = cdf.tolist()
 
-    hot = config.arrival == "bursty"  # bursty traces open in the hot phase
+    random, exponential, integers = rng.random, rng.exponential, rng.integers
+    variants = config.workload_variants
+    clock_hz = config.clock_hz
+    bursty = config.arrival == "bursty"
+    switch_probability = config.switch_probability
+    poisson_scale = 1.0 / config.rate_rps
+    hot_scale = 1.0 / (config.rate_rps * config.burst_factor)
+    quiet_scale = 1.0 / (config.rate_rps / config.burst_factor)
+
+    hot = bursty  # bursty traces open in the hot phase
     t_seconds = 0.0
     trace: list[Request] = []
+    append = trace.append
     for rid in range(config.n_requests):
-        if config.arrival == "poisson":
-            rate = config.rate_rps
-        else:
-            rate = (
-                config.rate_rps * config.burst_factor
-                if hot
-                else config.rate_rps / config.burst_factor
-            )
-            if rng.random() < config.switch_probability:
+        if bursty:
+            scale = hot_scale if hot else quiet_scale
+            if random() < switch_probability:
                 hot = not hot
-        t_seconds += float(rng.exponential(1.0 / rate))
-        model = config.models[int(rng.choice(len(config.models), p=probabilities))]
-        trace.append(
+        else:
+            scale = poisson_scale
+        t_seconds += float(exponential(scale))
+        model = models[bisect_right(cdf, random())]
+        append(
             Request(
                 rid=rid,
                 model=model,
-                arrival_cycle=int(round(t_seconds * config.clock_hz)),
-                workload_seed=int(rng.integers(config.workload_variants)),
+                arrival_cycle=int(round(t_seconds * clock_hz)),
+                workload_seed=int(integers(variants)),
             )
         )
     return trace

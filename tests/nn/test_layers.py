@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.nn import (
-    AvgPool2d,
     BatchNorm2d,
     Conv2d,
     Dropout,
@@ -157,15 +156,6 @@ class TestPooling:
         # offsets avoid ties, which break finite differences
         x = rng.normal(size=(1, 2, 4, 4)) + np.arange(32).reshape(1, 2, 4, 4) * 0.1
         check_input_gradient(layer, x)
-
-    def test_avgpool_values(self):
-        x = np.arange(16, dtype=np.float64).reshape(1, 1, 4, 4)
-        out = AvgPool2d(2)(x)
-        np.testing.assert_allclose(out[0, 0], [[2.5, 4.5], [10.5, 12.5]])
-
-    def test_avgpool_input_gradient_numeric(self, rng):
-        layer = AvgPool2d(2)
-        check_input_gradient(layer, rng.normal(size=(1, 2, 4, 4)))
 
 
 class TestBatchNorm:

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro.models.proxies import proxy_alexnet, train_classifier
-from repro.nn import AvgPool2d, Conv2d, MaxPool2d
+from repro.nn import Conv2d, MaxPool2d
 from repro.nn import functional as F
 from repro.nn.data import GaussianMixtureImages
 
@@ -250,8 +250,6 @@ class TestGeometryValidation:
             (lambda: MaxPool2d(2, stride=0), "MaxPool2d.stride"),
             (lambda: MaxPool2d(2, padding=-1), "MaxPool2d.padding"),
             (lambda: MaxPool2d(3, padding=2), "MaxPool2d.padding"),
-            (lambda: AvgPool2d(0), "AvgPool2d.kernel_size"),
-            (lambda: AvgPool2d(2, stride=0), "AvgPool2d.stride"),
         ],
     )
     def test_rejects_invalid_geometry(self, build, label):
