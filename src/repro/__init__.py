@@ -24,12 +24,11 @@ EXPERIMENTS.md for paper-vs-measured results.
 
 __version__ = "1.0.0"
 
-from repro import baselines, core, experiments, models, nn, quant, sim, workloads
+from repro import baselines, core, experiments, models, nn, sim, workloads
 
 __all__ = [
     "core",
     "nn",
-    "quant",
     "models",
     "workloads",
     "sim",

@@ -37,8 +37,8 @@ GRAPH_SCHEMA = "duetlint-graph/1"
 
 #: Roots the program model always covers (when present), regardless of
 #: which paths were selected for linting -- cross-module rules need the
-#: whole tree, and DEAD001 counts references from tests and examples.
-PROGRAM_ROOTS = ("src", "tools", "tests", "benchmarks", "examples")
+#: whole tree, and DEAD001 counts references from every root but tests.
+PROGRAM_ROOTS = ("src", "tools", "tests", "benchmarks", "examples", "perfbench")
 
 
 def module_name_for(relpath: str) -> str:

@@ -1,26 +1,24 @@
-"""DEAD001: every public package export is referenced from outside.
+"""DEAD001: every public export and top-level definition has a caller.
 
 A package ``__init__.py`` is the package's public API surface: its
 ``__all__`` (or, lacking one, its top-level re-export imports) promises
-those names to the rest of the repo.  An export nobody outside the
-package references is API rot -- it inflates the surface the layering
-and pricing contracts must police, and it silently breaks without any
-test noticing.  DEAD001 walks the whole program (``src/``, ``tools/``,
-``tests/``, ``benchmarks/``, ``examples/``) and flags exports with zero
-cross-module references.
+those names to the rest of the repo.  A module's top-level public
+``def``s and ``class``es are the code it offers.  Either one with no
+caller is rot -- it inflates the surface the layering and pricing
+contracts must police.  DEAD001 walks the whole program (``src/``,
+``tools/``, ``benchmarks/``, ``examples/``, ``perfbench/``) and flags:
 
-A reference is any of:
+- a package export nobody outside the package's subtree references;
+- a top-level public definition under ``src/`` that no other module
+  references and its own module never uses outside the definition's
+  body.  A class decorated with ``@register`` counts as used.
 
-- ``from pkg import name`` (or ``import *``) in a module outside the
-  package's subtree;
-- an attribute use resolving to ``pkg.name`` after ``import pkg`` or an
-  aliased import;
-- for exports naming *submodules*, any import of ``pkg.name`` or a
-  deeper path.
-
-Uses from inside the package's own subtree do not count -- siblings
-import the defining module directly, so they cannot justify keeping the
-re-export alive.
+A reference is a ``from mod import name`` (or ``import *``), an
+attribute use resolving to ``mod.name``, or -- for exports naming
+*submodules* -- any import of ``pkg.name`` or a deeper path.  Callers
+under ``tests/`` do not count: a test exercises code, it does not
+justify keeping it.  A deliberate exception (a tested oracle, a test
+hook) carries ``# duetlint: disable=DEAD001`` with its reason above it.
 """
 
 from __future__ import annotations
@@ -63,42 +61,77 @@ def _attribute_refs(info: ModuleInfo) -> set[str]:
     return refs
 
 
+def _definitions(info: ModuleInfo) -> Iterator[ast.stmt]:
+    """Top-level public ``def``s and ``class``es, minus ``@register`` ones."""
+    for node in info.parsed.tree.body:
+        if not isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        ) or node.name.startswith("_"):
+            continue
+        if any(dotted_name(d) == "register" for d in node.decorator_list):
+            continue
+        yield node
+
+
+def _used_outside(info: ModuleInfo, definition: ast.stmt) -> bool:
+    """True when ``info`` names ``definition`` outside its own body."""
+    for node in info.parsed.tree.body:
+        if node is definition:
+            continue
+        for child in ast.walk(node):
+            if isinstance(child, ast.Name) and child.id == definition.name:
+                return True
+    return False
+
+
 @register
 class DeadExportRule(ProjectRule):
-    """DEAD001: package exports must have cross-module references."""
+    """DEAD001: exports and top-level definitions need non-test callers."""
 
     code = "DEAD001"
-    title = "public __init__ exports are referenced outside their package"
+    title = "public exports and top-level definitions have non-test callers"
 
     def check_program(
         self, program: ProgramModel, project: Project
     ) -> Iterator[Finding]:
-        packages = [
-            program.modules[name]
-            for name in sorted(program.modules)
-            if program.modules[name].is_package
-            and program.modules[name].relpath.startswith("src/")
+        callers = [
+            info
+            for _, info in sorted(program.modules.items())
+            if not info.relpath.startswith("tests/")
         ]
-        if not packages:
-            return
-        attribute_refs: dict[str, set[str]] = {
-            name: _attribute_refs(program.modules[name])
-            for name in program.modules
-        }
-        for package in packages:
-            yield from self._check_package(program, package, attribute_refs)
+        attribute_refs = {info.name: _attribute_refs(info) for info in callers}
+        for info in callers:
+            if not info.relpath.startswith("src/"):
+                continue
+            if info.is_package:
+                yield from self._check_package(program, info, callers, attribute_refs)
+            others = [other for other in callers if other is not info]
+            for node in _definitions(info):
+                if _used_outside(info, node) or self._referenced(
+                    program, info, node.name, others, attribute_refs
+                ):
+                    continue
+                yield info.parsed.finding(
+                    node,
+                    self.code,
+                    f"top-level '{node.name}' of {info.name} has no caller "
+                    "outside tests: delete it (or add the caller that was "
+                    "supposed to exist)",
+                    self.severity,
+                )
 
     def _check_package(
         self,
         program: ProgramModel,
         package: ModuleInfo,
+        callers: list[ModuleInfo],
         attribute_refs: dict[str, set[str]],
     ) -> Iterator[Finding]:
         subtree = package.name + "."
         outside = [
             info
-            for name, info in program.modules.items()
-            if name != package.name and not name.startswith(subtree)
+            for info in callers
+            if info.name != package.name and not info.name.startswith(subtree)
         ]
         for name, line in _exports(package):
             if self._referenced(program, package, name, outside, attribute_refs):
@@ -107,8 +140,7 @@ class DeadExportRule(ProjectRule):
                 _Anchor(line),
                 self.code,
                 f"public export '{name}' of {package.name} has no "
-                "cross-module references anywhere under src/, tools/, "
-                "tests/, benchmarks/ or examples/: prune it from the "
+                "cross-module references outside tests: prune it from the "
                 "package surface (or add the caller that was supposed "
                 "to exist)",
                 self.severity,
@@ -117,16 +149,16 @@ class DeadExportRule(ProjectRule):
     def _referenced(
         self,
         program: ProgramModel,
-        package: ModuleInfo,
+        module: ModuleInfo,
         name: str,
         outside: list[ModuleInfo],
         attribute_refs: dict[str, set[str]],
     ) -> bool:
-        dotted = f"{package.name}.{name}"
+        dotted = f"{module.name}.{name}"
         is_submodule = dotted in program.modules
         for info in outside:
             for edge in info.edges:
-                if edge.target == package.name and (
+                if edge.target == module.name and (
                     name in edge.names or "*" in edge.names
                 ):
                     return True

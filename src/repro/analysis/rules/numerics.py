@@ -19,7 +19,6 @@ from repro.analysis.rules import Rule, register, resolve_target
 #: call targets (last dotted component) whose results are floating point.
 _FLOAT_RETURNING = {
     "to_float",
-    "dequantize",
     "float",
     "mean",
     "std",

@@ -46,31 +46,19 @@ for the paper-figure mapping of every bench file.
 """
 
 from repro.bench.chaos import run_chaos_bench
-from repro.bench.document import deterministic_view
-from repro.bench.dynamic import (
-    DYNAMIC_SCHEMA,
-    dynamic_scenarios,
-    exit_thresholds,
-    run_dynamic_bench,
-)
+from repro.bench.dynamic import run_dynamic_bench
 from repro.bench.faults import run_fault_matrix
 from repro.bench.fleet import run_fleet_bench
 from repro.bench.harness import run_bench
-from repro.bench.serving import SERVE_SCHEMA, run_serving_bench, serve_scenarios
+from repro.bench.serving import run_serving_bench
 from repro.bench.suites import SUITES
 
 __all__ = [
-    "DYNAMIC_SCHEMA",
-    "SERVE_SCHEMA",
     "SUITES",
-    "deterministic_view",
-    "dynamic_scenarios",
-    "exit_thresholds",
     "run_bench",
     "run_chaos_bench",
     "run_dynamic_bench",
     "run_fault_matrix",
     "run_fleet_bench",
     "run_serving_bench",
-    "serve_scenarios",
 ]

@@ -56,7 +56,6 @@ __all__ = [
     "PARETO_MAX_DROP",
     "PARETO_MIN_REDUCTION",
     "dynamic_scenarios",
-    "exit_thresholds",
     "run_dynamic_bench",
 ]
 
@@ -89,11 +88,6 @@ _MODEL_CLASSES = {"resnet18": "interactive", "lstm": "bulk"}
 _RATE_RPS = 300.0
 _OVERLOAD_RATE_RPS = 2500.0
 _N_REQUESTS, _N_REQUESTS_SMOKE = 400, 150
-
-
-def exit_thresholds() -> tuple:
-    """The swept exit-confidence thresholds, ascending."""
-    return _THRESHOLDS
 
 
 def dynamic_scenarios(smoke: bool = False) -> list[dict]:

@@ -19,8 +19,8 @@ Modules:
   sigmoid/tanh, map correction and IMap derivation.
 - :mod:`repro.core.approx`     -- QDR approximate modules for Linear,
   Conv2d, LSTM and GRU cells.
-- :mod:`repro.core.distill`    -- offline distillation (Eq. 1), both
-  closed-form ridge regression and SGD.
+- :mod:`repro.core.distill`    -- offline distillation (Eq. 1) as a
+  closed-form per-layer ridge regression.
 - :mod:`repro.core.dual`       -- online dual-module layers with full
   FLOPs / memory-access accounting.
 - :mod:`repro.core.thresholds` -- per-layer threshold tuning under a
@@ -32,33 +32,8 @@ Modules:
   calibration sweeps.
 """
 
-from repro.core.approx import (
-    ApproximateConv2d,
-    ApproximateGRUCell,
-    ApproximateLinear,
-    ApproximateLSTMCell,
-)
-from repro.core.distill import distill_linear, distill_conv2d, distill_lstm_cell, distill_gru_cell
-from repro.core.dual import (
-    DualModuleConv2d,
-    DualModuleGRUCell,
-    DualModuleLinear,
-    DualModuleLSTMCell,
-)
-from repro.core.projection import TernaryRandomProjection
+from repro.core.approx import ApproximateLinear
+from repro.core.distill import distill_linear
+from repro.core.dual import DualModuleLinear
 
-__all__ = [
-    "TernaryRandomProjection",
-    "ApproximateLinear",
-    "ApproximateConv2d",
-    "ApproximateLSTMCell",
-    "ApproximateGRUCell",
-    "distill_linear",
-    "distill_conv2d",
-    "distill_lstm_cell",
-    "distill_gru_cell",
-    "DualModuleLinear",
-    "DualModuleConv2d",
-    "DualModuleLSTMCell",
-    "DualModuleGRUCell",
-]
+__all__ = ["ApproximateLinear", "distill_linear", "DualModuleLinear"]

@@ -396,7 +396,8 @@ _enabled = True
 _disk_enabled: bool | None = None  # None = consult the environment
 
 
-def set_cache_enabled(enabled: bool) -> None:
+# Test hook: tests compare memoized results against a cache-off run.
+def set_cache_enabled(enabled: bool) -> None:  # duetlint: disable=DEAD001
     """Globally enable or disable the memo caches (default: enabled)."""
     global _enabled
     _enabled = bool(enabled)
@@ -407,7 +408,8 @@ def caches_enabled() -> bool:
     return _enabled
 
 
-def set_disk_cache_enabled(enabled: bool | None) -> None:
+# Test hook: tests switch the disk tier on and off without the environment.
+def set_disk_cache_enabled(enabled: bool | None) -> None:  # duetlint: disable=DEAD001
     """Enable/disable the disk tier (``None`` defers to the environment)."""
     global _disk_enabled
     _disk_enabled = enabled if enabled is None else bool(enabled)
@@ -423,7 +425,8 @@ def disk_cache_enabled() -> bool:
     return flag not in ("0", "off", "false", "no")
 
 
-def clear_caches() -> None:
+# Test hook: tests start from empty memos to observe hits, misses, disk reads.
+def clear_caches() -> None:  # duetlint: disable=DEAD001
     """Empty every in-process cache and reset its counters.
 
     Also forgets the keys the array memos recorded as requested once.

@@ -18,7 +18,6 @@ import numpy as np
 __all__ = [
     "relu_insensitive_fraction",
     "saturation_insensitive_fraction",
-    "insensitive_fraction",
     "LayerSavings",
 ]
 
@@ -41,17 +40,6 @@ def saturation_insensitive_fraction(
     if y.size == 0:
         raise ValueError("empty activation tensor")
     return float(np.mean(np.abs(y) > threshold))
-
-
-def insensitive_fraction(
-    pre_activations: np.ndarray, activation: str, threshold: float
-) -> float:
-    """Dispatch to the per-activation insensitive-region fraction (Fig. 2)."""
-    if activation == "relu":
-        return relu_insensitive_fraction(pre_activations, threshold)
-    if activation in ("sigmoid", "tanh"):
-        return saturation_insensitive_fraction(pre_activations, threshold)
-    raise ValueError(f"no insensitive-region rule for activation {activation!r}")
 
 
 @dataclass

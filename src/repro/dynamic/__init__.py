@@ -11,46 +11,6 @@ The serving tier consumes it through
 requests shed depth (quality) before the ladder sheds precision.
 """
 
-from repro.dynamic.costmodel import (
-    EXIT_PRICING,
-    ExitCostModel,
-    ExitPricing,
-    estimated_accuracy_drop,
-)
-from repro.dynamic.decision import (
-    ALWAYS_LATE,
-    confidence,
-    decide_exit,
-    input_difficulty,
-)
-from repro.dynamic.executor import DynamicBatchExecutor
-from repro.dynamic.exits import (
-    EXIT_REGISTRY,
-    FINAL_EXIT,
-    EarlyExitModel,
-    ExitPoint,
-    early_exit_model,
-    early_exit_variants,
-    reduced_width_spec,
-    truncated_spec,
-)
+from repro.dynamic.exits import early_exit_variants
 
-__all__ = [
-    "ALWAYS_LATE",
-    "EXIT_PRICING",
-    "EXIT_REGISTRY",
-    "FINAL_EXIT",
-    "DynamicBatchExecutor",
-    "EarlyExitModel",
-    "ExitCostModel",
-    "ExitPoint",
-    "ExitPricing",
-    "confidence",
-    "decide_exit",
-    "early_exit_model",
-    "early_exit_variants",
-    "estimated_accuracy_drop",
-    "input_difficulty",
-    "reduced_width_spec",
-    "truncated_spec",
-]
+__all__ = ["early_exit_variants"]

@@ -2,9 +2,10 @@
 
 Two complementary views of the paper's benchmark networks:
 
-- :mod:`repro.models.zoo` -- :class:`ModelSpec` shape descriptions with
-  exact ImageNet/PTB/WMT16 layer geometry; these drive the architecture
-  simulator (cycle/energy results never need trained weights).
+- :mod:`repro.models.zoo` -- :class:`~repro.models.layer_spec.ModelSpec`
+  shape descriptions with exact ImageNet/PTB/WMT16 layer geometry; these
+  drive the architecture simulator (cycle/energy results never need
+  trained weights).
 - :mod:`repro.models.proxies` -- down-scaled *trainable* models built on
   :mod:`repro.nn` and the synthetic datasets; these drive the
   accuracy-vs-savings studies (Figs. 2, 10, 13b) where real forward passes
@@ -13,30 +14,6 @@ Two complementary views of the paper's benchmark networks:
   dual-module networks (distill + threshold-tune every layer).
 """
 
-from repro.models.layer_spec import ConvSpec, FCSpec, ModelSpec, RNNSpec
 from repro.models.registry import MODEL_REGISTRY, get_model_spec
-from repro.models.zoo import (
-    alexnet,
-    gnmt,
-    gru_lm,
-    lstm_lm,
-    resnet18,
-    resnet50,
-    vgg16,
-)
 
-__all__ = [
-    "ConvSpec",
-    "FCSpec",
-    "RNNSpec",
-    "ModelSpec",
-    "alexnet",
-    "vgg16",
-    "resnet18",
-    "resnet50",
-    "lstm_lm",
-    "gru_lm",
-    "gnmt",
-    "MODEL_REGISTRY",
-    "get_model_spec",
-]
+__all__ = ["MODEL_REGISTRY", "get_model_spec"]

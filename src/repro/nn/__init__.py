@@ -7,12 +7,12 @@ so this subpackage implements the required pieces from scratch:
 
 - :mod:`repro.nn.module` -- ``Parameter`` / ``Module`` base classes.
 - :mod:`repro.nn.functional` -- activations, ``im2col``/``col2im``, softmax.
-- :mod:`repro.nn.layers` -- feed-forward layers (Linear, Conv2d, pooling,
-  batch-norm, embedding, containers).
+- :mod:`repro.nn.layers` -- feed-forward layers (Linear, Conv2d, max
+  pooling, embedding, containers).
 - :mod:`repro.nn.recurrent` -- LSTM/GRU cells and multi-step wrappers with
   full back-propagation-through-time.
-- :mod:`repro.nn.optim` -- SGD (momentum) and Adam.
-- :mod:`repro.nn.losses` -- MSE and cross-entropy losses.
+- :mod:`repro.nn.optim` -- Adam.
+- :mod:`repro.nn.losses` -- cross-entropy loss and quality metrics.
 - :mod:`repro.nn.data` -- synthetic datasets standing in for ImageNet / PTB
   / WMT16 (see DESIGN.md substitution table).
 
@@ -23,36 +23,6 @@ substrate small, fast, and easy to property-test.
 """
 
 from repro.nn import functional
-from repro.nn.layers import (
-    BatchNorm2d,
-    Conv2d,
-    Dropout,
-    Embedding,
-    Flatten,
-    Linear,
-    MaxPool2d,
-    ReLU,
-    Sequential,
-    Sigmoid,
-    Tanh,
-)
-from repro.nn.recurrent import GRU, LSTM, GRUCell, LSTMCell
+from repro.nn.layers import Linear
 
-__all__ = [
-    "functional",
-    "Linear",
-    "Conv2d",
-    "MaxPool2d",
-    "BatchNorm2d",
-    "Dropout",
-    "Embedding",
-    "Flatten",
-    "ReLU",
-    "Sigmoid",
-    "Tanh",
-    "Sequential",
-    "LSTMCell",
-    "GRUCell",
-    "LSTM",
-    "GRU",
-]
+__all__ = ["functional", "Linear"]

@@ -26,33 +26,7 @@ __all__ = [
     "GaussianMixtureImages",
     "ZipfTokenStream",
     "SyntheticTranslationTask",
-    "iterate_minibatches",
 ]
-
-
-def iterate_minibatches(
-    inputs: np.ndarray,
-    targets: np.ndarray,
-    batch_size: int,
-    rng: np.random.Generator | None = None,
-):
-    """Yield ``(inputs_batch, targets_batch)`` pairs, optionally shuffled.
-
-    Args:
-        inputs: array whose first axis is the sample axis.
-        targets: aligned targets with the same first-axis length.
-        batch_size: samples per batch (the last batch may be smaller).
-        rng: if given, shuffle sample order before batching.
-    """
-    n = inputs.shape[0]
-    if targets.shape[0] != n:
-        raise ValueError("inputs and targets disagree on sample count")
-    order = np.arange(n)
-    if rng is not None:
-        rng.shuffle(order)
-    for start in range(0, n, batch_size):
-        idx = order[start : start + batch_size]
-        yield inputs[idx], targets[idx]
 
 
 @dataclass

@@ -19,13 +19,9 @@ __all__ = [
     "Linear",
     "Conv2d",
     "MaxPool2d",
-    "BatchNorm2d",
-    "Dropout",
     "Embedding",
     "Flatten",
     "ReLU",
-    "Sigmoid",
-    "Tanh",
     "Sequential",
 ]
 
@@ -227,104 +223,6 @@ class MaxPool2d(Module):
         return f"MaxPool2d({self.kernel_size}, stride={self.stride})"
 
 
-class BatchNorm2d(Module):
-    """Batch normalisation over the channel axis of NCHW tensors.
-
-    Tracks running statistics for inference; in training mode it normalises
-    with batch statistics and back-propagates through them.
-    """
-
-    def __init__(self, num_features: int, eps: float = 1e-5, momentum: float = 0.1):
-        super().__init__()
-        self.num_features = num_features
-        self.eps = eps
-        self.momentum = momentum
-        self.gamma = Parameter(np.ones(num_features))
-        self.beta = Parameter(np.zeros(num_features))
-        self.running_mean = np.zeros(num_features)
-        self.running_var = np.ones(num_features)
-        self._cache: tuple | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape[1] != self.num_features:
-            raise ValueError(
-                f"expected {self.num_features} channels, got {x.shape[1]}"
-            )
-        axes = (0, 2, 3)
-        if self.training:
-            mean = x.mean(axis=axes)
-            var = x.var(axis=axes)
-            self.running_mean = (
-                (1 - self.momentum) * self.running_mean + self.momentum * mean
-            )
-            self.running_var = (
-                (1 - self.momentum) * self.running_var + self.momentum * var
-            )
-        else:
-            mean, var = self.running_mean, self.running_var
-        inv_std = 1.0 / np.sqrt(var + self.eps)
-        x_hat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
-        self._cache = (x_hat, inv_std, x.shape)
-        return (
-            self.gamma.data[None, :, None, None] * x_hat
-            + self.beta.data[None, :, None, None]
-        )
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("backward called before forward")
-        x_hat, inv_std, x_shape = self._cache
-        axes = (0, 2, 3)
-        m = x_shape[0] * x_shape[2] * x_shape[3]
-        self.gamma.grad += (grad_out * x_hat).sum(axis=axes)
-        self.beta.grad += grad_out.sum(axis=axes)
-        if not self.training:
-            self._cache = None
-            return (
-                grad_out
-                * self.gamma.data[None, :, None, None]
-                * inv_std[None, :, None, None]
-            )
-        g = grad_out * self.gamma.data[None, :, None, None]
-        sum_g = g.sum(axis=axes)[None, :, None, None]
-        sum_gx = (g * x_hat).sum(axis=axes)[None, :, None, None]
-        self._cache = None
-        return (
-            inv_std[None, :, None, None] / m * (m * g - sum_g - x_hat * sum_gx)
-        )
-
-    def __repr__(self) -> str:
-        return f"BatchNorm2d({self.num_features})"
-
-
-class Dropout(Module):
-    """Inverted dropout; identity in eval mode."""
-
-    def __init__(self, p: float = 0.5, rng: np.random.Generator | None = None):
-        super().__init__()
-        if not 0.0 <= p < 1.0:
-            raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-        self.p = p
-        self.rng = rng if rng is not None else default_rng()
-        self._mask: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        if not self.training or self.p == 0.0:
-            self._mask = None
-            return np.asarray(x, dtype=np.float64)
-        self._mask = (self.rng.random(x.shape) >= self.p) / (1.0 - self.p)
-        return x * self._mask
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            return grad_out
-        return grad_out * self._mask
-
-    def __repr__(self) -> str:
-        return f"Dropout(p={self.p})"
-
-
 class Embedding(Module):
     """Token-id to dense-vector lookup table."""
 
@@ -382,16 +280,12 @@ class Flatten(Module):
         return grad_out.reshape(shape)
 
 
-class _Activation(Module):
-    """Shared implementation for pointwise activation layers."""
+class ReLU(Module):
+    """ReLU layer; its insensitive region is ``y < 0`` (paper Fig. 1)."""
 
     def __init__(self):
         super().__init__()
         self._cache: np.ndarray | None = None
-
-
-class ReLU(_Activation):
-    """ReLU layer; its insensitive region is ``y < 0`` (paper Fig. 1)."""
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._cache = np.asarray(x, dtype=np.float64)
@@ -401,38 +295,6 @@ class ReLU(_Activation):
         if self._cache is None:
             raise RuntimeError("backward called before forward")
         grad = grad_out * F.relu_grad(self._cache)
-        self._cache = None
-        return grad
-
-
-class Sigmoid(_Activation):
-    """Sigmoid layer; saturation regions are insensitive (paper Fig. 1)."""
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        out = F.sigmoid(np.asarray(x, dtype=np.float64))
-        self._cache = out
-        return out
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("backward called before forward")
-        grad = grad_out * F.sigmoid_grad(self._cache)
-        self._cache = None
-        return grad
-
-
-class Tanh(_Activation):
-    """Tanh layer; saturation regions are insensitive (paper Fig. 1)."""
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        out = F.tanh(np.asarray(x, dtype=np.float64))
-        self._cache = out
-        return out
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("backward called before forward")
-        grad = grad_out * F.tanh_grad(self._cache)
         self._cache = None
         return grad
 

@@ -1,4 +1,4 @@
-"""Loss functions and quality metrics (MSE, cross-entropy, perplexity)."""
+"""Loss functions and quality metrics (cross-entropy, perplexity, top-k)."""
 
 from __future__ import annotations
 
@@ -6,28 +6,7 @@ import numpy as np
 
 from repro.nn import functional as F
 
-__all__ = ["MSELoss", "CrossEntropyLoss", "perplexity", "topk_accuracy"]
-
-
-class MSELoss:
-    """Mean squared error ``mean((pred - target)^2)``.
-
-    This is the distillation objective of the paper's Eq. (1): the
-    approximate module is trained to minimise the squared error between
-    accurate and approximate pre-activations over a mini-batch.
-    """
-
-    def __call__(self, pred: np.ndarray, target: np.ndarray) -> float:
-        pred = np.asarray(pred, dtype=np.float64)
-        target = np.asarray(target, dtype=np.float64)
-        if pred.shape != target.shape:
-            raise ValueError(f"shape mismatch: {pred.shape} vs {target.shape}")
-        self._diff = pred - target
-        return float(np.mean(self._diff**2))
-
-    def backward(self) -> np.ndarray:
-        """Gradient of the loss w.r.t. ``pred``."""
-        return 2.0 * self._diff / self._diff.size
+__all__ = ["CrossEntropyLoss", "perplexity", "topk_accuracy"]
 
 
 class CrossEntropyLoss:

@@ -52,7 +52,6 @@ class Module:
     def __init__(self):
         self._parameters: dict[str, Parameter] = {}
         self._modules: dict[str, Module] = {}
-        self.training = True
 
     def __setattr__(self, name: str, value) -> None:
         if isinstance(value, Parameter):
@@ -89,22 +88,12 @@ class Module:
         """Total number of scalar parameters in the module tree."""
         return sum(p.size for p in self.parameters())
 
-    # -- training state ----------------------------------------------------
+    # -- gradients ----------------------------------------------------------
 
     def zero_grad(self) -> None:
         """Zero the gradients of every parameter in the tree."""
         for param in self.parameters():
             param.zero_grad()
-
-    def train(self, mode: bool = True) -> "Module":
-        """Set training mode (affects Dropout / BatchNorm behaviour)."""
-        for module in self.modules():
-            module.training = mode
-        return self
-
-    def eval(self) -> "Module":
-        """Set inference mode."""
-        return self.train(False)
 
     # -- (de)serialisation ---------------------------------------------------
 

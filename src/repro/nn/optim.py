@@ -1,4 +1,4 @@
-"""Optimizers for the numpy NN framework: SGD (with momentum) and Adam."""
+"""The Adam optimizer the proxy models train with."""
 
 from __future__ import annotations
 
@@ -7,57 +7,10 @@ import numpy as np
 from repro.nn.module import Parameter
 from repro.validation import require_range
 
-__all__ = ["Optimizer", "SGD", "Adam"]
+__all__ = ["Adam"]
 
 
-class Optimizer:
-    """Base optimizer holding a parameter list and a learning rate."""
-
-    def __init__(self, parameters, lr: float):
-        self.parameters: list[Parameter] = list(parameters)
-        if not self.parameters:
-            raise ValueError("optimizer received no parameters")
-        require_range(f"{type(self).__name__}.lr", lr, gt=0)
-        self.lr = lr
-
-    def zero_grad(self) -> None:
-        """Zero all parameter gradients."""
-        for param in self.parameters:
-            param.zero_grad()
-
-    def step(self) -> None:
-        """Apply one update; subclasses must override."""
-        raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum and weight decay."""
-
-    def __init__(
-        self,
-        parameters,
-        lr: float = 0.01,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
-    ):
-        super().__init__(parameters, lr)
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity = [np.zeros_like(p.data) for p in self.parameters]
-
-    def step(self) -> None:
-        for param, vel in zip(self.parameters, self._velocity):
-            grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            if self.momentum:
-                vel *= self.momentum
-                vel += grad
-                grad = vel
-            param.data -= self.lr * grad
-
-
-class Adam(Optimizer):
+class Adam:
     """Adam optimizer (Kingma & Ba) with bias correction."""
 
     def __init__(
@@ -68,7 +21,11 @@ class Adam(Optimizer):
         eps: float = 1e-8,
         weight_decay: float = 0.0,
     ):
-        super().__init__(parameters, lr)
+        self.parameters: list[Parameter] = list(parameters)
+        if not self.parameters:
+            raise ValueError("optimizer received no parameters")
+        require_range("Adam.lr", lr, gt=0)
+        self.lr = lr
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.weight_decay = weight_decay
@@ -91,3 +48,8 @@ class Adam(Optimizer):
             m_hat = m / bias1
             v_hat = v / bias2
             param.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+    def zero_grad(self) -> None:
+        """Zero all parameter gradients."""
+        for param in self.parameters:
+            param.zero_grad()

@@ -3,19 +3,8 @@
 from repro.parallel.engine import (
     CampaignTask,
     ShardedRun,
-    merge_counters,
-    preferred_start_method,
     run_sharded,
     spawn_task_seeds,
-    warm_cache,
 )
 
-__all__ = [
-    "CampaignTask",
-    "ShardedRun",
-    "merge_counters",
-    "preferred_start_method",
-    "run_sharded",
-    "spawn_task_seeds",
-    "warm_cache",
-]
+__all__ = ["CampaignTask", "ShardedRun", "run_sharded", "spawn_task_seeds"]

@@ -2,33 +2,15 @@
 
 DUET's Executor computes in 16-bit fixed point ("essentially INT16 with a
 scale in FP32", paper Section III-B Step 1) and the Speculator computes in
-INT4.  The conversion between them is a hardware-friendly truncation: drop
-the 12 least-significant bits, keep the 4 most-significant bits, and
-multiply the scale by 4096.  This subpackage implements:
+INT4.  This subpackage implements:
 
-- :class:`FixedPointTensor` -- integer payload + FP32 scale container.
-- :func:`quantize_linear` / :func:`dequantize` -- symmetric linear
-  quantization to an arbitrary bit width (used for QDR weights).
-- :func:`truncate_to_int4` -- the Speculator's 16b-to-4b truncating
-  quantizer.
-- :func:`quantization_noise_power` -- analysis helper for the precision
-  design-space exploration (paper Fig. 13b).
+- :class:`~repro.quant.fixed_point.FixedPointTensor` -- integer payload +
+  FP32 scale container (``to_float`` dequantizes).
+- :func:`quantize_linear` -- symmetric linear quantization to an arbitrary
+  bit width (used for QDR weights and the Speculator's INT4 inputs).
+- :func:`int_range` -- the representable range of a signed bit width.
 """
 
-from repro.quant.fixed_point import (
-    FixedPointTensor,
-    dequantize,
-    int_range,
-    quantization_noise_power,
-    quantize_linear,
-    truncate_to_int4,
-)
+from repro.quant.fixed_point import int_range, quantize_linear
 
-__all__ = [
-    "FixedPointTensor",
-    "quantize_linear",
-    "dequantize",
-    "truncate_to_int4",
-    "int_range",
-    "quantization_noise_power",
-]
+__all__ = ["quantize_linear", "int_range"]

@@ -1,10 +1,11 @@
-"""Fixed-point tensors and the Speculator's truncating quantizer.
+"""Fixed-point tensors and symmetric linear quantization.
 
 The numeric model follows paper Section III-B:
 
 - Executor datapath: INT16 payload with a shared FP32 scale per tensor.
-- Speculator datapath: INT4, obtained from INT16 by truncating the 12
-  least-significant bits and multiplying the scale by 4096 (2^12).
+- Speculator datapath: INT4 (the hardware truncates the INT16 payload's
+  12 least-significant bits; the approximate modules model its inputs
+  with :func:`quantize_linear` at 4 bits).
 - QDR weights: symmetric linear quantization at a configurable bit width
   (INT4 by default; INT2/INT8 for the Fig. 13b precision sweep).
 """
@@ -19,9 +20,6 @@ __all__ = [
     "int_range",
     "FixedPointTensor",
     "quantize_linear",
-    "dequantize",
-    "truncate_to_int4",
-    "quantization_noise_power",
 ]
 
 
@@ -110,37 +108,3 @@ def quantize_linear(
         raise ValueError(f"scale must be positive, got {scale}")
     q = np.clip(np.rint(x / scale), lo, hi).astype(np.int64)
     return FixedPointTensor(q, float(scale), bits)
-
-
-def dequantize(t: FixedPointTensor) -> np.ndarray:
-    """Dequantize a :class:`FixedPointTensor` back to float64."""
-    return t.to_float()
-
-
-def truncate_to_int4(t: FixedPointTensor) -> FixedPointTensor:
-    """The Speculator's 16b-to-4b quantizer (paper Section III-B, Step 1).
-
-    Drops the 12 least-significant bits of an INT16 payload keeping the 4
-    most-significant bits, and multiplies the scale by 4096 (2^12) to keep
-    the represented range unchanged.  Truncation is an arithmetic shift
-    (floor division), matching the hardware's bit-dropping behaviour.
-
-    Raises:
-        ValueError: if the input is not 16-bit.
-    """
-    if t.bits != 16:
-        raise ValueError(f"truncating quantizer expects INT16 input, got INT{t.bits}")
-    shifted = t.values >> 12  # arithmetic shift: floor toward -inf
-    lo, hi = int_range(4)
-    shifted = np.clip(shifted, lo, hi)
-    return FixedPointTensor(shifted.astype(np.int64), t.scale * 4096.0, 4)
-
-
-def quantization_noise_power(x: np.ndarray, bits: int) -> float:
-    """Mean squared error introduced by symmetric ``bits``-wide quantization.
-
-    Used by the precision design-space exploration (paper Fig. 13b) to
-    relate Speculator bit width to approximation quality.
-    """
-    t = quantize_linear(x, bits)
-    return float(np.mean((t.to_float() - np.asarray(x, dtype=np.float64)) ** 2))

@@ -22,54 +22,8 @@ computed, and never forward progress.  The subsystem has four parts:
   tier (:mod:`repro.serving.faulttol`).
 """
 
-from repro.reliability.context import GuardSettings, ReliabilityContext
-from repro.reliability.degrade import (
-    DEGRADATION_LADDER,
-    DegradationBudget,
-    DegradationPolicy,
-)
-from repro.reliability.faults import (
-    CAMPAIGNS,
-    BiasedSpeculator,
-    DramTransferFaults,
-    FaultCampaign,
-    FaultInjector,
-    IMapBitFlips,
-    OMapBitFlips,
-    StuckAtRows,
-    WeightCorruption,
-    get_campaign,
-)
-from repro.reliability.guards import (
-    ConsistencyAuditor,
-    MapGuard,
-    WeightMemoryScrubber,
-    map_checksum,
-    row_checksums,
-)
-from repro.reliability.runner import run_fault_campaign, run_functional_probe
+from repro.reliability.context import GuardSettings
+from repro.reliability.faults import CAMPAIGNS
+from repro.reliability.runner import run_fault_campaign
 
-__all__ = [
-    "BiasedSpeculator",
-    "CAMPAIGNS",
-    "ConsistencyAuditor",
-    "DEGRADATION_LADDER",
-    "DegradationBudget",
-    "DegradationPolicy",
-    "DramTransferFaults",
-    "FaultCampaign",
-    "FaultInjector",
-    "GuardSettings",
-    "IMapBitFlips",
-    "MapGuard",
-    "OMapBitFlips",
-    "ReliabilityContext",
-    "StuckAtRows",
-    "WeightCorruption",
-    "WeightMemoryScrubber",
-    "get_campaign",
-    "map_checksum",
-    "row_checksums",
-    "run_fault_campaign",
-    "run_functional_probe",
-]
+__all__ = ["CAMPAIGNS", "GuardSettings", "run_fault_campaign"]

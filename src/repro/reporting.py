@@ -1,67 +1,8 @@
-"""Plain-text table rendering shared by the CLI, examples and benchmarks."""
+"""Percentage rendering shared by the CLI and the serving SLO reports."""
 
 from __future__ import annotations
 
-from typing import Sequence
-
-__all__ = ["format_table", "format_ratio_row", "format_percent"]
-
-
-def format_table(
-    headers: Sequence[str],
-    rows: Sequence[Sequence[object]],
-    precision: int = 3,
-) -> str:
-    """Render rows as an aligned monospace table.
-
-    Numbers are right-aligned and formatted to ``precision`` decimals
-    (integers keep thousands separators); strings are left-aligned.
-
-    Args:
-        headers: column titles.
-        rows: row values; each row must have ``len(headers)`` entries.
-
-    Returns:
-        The rendered table (no trailing newline).
-    """
-    def render(value) -> str:
-        if isinstance(value, bool):
-            return str(value)
-        if isinstance(value, int):
-            return f"{value:,}"
-        if isinstance(value, float):
-            return f"{value:.{precision}f}"
-        return str(value)
-
-    for row in rows:
-        if len(row) != len(headers):
-            raise ValueError(
-                f"row {row!r} has {len(row)} entries, expected {len(headers)}"
-            )
-    rendered = [[render(v) for v in row] for row in rows]
-    widths = [
-        max(len(headers[i]), *(len(r[i]) for r in rendered)) if rendered else len(headers[i])
-        for i in range(len(headers))
-    ]
-
-    def align(value: str, raw, width: int) -> str:
-        if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-            return value.rjust(width)
-        return value.ljust(width)
-
-    lines = ["  ".join(h.rjust(w) for h, w in zip(headers, widths))]
-    lines.append("  ".join("-" * w for w in widths))
-    for raw_row, row in zip(rows, rendered):
-        lines.append(
-            "  ".join(align(v, raw, w) for v, raw, w in zip(row, raw_row, widths))
-        )
-    return "\n".join(lines)
-
-
-def format_ratio_row(label: str, value: float, paper: float | None = None) -> str:
-    """One "measured vs paper" comparison line."""
-    suffix = f"  (paper: {paper:.2f}x)" if paper is not None else ""
-    return f"{label}: {value:.2f}x{suffix}"
+__all__ = ["format_percent"]
 
 
 def format_percent(value: float, precision: int = 1) -> str:

@@ -12,16 +12,16 @@ latency, throughput, reject and degrade rates, per-rung serve counts.
 
 Entry points:
 
-- :func:`simulate_serving` / :class:`ServingSimulator` -- replay a trace.
-- :func:`simulate_chaos` / :class:`FaultTolerantSimulator` -- the same
-  front end over a *faulty* fleet (crash/hang/straggle) with retries,
-  hedging, circuit breakers, and health-checked respawn
-  (:mod:`repro.serving.faulttol`).
-- :func:`simulate_fleet` / :class:`FleetSimulator` -- the fleet tier:
+- :func:`simulate_serving` -- replay a trace.
+- :func:`~repro.serving.faulttol.simulate_chaos` -- the same front end
+  over a *faulty* fleet (crash/hang/straggle) with retries, hedging,
+  circuit breakers, and health-checked respawn.
+- :class:`~repro.serving.fleet.FleetSimulator` -- the fleet tier:
   N sharded servers (:mod:`repro.sim.sharding`) behind a router
   with per-model SLO classes, priority scheduling, occupancy-driven
-  autoscaling, and closed-loop clients (:mod:`repro.serving.fleet`).
-- :func:`generate_trace` -- seeded Poisson / bursty arrival traces.
+  autoscaling, and closed-loop clients.
+- :func:`~repro.serving.loadgen.generate_trace` -- seeded Poisson /
+  bursty arrival traces.
 - ``python -m repro serve`` -- one campaign, human-readable SLO report.
 - ``python -m repro loadgen`` -- the scenario campaign behind
   ``BENCH_serving.json`` (:mod:`repro.bench.serving`).
@@ -34,107 +34,21 @@ See ``docs/serving.md`` for the queueing model and SLO semantics, and
 ``docs/fault_tolerance.md`` for the fault model and recovery machinery.
 """
 
-from repro.serving.admission import AdmissionConfig, AdmissionController, TokenBucket
-from repro.serving.batcher import BatchPolicy, DynamicBatcher
-from repro.serving.faulttol import (
-    POLICY_LADDER,
-    BreakerPolicy,
-    FaultTolerancePolicy,
-    FaultTolerantSimulator,
-    HealthPolicy,
-    HedgePolicy,
-    RetryPolicy,
-    policy_named,
-)
-from repro.serving.fleet import (
-    DEFAULT_SLO_CLASSES,
-    AutoscalerPolicy,
-    FleetConfig,
-    FleetSimulator,
-    PriorityBatcher,
-    SloClass,
-    initial_fleet_size,
-    simulate_fleet,
-)
-from repro.serving.loadgen import (
-    ARRIVAL_PROCESSES,
-    ClosedLoopConfig,
-    TraceConfig,
-    generate_trace,
-)
-from repro.serving.overload import SERVING_LADDER, OverloadPolicy
-from repro.serving.quality import QualityPolicy
-from repro.serving.request import (
-    COMPLETED,
-    REJECT_QUEUE_FULL,
-    REJECT_RATE_LIMITED,
-    REJECTED,
-    Request,
-    RequestRecord,
-)
-from repro.serving.server import (
-    ServerConfig,
-    ServingSimulator,
-    simulate_serving,
-)
-from repro.sim.sharding import (
-    GlbPartition,
-    ShardPlan,
-    ShardedExecutor,
-    glb_partition,
-    partition_layers,
-    plan_for,
-)
-from repro.serving.slo import percentile, summarize
-from repro.sim.batching import BatchExecutor, BatchResult, WorkerPool
+from repro.serving.admission import AdmissionConfig
+from repro.serving.batcher import BatchPolicy
+from repro.serving.faulttol import POLICY_LADDER
+from repro.serving.fleet import AutoscalerPolicy, FleetConfig
+from repro.serving.loadgen import ARRIVAL_PROCESSES, TraceConfig
+from repro.serving.server import ServerConfig, simulate_serving
 
 __all__ = [
     "ARRIVAL_PROCESSES",
     "AdmissionConfig",
-    "AdmissionController",
     "AutoscalerPolicy",
-    "BatchExecutor",
     "BatchPolicy",
-    "BatchResult",
-    "BreakerPolicy",
-    "COMPLETED",
-    "ClosedLoopConfig",
-    "DEFAULT_SLO_CLASSES",
-    "DynamicBatcher",
-    "FaultTolerancePolicy",
-    "FaultTolerantSimulator",
     "FleetConfig",
-    "FleetSimulator",
-    "GlbPartition",
-    "HealthPolicy",
-    "HedgePolicy",
-    "OverloadPolicy",
     "POLICY_LADDER",
-    "PriorityBatcher",
-    "QualityPolicy",
-    "REJECTED",
-    "REJECT_QUEUE_FULL",
-    "REJECT_RATE_LIMITED",
-    "Request",
-    "RequestRecord",
-    "RetryPolicy",
-    "SERVING_LADDER",
     "ServerConfig",
-    "ServingSimulator",
-    "ShardPlan",
-    "ShardedExecutor",
-    "SloClass",
-    "TokenBucket",
     "TraceConfig",
-    "WorkerPool",
-    "generate_trace",
-    "glb_partition",
-    "initial_fleet_size",
-    "partition_layers",
-    "percentile",
-    "plan_for",
-    "policy_named",
-    "simulate_fleet",
     "simulate_serving",
-    "summarize",
 ]

@@ -42,10 +42,12 @@ import heapq
 import math
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from repro.dynamic.executor import DynamicShardedExecutor
 from repro.serving.admission import AdmissionConfig
 from repro.serving.batcher import BatchPolicy, DynamicBatcher
-from repro.serving.loadgen import ClosedLoopConfig, TraceConfig, generate_trace
+from repro.serving.loadgen import ClosedLoopConfig
 from repro.serving.overload import OverloadPolicy
 from repro.serving.quality import QualityPolicy
 from repro.serving.request import Request, RequestRecord
@@ -64,7 +66,6 @@ __all__ = [
     "SloClass",
     "DEFAULT_SLO_CLASSES",
     "initial_fleet_size",
-    "simulate_fleet",
 ]
 
 _DONE, _EVAL, _UP = 2, 3, 4
@@ -460,10 +461,12 @@ class FleetSimulator(_EventCore):
         # clients: per-client generators and remaining budgets
         self._clients: list = []
         if closed_loop is not None:
-            for client in range(closed_loop.clients):
-                rng = closed_loop.client_rng(client)
+            children = np.random.SeedSequence(closed_loop.seed).spawn(
+                closed_loop.clients
+            )
+            for client, child in enumerate(children):
                 self._clients.append(
-                    [rng, closed_loop.requests_per_client]
+                    [np.random.default_rng(child), closed_loop.requests_per_client]
                 )
                 self._issue(client, after_cycle=0)
         else:
@@ -671,17 +674,3 @@ class FleetSimulator(_EventCore):
             sum(utilizations) / len(utilizations) if utilizations else 0.0
         )
         return stats, mean_utilization
-
-
-def simulate_fleet(
-    workload: TraceConfig | list[Request] | ClosedLoopConfig,
-    config: FleetConfig | None = None,
-    executor: ShardedExecutor | None = None,
-) -> FleetResult:
-    """Convenience wrapper: generate (if needed) and replay one workload."""
-    simulator = FleetSimulator(config=config, executor=executor)
-    if isinstance(workload, ClosedLoopConfig):
-        return simulator.run(closed_loop=workload)
-    if isinstance(workload, TraceConfig):
-        workload = generate_trace(workload)
-    return simulator.run(trace=workload)

@@ -155,15 +155,6 @@ class ClosedLoopConfig:
                 "ClosedLoopConfig.models must name at least one model"
             )
 
-    def client_rng(self, client: int) -> np.random.Generator:
-        """The seeded generator driving client ``client``'s stream."""
-        if not 0 <= client < self.clients:
-            raise ValueError(
-                f"client must be in [0, {self.clients}), got {client}"
-            )
-        children = np.random.SeedSequence(self.seed).spawn(self.clients)
-        return np.random.default_rng(children[client])
-
     def think_cycles(self, rng: np.random.Generator) -> int:
         """One exponential think pause, in simulated cycles."""
         if self.think_time_us <= 0:

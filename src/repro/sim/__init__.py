@@ -26,10 +26,5 @@ Cycle-level (tile-granular) simulation of the dual-module architecture:
 
 from repro.sim.accelerator import DuetAccelerator
 from repro.sim.area import AreaModel
-from repro.sim.config import DuetConfig
 
-__all__ = [
-    "DuetAccelerator",
-    "DuetConfig",
-    "AreaModel",
-]
+__all__ = ["DuetAccelerator", "AreaModel"]

@@ -57,8 +57,8 @@ class FunctionalExecutorArray:
     The mapping follows paper Fig. 7a at row granularity: each scheduling
     step assigns one output channel per PE row; the row's PEs split the
     reduction dimension (receptive field) and the step lasts as long as
-    its busiest PE.  Tag bits derive from the OMap and IMap exactly as
-    :func:`repro.sim.pe.tag_instructions` does.
+    its busiest PE.  A MAC's tag bit is its output's OMap bit AND, when an
+    IMap is given, its input's IMap bit.
 
     This is an executable specification, not a performance model: use
     :class:`~repro.sim.executor.ExecutorModel` for large layers.

@@ -20,13 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "MacInstruction",
-    "generate_tile_instructions",
-    "tag_instructions",
-    "tag_instructions_reference",
-    "PE",
-]
+__all__ = ["MacInstruction", "PE"]
 
 
 @dataclass(frozen=True)
@@ -42,97 +36,6 @@ class MacInstruction:
     ia: int
     w: int
     oa: int
-
-
-def generate_tile_instructions(
-    tile_h: int,
-    tile_w: int,
-    kernel: int,
-    out_w: int,
-) -> list[MacInstruction]:
-    """Instruction schedule for a 1-row conv output tile.
-
-    Mirrors the paper's Fig. 6 example: the PE holds a ``tile_h x tile_w``
-    input tile and a ``kernel x kernel`` filter tile, and produces a
-    ``1 x out_w`` psum row (stride 1).  Instructions are emitted
-    output-major so that OMap tagging maps to contiguous runs.
-
-    Args:
-        tile_h/tile_w: input tile shape held in the PE.
-        kernel: square filter size.
-        out_w: number of output positions in the row.
-
-    Returns:
-        ``out_w * kernel * kernel`` instructions.
-    """
-    if tile_h < kernel or tile_w < kernel + out_w - 1:
-        raise ValueError(
-            f"input tile {tile_h}x{tile_w} too small for kernel {kernel} "
-            f"and {out_w} outputs"
-        )
-    instructions = []
-    for out_x in range(out_w):
-        for ky in range(kernel):
-            for kx in range(kernel):
-                ia = ky * tile_w + (out_x + kx)
-                w = ky * kernel + kx
-                instructions.append(MacInstruction(ia=ia, w=w, oa=out_x))
-    return instructions
-
-
-def tag_instructions(
-    instructions: list[MacInstruction],
-    omap_tile: np.ndarray,
-    imap_tile: np.ndarray | None = None,
-) -> np.ndarray:
-    """Compute the per-instruction tag bits from OMap and IMap tiles.
-
-    An instruction is live iff its output is sensitive (OMap 1) *and*, if
-    an IMap is supplied, its input activation is nonzero (the paper's
-    "simple Boolean logic" combining both maps).
-
-    Args:
-        instructions: the shared layer schedule.
-        omap_tile: flat output-tile switching bits.
-        imap_tile: optional flat input-tile sparsity bits.
-
-    Returns:
-        Boolean array of tags aligned with ``instructions``.
-    """
-    omap_tile = np.asarray(omap_tile).reshape(-1).astype(bool)
-    count = len(instructions)
-    oa = np.fromiter((inst.oa for inst in instructions), dtype=np.intp, count=count)
-    tags = omap_tile[oa]
-    if imap_tile is not None:
-        imap_tile = np.asarray(imap_tile).reshape(-1).astype(bool)
-        ia = np.fromiter(
-            (inst.ia for inst in instructions), dtype=np.intp, count=count
-        )
-        tags &= imap_tile[ia]
-    return tags
-
-
-def tag_instructions_reference(
-    instructions: list[MacInstruction],
-    omap_tile: np.ndarray,
-    imap_tile: np.ndarray | None = None,
-) -> np.ndarray:
-    """Per-instruction reference of :func:`tag_instructions` (the oracle).
-
-    Walks the schedule one instruction at a time, exactly as the per-PE
-    control logic would; kept so the equivalence suite can check the
-    vectorized tagging bit for bit.
-    """
-    omap_tile = np.asarray(omap_tile).reshape(-1).astype(bool)
-    tags = np.empty(len(instructions), dtype=bool)
-    if imap_tile is not None:
-        imap_tile = np.asarray(imap_tile).reshape(-1).astype(bool)
-    for idx, inst in enumerate(instructions):
-        live = omap_tile[inst.oa]
-        if live and imap_tile is not None:
-            live = bool(imap_tile[inst.ia])
-        tags[idx] = live
-    return tags
 
 
 class PE:

@@ -14,25 +14,15 @@ are supported:
 """
 
 from repro.workloads.sparsity import (
-    CnnLayerWorkload,
-    FcLayerWorkload,
-    RnnLayerWorkload,
     SparsityModel,
     cnn_workloads,
     rnn_workloads,
 )
-from repro.workloads.traces import (
-    trace_cnn_workloads,
-    workload_from_maps,
-)
+from repro.workloads.traces import trace_cnn_workloads
 
 __all__ = [
     "SparsityModel",
-    "CnnLayerWorkload",
-    "FcLayerWorkload",
-    "RnnLayerWorkload",
     "cnn_workloads",
     "rnn_workloads",
     "trace_cnn_workloads",
-    "workload_from_maps",
 ]

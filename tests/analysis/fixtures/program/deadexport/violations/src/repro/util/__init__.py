@@ -1,5 +1,6 @@
-"""Package surface promising one export nobody references."""
+"""Package surface promising one export nobody references and one only a
+test references."""
 
-from repro.util.impl import unused, used
+from repro.util.impl import tested, unused, used
 
-__all__ = ["used", "unused"]
+__all__ = ["used", "unused", "tested"]

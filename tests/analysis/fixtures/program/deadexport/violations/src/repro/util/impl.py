@@ -4,3 +4,7 @@ def used():
 
 def unused():
     return 2
+
+
+def tested():
+    return 3

@@ -1,0 +1,5 @@
+"""The program's entry point."""
+
+from repro.app import run
+
+print(run())

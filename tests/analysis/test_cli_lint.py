@@ -85,7 +85,7 @@ class TestBaselineFlow:
     def _tree_with_violation(self, tmp_path):
         mod = tmp_path / "src" / "repro" / "mod.py"
         mod.parent.mkdir(parents=True)
-        mod.write_text("def f():\n    try:\n        pass\n    except:\n        pass\n")
+        mod.write_text("def _f():\n    try:\n        pass\n    except:\n        pass\n")
         return tmp_path
 
     def test_update_then_clean(self, tmp_path):

@@ -24,7 +24,7 @@ def _write_module(root, relpath, source):
     return path
 
 
-BAD_EXCEPT = "def f():\n    try:\n        pass\n    except:\n        pass\n"
+BAD_EXCEPT = "def _f():\n    try:\n        pass\n    except:\n        pass\n"
 
 
 class TestSuppressions:
@@ -32,7 +32,7 @@ class TestSuppressions:
         _write_module(
             tmp_path,
             "src/repro/mod.py",
-            "def f():\n"
+            "def _f():\n"
             "    try:\n"
             "        pass\n"
             "    except:  # duetlint: disable=EXC001\n"
@@ -57,7 +57,7 @@ class TestSuppressions:
             tmp_path,
             "src/repro/mod.py",
             "import time\n"
-            "def f():\n"
+            "def _f():\n"
             "    return time.time()  # duetlint: disable=all\n",
         )
         result = run_lint(tmp_path)
@@ -68,7 +68,7 @@ class TestSuppressions:
         _write_module(
             tmp_path,
             "src/repro/mod.py",
-            "def f():\n"
+            "def _f():\n"
             "    try:\n"
             "        pass\n"
             "    except:  # duetlint: disable=DET001\n"

@@ -127,15 +127,29 @@ class TestPricing:
 class TestDeadExports:
     def test_unreferenced_public_export_flagged_by_name(self):
         result = _lint("deadexport/violations", "DEAD001")
-        assert [(f.path, f.line) for f in result.findings] == [
-            ("src/repro/util/__init__.py", 5)
+        exports = [f for f in result.findings if "public export" in f.message]
+        assert [(f.path, f.line) for f in exports] == [
+            ("src/repro/util/__init__.py", 6),
+            ("src/repro/util/__init__.py", 6),
         ]
-        message = result.findings[0].message
-        assert "'unused'" in message
-        assert "'used'" not in message
+        assert "'tested'" in exports[0].message
+        assert "'unused'" in exports[1].message
+        assert not any("'used'" in f.message for f in exports)
+
+    def test_test_only_definition_flagged(self):
+        """A top-level def whose only caller is under tests/ is dead."""
+        result = _lint("deadexport/violations", "DEAD001")
+        definitions = [f for f in result.findings if "top-level" in f.message]
+        assert [(f.path, f.line) for f in definitions] == [
+            ("src/repro/oracle.py", 5)
+        ]
+        assert "'reference_sum'" in definitions[0].message
 
     def test_fully_consumed_exports_are_clean(self):
-        assert _lint("deadexport/clean", "DEAD001").findings == []
+        """Registered classes count as used; a suppressed oracle is kept."""
+        result = _lint("deadexport/clean", "DEAD001")
+        assert result.findings == []
+        assert result.suppressed == 1
 
 
 class TestFixtureTreesAgainstFullRuleSet:

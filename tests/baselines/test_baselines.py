@@ -4,16 +4,16 @@ import numpy as np
 import pytest
 
 from repro.baselines import (
-    BaselineCharacter,
     cnvlutin,
     eyeriss,
     predict,
     predict_cnvlutin,
-    single_module,
     snapea,
 )
+from repro.baselines.base import BaselineCharacter
 from repro.models import get_model_spec
 from repro.sim import DuetAccelerator
+from repro.sim.config import stage_config
 from repro.workloads import cnn_workloads
 
 
@@ -162,15 +162,9 @@ class TestPaperComparison:
 
 
 class TestSingleModule:
-    def test_equals_base_stage(self):
-        spec = get_model_spec("alexnet")
-        wl = cnn_workloads(spec)
-        sm = single_module().run(spec, workloads=wl)
-        base = DuetAccelerator(stage="BASE").run(spec, workloads=wl)
-        assert sm.total_cycles == base.total_cycles
-        assert sm.energy.total == base.energy.total
+    """The single-module baseline is DUET's ``BASE`` stage."""
 
     def test_rnn_support(self):
         spec = get_model_spec("gru")
-        report = single_module().run(spec)
+        report = DuetAccelerator(config=stage_config("BASE")).run(spec)
         assert report.total_cycles > 0

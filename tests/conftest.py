@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.cache import CACHE_DIR_ENV
+from repro.sim.pe import MacInstruction
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -39,3 +40,24 @@ def numerical_gradient(fn, x, eps=1e-6):
         flat[i] = orig
         gflat[i] = (up - down) / (2 * eps)
     return grad
+
+
+def tile_schedule(tile_h, tile_w, kernel, out_w):
+    """The paper's Fig. 6 PE schedule for a 1-row, stride-1 output tile:
+    ``out_w * kernel * kernel`` MACs, emitted output-major."""
+    return [
+        MacInstruction(ia=ky * tile_w + out_x + kx, w=ky * kernel + kx, oa=out_x)
+        for out_x in range(out_w)
+        for ky in range(kernel)
+        for kx in range(kernel)
+    ]
+
+
+def tile_tags(instructions, omap, imap=None):
+    """Per-MAC tag bits: the output's OMap bit AND the input's IMap bit."""
+    return np.array(
+        [
+            bool(omap[i.oa]) and (imap is None or bool(imap[i.ia]))
+            for i in instructions
+        ]
+    )

@@ -6,13 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.core import (
+from repro.core import ApproximateLinear
+from repro.core.approx import (
     ApproximateConv2d,
     ApproximateGRUCell,
-    ApproximateLinear,
     ApproximateLSTMCell,
+    _quantize_dequantize,
+    _quantize_dequantize_rows,
 )
-from repro.core.approx import _quantize_dequantize, _quantize_dequantize_rows
 from repro.quant import quantize_linear
 
 

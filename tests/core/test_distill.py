@@ -3,18 +3,21 @@
 import numpy as np
 import pytest
 
-from repro.core import (
+from repro.core import ApproximateLinear, distill_linear
+from repro.core.approx import (
     ApproximateConv2d,
     ApproximateGRUCell,
-    ApproximateLinear,
     ApproximateLSTMCell,
+)
+from repro.core.distill import (
     distill_conv2d,
     distill_gru_cell,
-    distill_linear,
     distill_lstm_cell,
+    ridge_fit,
 )
-from repro.core.distill import ridge_fit
-from repro.nn import Conv2d, GRUCell, Linear, LSTMCell
+from repro.nn import Linear
+from repro.nn.layers import Conv2d
+from repro.nn.recurrent import GRUCell, LSTMCell
 
 
 class TestRidgeFit:

@@ -3,22 +3,26 @@
 import numpy as np
 import pytest
 
-from repro.core import (
+from repro.core import ApproximateLinear, DualModuleLinear, distill_linear
+from repro.core.approx import (
     ApproximateConv2d,
     ApproximateGRUCell,
-    ApproximateLinear,
     ApproximateLSTMCell,
-    DualModuleConv2d,
-    DualModuleGRUCell,
-    DualModuleLinear,
-    DualModuleLSTMCell,
+)
+from repro.core.distill import (
     distill_conv2d,
     distill_gru_cell,
-    distill_linear,
     distill_lstm_cell,
 )
-from repro.core.dual import _receptive_nonzeros
-from repro.nn import Conv2d, GRUCell, Linear, LSTMCell
+from repro.core.dual import (
+    DualModuleConv2d,
+    DualModuleGRUCell,
+    DualModuleLSTMCell,
+    _receptive_nonzeros,
+)
+from repro.nn import Linear
+from repro.nn.layers import Conv2d
+from repro.nn.recurrent import GRUCell, LSTMCell
 from repro.nn import functional as F
 
 

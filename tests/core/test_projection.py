@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import TernaryRandomProjection
+from repro.core.projection import TernaryRandomProjection
 
 
 class TestConstruction:

@@ -109,7 +109,6 @@ class TestStats:
 
     def test_insensitive_fractions(self, rng):
         from repro.core.stats import (
-            insensitive_fraction,
             relu_insensitive_fraction,
             saturation_insensitive_fraction,
         )
@@ -117,10 +116,6 @@ class TestStats:
         y = np.array([-1.0, -0.5, 0.5, 1.0])
         assert relu_insensitive_fraction(y, 0.0) == 0.5
         assert saturation_insensitive_fraction(y, 0.75) == 0.5
-        assert insensitive_fraction(y, "relu", 0.0) == 0.5
-        assert insensitive_fraction(y, "tanh", 0.75) == 0.5
-        with pytest.raises(ValueError):
-            insensitive_fraction(y, "softmax", 0.0)
 
 
 @pytest.fixture(scope="module")

@@ -10,13 +10,9 @@ import json
 import pytest
 
 from repro.analysis.schema import validate_schema
-from repro.bench import (
-    DYNAMIC_SCHEMA,
-    deterministic_view,
-    dynamic_scenarios,
-    exit_thresholds,
-    run_dynamic_bench,
-)
+from repro.bench import run_dynamic_bench
+from repro.bench.dynamic import DYNAMIC_SCHEMA, dynamic_scenarios
+from repro.bench.document import deterministic_view
 from repro.bench import dynamic as bench_dynamic
 from repro.core import cache
 
@@ -36,7 +32,7 @@ def document(tmp_path_factory):
 
 class TestGrid:
     def test_thresholds_ascend_to_always_late(self):
-        thresholds = exit_thresholds()
+        thresholds = bench_dynamic._THRESHOLDS
         assert list(thresholds) == sorted(thresholds)
         assert thresholds[-1] == 1.0
 

@@ -4,15 +4,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.dynamic import (
+from repro.dynamic.costmodel import (
     EXIT_PRICING,
-    EXIT_REGISTRY,
-    FINAL_EXIT,
     ExitCostModel,
     ExitPricing,
-    early_exit_model,
     estimated_accuracy_drop,
 )
+from repro.dynamic.exits import EXIT_REGISTRY, FINAL_EXIT, early_exit_model
 
 
 class TestExitPricing:

@@ -4,14 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dynamic import (
+from repro.dynamic.decision import (
     ALWAYS_LATE,
-    FINAL_EXIT,
     confidence,
     decide_exit,
-    early_exit_model,
     input_difficulty,
 )
+from repro.dynamic.exits import FINAL_EXIT, early_exit_model
 
 VARIANT = early_exit_model("alexnet")
 

@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.dynamic import (
+from repro.dynamic import early_exit_variants
+from repro.dynamic.exits import (
     EXIT_REGISTRY,
     FINAL_EXIT,
     EarlyExitModel,
     ExitPoint,
     early_exit_model,
-    early_exit_variants,
     reduced_width_spec,
     truncated_spec,
 )

@@ -11,16 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dynamic import (
-    ALWAYS_LATE,
-    FINAL_EXIT,
-    DynamicBatchExecutor,
-    early_exit_model,
-    early_exit_variants,
-    truncated_spec,
-)
-from repro.dynamic.executor import DynamicShardedExecutor
-from repro.serving import BatchExecutor
+from repro.dynamic import early_exit_variants
+from repro.dynamic.decision import ALWAYS_LATE
+from repro.dynamic.exits import FINAL_EXIT, early_exit_model, truncated_spec
+from repro.dynamic.executor import DynamicBatchExecutor, DynamicShardedExecutor
+from repro.sim.batching import BatchExecutor
 from repro.sim.sharding import ShardedExecutor
 
 BACKBONES = ("alexnet", "resnet18", "vgg16")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.models import ConvSpec, FCSpec, ModelSpec, RNNSpec
+from repro.models.layer_spec import ConvSpec, FCSpec, ModelSpec, RNNSpec
 
 
 class TestConvSpec:

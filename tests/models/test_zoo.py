@@ -2,10 +2,9 @@
 
 import pytest
 
-from repro.models import (
-    MODEL_REGISTRY,
+from repro.models import MODEL_REGISTRY, get_model_spec
+from repro.models.zoo import (
     alexnet,
-    get_model_spec,
     gnmt,
     gru_lm,
     lstm_lm,

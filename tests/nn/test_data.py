@@ -7,7 +7,6 @@ from repro.nn.data import (
     GaussianMixtureImages,
     SyntheticTranslationTask,
     ZipfTokenStream,
-    iterate_minibatches,
 )
 
 
@@ -91,30 +90,3 @@ class TestSyntheticTranslation:
         task = SyntheticTranslationTask()
         with pytest.raises(ValueError, match="mismatch"):
             task.score(np.zeros((2, 3)), np.zeros((3, 2)))
-
-
-class TestMinibatches:
-    def test_covers_all_samples(self, rng):
-        x = np.arange(10)[:, None]
-        y = np.arange(10)
-        batches = list(iterate_minibatches(x, y, 3))
-        total = sum(b[0].shape[0] for b in batches)
-        assert total == 10
-        assert batches[-1][0].shape[0] == 1  # remainder batch
-
-    def test_shuffle_changes_order(self, rng):
-        x = np.arange(100)[:, None]
-        y = np.arange(100)
-        shuffled = next(iter(iterate_minibatches(x, y, 100, rng=rng)))[1]
-        assert not np.array_equal(shuffled, y)
-        np.testing.assert_array_equal(np.sort(shuffled), y)
-
-    def test_inputs_targets_stay_aligned(self, rng):
-        x = np.arange(50)[:, None]
-        y = np.arange(50)
-        for bx, by in iterate_minibatches(x, y, 7, rng=rng):
-            np.testing.assert_array_equal(bx[:, 0], by)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="disagree"):
-            list(iterate_minibatches(np.zeros((3, 1)), np.zeros(4), 2))

@@ -4,31 +4,8 @@ import numpy as np
 import pytest
 
 from repro.nn import functional as F
-from repro.nn.losses import CrossEntropyLoss, MSELoss, perplexity, topk_accuracy
+from repro.nn.losses import CrossEntropyLoss, perplexity, topk_accuracy
 from tests.conftest import numerical_gradient
-
-
-class TestMSE:
-    def test_value(self):
-        loss = MSELoss()
-        assert loss(np.array([1.0, 2.0]), np.array([1.0, 4.0])) == pytest.approx(2.0)
-
-    def test_zero_at_match(self, rng):
-        x = rng.normal(size=(3, 3))
-        assert MSELoss()(x, x) == 0.0
-
-    def test_backward_matches_numeric(self, rng):
-        loss = MSELoss()
-        pred = rng.normal(size=(2, 3))
-        target = rng.normal(size=(2, 3))
-        loss(pred, target)
-        analytic = loss.backward()
-        numeric = numerical_gradient(lambda z: MSELoss()(z, target), pred.copy())
-        np.testing.assert_allclose(analytic, numeric, atol=1e-7)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            MSELoss()(np.zeros((2, 2)), np.zeros((3, 2)))
 
 
 class TestCrossEntropy:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import Linear, Sequential, ReLU
+from repro.nn.layers import Linear, ReLU, Sequential
 from repro.nn.module import Module, Parameter
 
 
@@ -42,13 +42,6 @@ class TestModuleRegistration:
             p.grad += 1.0
         model.zero_grad()
         assert all(np.all(p.grad == 0) for p in model.parameters())
-
-    def test_train_eval_propagates(self):
-        model = Sequential(Linear(2, 2), ReLU())
-        model.eval()
-        assert all(not m.training for m in model.modules())
-        model.train()
-        assert all(m.training for m in model.modules())
 
 
 class TestStateDict:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import GRU, LSTM, GRUCell, LSTMCell
+from repro.nn.recurrent import GRU, LSTM, GRUCell, LSTMCell
 from repro.nn import functional as F
 from tests.conftest import numerical_gradient
 

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro.models.proxies import proxy_alexnet, train_classifier
-from repro.nn import Conv2d, MaxPool2d
+from repro.nn.layers import Conv2d, MaxPool2d
 from repro.nn import functional as F
 from repro.nn.data import GaussianMixtureImages
 

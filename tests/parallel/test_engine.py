@@ -16,10 +16,12 @@ from hypothesis import strategies as st
 from repro.parallel import (
     CampaignTask,
     ShardedRun,
-    merge_counters,
-    preferred_start_method,
     run_sharded,
     spawn_task_seeds,
+)
+from repro.parallel.engine import (
+    merge_counters,
+    preferred_start_method,
     warm_cache,
 )
 

@@ -1,4 +1,4 @@
-"""Tests for fixed-point tensors and the truncating quantizer."""
+"""Tests for fixed-point tensors and linear quantization."""
 
 import numpy as np
 import pytest
@@ -6,14 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.quant import (
-    FixedPointTensor,
-    dequantize,
-    int_range,
-    quantization_noise_power,
-    quantize_linear,
-    truncate_to_int4,
-)
+from repro.quant import int_range, quantize_linear
+from repro.quant.fixed_point import FixedPointTensor
 
 
 class TestIntRange:
@@ -70,11 +64,6 @@ class TestQuantizeLinear:
         with pytest.raises(ValueError, match="positive"):
             quantize_linear(np.ones(3), bits=8, scale=-1.0)
 
-    def test_dequantize_helper(self, rng):
-        x = rng.normal(size=10)
-        t = quantize_linear(x, bits=16)
-        np.testing.assert_array_equal(dequantize(t), t.to_float())
-
     @settings(deadline=None, max_examples=50)
     @given(
         arrays(np.float64, 20, elements=st.floats(-100, 100, allow_nan=False)),
@@ -85,54 +74,6 @@ class TestQuantizeLinear:
         t = quantize_linear(x, bits=bits)
         err = np.abs(t.to_float() - x)
         assert err.max() <= t.scale * 0.5 + 1e-9
-
-
-class TestTruncateToInt4:
-    def test_paper_semantics(self):
-        """Drop 12 LSBs, keep 4 MSBs, scale x 4096 (Section III-B Step 1)."""
-        t16 = FixedPointTensor(np.array([20480, -8192, 4095]), scale=1.0, bits=16)
-        t4 = truncate_to_int4(t16)
-        assert t4.bits == 4
-        assert t4.scale == 4096.0
-        # 20480 >> 12 == 5; -8192 >> 12 == -2; 4095 >> 12 == 0
-        np.testing.assert_array_equal(t4.values, [5, -2, 0])
-
-    def test_represented_range_preserved(self):
-        """Truncation keeps the represented magnitude within one LSB."""
-        vals = np.array([32767, -32768, 12345, -999])
-        t16 = FixedPointTensor(vals, scale=0.001, bits=16)
-        t4 = truncate_to_int4(t16)
-        err = np.abs(t4.to_float() - t16.to_float())
-        assert err.max() <= 4096 * 0.001  # one INT4 LSB after rescale
-
-    def test_negative_truncation_floors(self):
-        """Arithmetic shift floors toward -inf, as hardware bit-drop does."""
-        t16 = FixedPointTensor(np.array([-1]), scale=1.0, bits=16)
-        assert truncate_to_int4(t16).values[0] == -1  # -1 >> 12 == -1
-
-    def test_rejects_non_int16(self):
-        t8 = FixedPointTensor(np.array([1]), scale=1.0, bits=8)
-        with pytest.raises(ValueError, match="INT16"):
-            truncate_to_int4(t8)
-
-    @settings(deadline=None, max_examples=50)
-    @given(st.integers(min_value=-32768, max_value=32767))
-    def test_truncation_error_bounded(self, value):
-        """Property: any INT16 value truncates with < 2^12 payload error."""
-        t16 = FixedPointTensor(np.array([value]), scale=1.0, bits=16)
-        t4 = truncate_to_int4(t16)
-        assert abs(float(t4.values[0]) * 4096 - value) < 4096
-
-
-class TestNoisePower:
-    def test_more_bits_less_noise(self, rng):
-        x = rng.normal(size=500)
-        noise = [quantization_noise_power(x, b) for b in (2, 4, 8)]
-        assert noise[0] > noise[1] > noise[2]
-
-    def test_int16_noise_negligible(self, rng):
-        x = rng.normal(size=100)
-        assert quantization_noise_power(x, 16) < 1e-7
 
 
 class TestSaturationRails:
@@ -148,20 +89,6 @@ class TestSaturationRails:
         """The exact rail magnitudes quantize without saturation error."""
         t = quantize_linear(np.array([-8.0, 7.0]), bits=4, scale=1.0)
         np.testing.assert_array_equal(t.to_float(), [-8.0, 7.0])
-
-    def test_truncation_rails(self):
-        """INT16 extremes land exactly on the INT4 rails: -32768 >> 12 == -8
-        and 32767 >> 12 == 7, with the scale rescaled by 2^12."""
-        t16 = FixedPointTensor(np.array([-32768, 32767]), scale=1.0, bits=16)
-        t4 = truncate_to_int4(t16)
-        np.testing.assert_array_equal(t4.values, [-8, 7])
-        assert t4.scale == 4096.0
-
-    def test_truncation_floors_toward_negative_infinity(self):
-        """Arithmetic shift, not round-toward-zero: -4097 >> 12 == -2
-        while 4097 >> 12 == 1."""
-        t16 = FixedPointTensor(np.array([-4097, 4097, -4096, 4096]), 1.0, 16)
-        np.testing.assert_array_equal(truncate_to_int4(t16).values, [-2, 1, -1, 1])
 
 
 class TestRoundingTies:
@@ -198,13 +125,6 @@ class TestTernaryRoundTrip:
         second = quantize_linear(first.to_float(), bits=4)
         np.testing.assert_array_equal(first.values, second.values)
         np.testing.assert_allclose(second.to_float(), first.to_float())
-
-    def test_ternary_survives_truncation(self):
-        """Ternary at INT16 scale 4096 truncates to the same ternary INT4."""
-        t16 = FixedPointTensor(np.array([-4096, 0, 4096]), scale=1.0, bits=16)
-        t4 = truncate_to_int4(t16)
-        np.testing.assert_array_equal(t4.values, [-1, 0, 1])
-        np.testing.assert_array_equal(t4.to_float(), t16.to_float())
 
 
 class TestSubnormalInputs:

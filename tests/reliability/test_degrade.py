@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.reliability import (
+from repro.reliability.degrade import (
     DEGRADATION_LADDER,
     DegradationBudget,
     DegradationPolicy,

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.reliability import (
-    CAMPAIGNS,
+from repro.reliability import CAMPAIGNS
+from repro.reliability.faults import (
     BiasedSpeculator,
     DramTransferFaults,
     FaultCampaign,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.reliability import (
+from repro.reliability.guards import (
     ConsistencyAuditor,
     MapGuard,
     WeightMemoryScrubber,

@@ -15,7 +15,8 @@ from repro.core import (
     DualModuleLinear,
     distill_linear,
 )
-from repro.models import ConvSpec, get_model_spec
+from repro.models import get_model_spec
+from repro.models.layer_spec import ConvSpec
 from repro.nn import Linear
 from repro.nn import functional as F
 from repro.sim import DuetAccelerator

@@ -16,16 +16,14 @@ The contract under test (paper Section III-C, applied to faults):
 import numpy as np
 import pytest
 
-from repro.reliability import (
-    CAMPAIGNS,
-    DEGRADATION_LADDER,
+from repro.reliability import CAMPAIGNS, GuardSettings, run_fault_campaign
+from repro.reliability.degrade import DEGRADATION_LADDER
+from repro.reliability.faults import (
     BiasedSpeculator,
     FaultCampaign,
-    GuardSettings,
     OMapBitFlips,
-    run_fault_campaign,
-    run_functional_probe,
 )
+from repro.reliability.runner import run_functional_probe
 
 ALL_CAMPAIGNS = sorted(CAMPAIGNS)
 

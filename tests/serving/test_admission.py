@@ -2,13 +2,9 @@
 
 import pytest
 
-from repro.serving import (
-    REJECT_QUEUE_FULL,
-    REJECT_RATE_LIMITED,
-    AdmissionConfig,
-    AdmissionController,
-    TokenBucket,
-)
+from repro.serving import AdmissionConfig
+from repro.serving.request import REJECT_QUEUE_FULL, REJECT_RATE_LIMITED
+from repro.serving.admission import AdmissionController, TokenBucket
 
 
 class TestTokenBucket:

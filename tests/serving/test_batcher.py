@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.serving import BatchPolicy, DynamicBatcher, Request
+from repro.serving import BatchPolicy
+from repro.serving.batcher import DynamicBatcher
+from repro.serving.request import Request
 
 
 def req(rid, model="alexnet", arrival=0, seed=0):

@@ -8,12 +8,9 @@ import json
 
 import pytest
 
-from repro.bench import (
-    SERVE_SCHEMA,
-    deterministic_view,
-    run_serving_bench,
-    serve_scenarios,
-)
+from repro.bench import run_serving_bench
+from repro.bench.serving import SERVE_SCHEMA, serve_scenarios
+from repro.bench.document import deterministic_view
 
 SMALL = dict(smoke=True, seed=0, scale=0.02, output=None)
 

@@ -12,21 +12,19 @@ import pytest
 
 from repro.bench.chaos import chaos_policy, run_chaos_bench
 from repro.reliability.workerfaults import WorkerFaultModel
-from repro.serving import (
-    BatchResult,
+from repro.serving import POLICY_LADDER, ServerConfig, AdmissionConfig
+from repro.sim.batching import BatchResult
+from repro.serving.faulttol import (
     BreakerPolicy,
     FaultTolerancePolicy,
     FaultTolerantSimulator,
     HealthPolicy,
     HedgePolicy,
-    POLICY_LADDER,
-    Request,
     RetryPolicy,
-    ServerConfig,
-    AdmissionConfig,
-    ServingSimulator,
     policy_named,
 )
+from repro.serving.request import Request
+from repro.serving.server import ServingSimulator
 
 try:
     from hypothesis import example, given, settings, strategies as st

@@ -9,6 +9,7 @@ milliseconds; the campaign-level behaviour is covered by
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.bench.fleet import (
@@ -21,20 +22,20 @@ from repro.serving import (
     AdmissionConfig,
     AutoscalerPolicy,
     BatchPolicy,
-    ClosedLoopConfig,
-    DEFAULT_SLO_CLASSES,
     FleetConfig,
+    ServerConfig,
+    TraceConfig,
+)
+from repro.serving.loadgen import ClosedLoopConfig, generate_trace
+from repro.serving.fleet import (
+    DEFAULT_SLO_CLASSES,
     FleetSimulator,
     PriorityBatcher,
-    Request,
-    ServerConfig,
-    ServingSimulator,
     SloClass,
-    TraceConfig,
-    generate_trace,
     initial_fleet_size,
-    simulate_fleet,
 )
+from repro.serving.request import Request
+from repro.serving.server import ServingSimulator
 from repro.sim.sharding import ShardedBatchResult
 
 try:
@@ -326,6 +327,24 @@ class TestFleetSimulation:
         assert result.summary.offered == 60
         assert result.summary.completed + result.summary.rejected == 60
 
+    def test_client_streams_are_seed_sequence_children(self):
+        """Client i draws from default_rng(SeedSequence(seed).spawn(clients)[i]):
+        after a run, each client's generator sits exactly where that stream
+        lands after its requests' think and request draws."""
+        population = ClosedLoopConfig(
+            clients=4, requests_per_client=3, think_time_us=500.0, seed=11
+        )
+        simulator = FleetSimulator(executor=StubShardedExecutor())
+        simulator.run(closed_loop=population)
+        children = np.random.SeedSequence(11).spawn(4)
+        for (rng, remaining), child in zip(simulator._clients, children):
+            expected = np.random.default_rng(child)
+            for _ in range(3):
+                population.think_cycles(expected)
+                population.draw_request(expected)
+            assert remaining == 0
+            assert rng.bit_generator.state == expected.bit_generator.state
+
     def test_deterministic_across_runs(self):
         population = ClosedLoopConfig(clients=5, requests_per_client=8, seed=3)
         first = run_fleet(closed_loop=population)
@@ -344,10 +363,9 @@ class TestFleetSimulation:
         assert all(len(s["shard_busy_cycles"]) == 3 for s in worked)
         assert 0.0 < result.shard_utilization <= 1.0
 
-    def test_simulate_fleet_accepts_closed_loop_workload(self):
-        result = simulate_fleet(
-            ClosedLoopConfig(clients=2, requests_per_client=2),
-            executor=StubShardedExecutor(),
+    def test_run_accepts_closed_loop_workload(self):
+        result = FleetSimulator(executor=StubShardedExecutor()).run(
+            closed_loop=ClosedLoopConfig(clients=2, requests_per_client=2)
         )
         assert result.summary.offered == 4
 

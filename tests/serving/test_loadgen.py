@@ -5,7 +5,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.serving import Request, TraceConfig, generate_trace
+from repro.serving import TraceConfig
+from repro.serving.request import Request
+from repro.serving.loadgen import generate_trace
 
 try:
     from hypothesis import given, settings, strategies as st

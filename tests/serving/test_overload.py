@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.reliability import DEGRADATION_LADDER
-from repro.serving import SERVING_LADDER, OverloadPolicy
+from repro.reliability.degrade import DEGRADATION_LADDER
+from repro.serving.overload import SERVING_LADDER, OverloadPolicy
 
 try:
     from hypothesis import given, strategies as st

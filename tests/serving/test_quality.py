@@ -4,20 +4,22 @@ import dataclasses
 
 import pytest
 
-from repro.dynamic import ALWAYS_LATE
+from repro.dynamic.decision import ALWAYS_LATE
 from repro.serving import (
     AdmissionConfig,
     BatchPolicy,
-    QualityPolicy,
     ServerConfig,
-    SloClass,
     TraceConfig,
-    generate_trace,
-    simulate_fleet,
     simulate_serving,
 )
-from repro.serving.fleet import DEFAULT_SLO_CLASSES, FleetConfig
-from repro.serving.quality import decision_record_fields
+from repro.serving.loadgen import generate_trace
+from repro.serving.fleet import (
+    DEFAULT_SLO_CLASSES,
+    FleetConfig,
+    FleetSimulator,
+    SloClass,
+)
+from repro.serving.quality import QualityPolicy, decision_record_fields
 
 
 class TestQualityPolicy:
@@ -128,7 +130,9 @@ class TestFleetIntegration:
             admission=AdmissionConfig(max_queue_depth=64),
             quality=quality,
         )
-        return simulate_fleet(_trace(2500.0, n_requests=80), config=config)
+        return FleetSimulator(config=config).run(
+            trace=_trace(2500.0, n_requests=80)
+        )
 
     def test_per_class_quality_accounting(self):
         result = self._run(QualityPolicy())

@@ -11,17 +11,15 @@ import pytest
 
 from repro.serving import (
     AdmissionConfig,
-    BatchExecutor,
     BatchPolicy,
-    BatchResult,
-    OverloadPolicy,
-    Request,
     ServerConfig,
-    ServingSimulator,
     TraceConfig,
-    WorkerPool,
     simulate_serving,
 )
+from repro.sim.batching import BatchExecutor, BatchResult, WorkerPool
+from repro.serving.overload import OverloadPolicy
+from repro.serving.request import Request
+from repro.serving.server import ServingSimulator
 from repro.sim.config import DuetConfig
 
 try:

@@ -8,16 +8,16 @@ at most once).
 
 import pytest
 
-from repro.serving import (
+from repro.sim.batching import BatchExecutor
+from repro.sim.sharding import (
     GlbPartition,
-    ShardPlan,
     ShardedExecutor,
-    BatchExecutor,
+    ShardPlan,
+    boundary_elements,
     glb_partition,
     partition_layers,
     plan_for,
 )
-from repro.sim.sharding import boundary_elements
 
 
 @pytest.fixture(scope="module")

@@ -2,16 +2,15 @@
 
 import pytest
 
-from repro.serving import (
+from repro.serving.request import (
     COMPLETED,
     REJECT_QUEUE_FULL,
     REJECTED,
-    SERVING_LADDER,
     Request,
     RequestRecord,
-    percentile,
-    summarize,
 )
+from repro.serving.overload import SERVING_LADDER
+from repro.serving.slo import percentile, summarize
 
 
 class TestPercentile:

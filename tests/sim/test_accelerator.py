@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.models import get_model_spec
-from repro.sim import DuetAccelerator, DuetConfig
+from repro.sim import DuetAccelerator
+from repro.sim.config import DuetConfig
 from repro.workloads import SparsityModel, cnn_workloads
 
 
@@ -148,7 +149,7 @@ class TestBatchRuns:
         accelerators without ``reliability``, silently dropping the fault
         campaign from every batched run.  The context must thread through
         the whole batch, accumulating state across samples."""
-        from repro.reliability import ReliabilityContext
+        from repro.reliability.context import ReliabilityContext
 
         spec = get_model_spec("lstm")
         context = ReliabilityContext(campaign="smoke", seed=5)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.models import ConvSpec, RNNSpec
+from repro.models.layer_spec import ConvSpec, RNNSpec
 from repro.sim.config import DuetConfig, stage_config
 from repro.sim.executor import ExecutorModel
 from repro.workloads.sparsity import SparsityModel

@@ -20,22 +20,19 @@ from hypothesis import strategies as st
 
 from repro import cli
 from repro.core import cache
-from repro.models import ConvSpec, get_model_spec
+from repro.models import get_model_spec
+from repro.models.layer_spec import ConvSpec
 from repro.sim import executor as executor_module
 from repro.sim import DuetAccelerator
 from repro.sim.config import STAGES, DuetConfig, stage_config
 from repro.sim.executor import ExecutorModel
-from repro.sim.pe import (
-    PE,
-    generate_tile_instructions,
-    tag_instructions,
-    tag_instructions_reference,
-)
+from repro.sim.pe import PE
 from repro.reliability.faults import DramFaultStream
 from repro.sim.dram import Dram, TransferRetryPolicy
 from repro.sim.pipeline import RnnPipeline
 from repro.workloads import SparsityModel, cnn_workloads, rnn_workloads
 from repro.workloads.sparsity import CnnLayerWorkload
+from tests.conftest import tile_schedule, tile_tags
 
 @st.composite
 def conv_shapes(draw):
@@ -456,7 +453,7 @@ class TestLayerCostMemo:
     def test_reliability_rewritten_workload_bypasses_memo(self, fresh_layer_memo):
         """A map rewritten by a ReliabilityContext has no recipe, so the
         memo neither serves nor stores it."""
-        from repro.reliability import ReliabilityContext
+        from repro.reliability.context import ReliabilityContext
 
         memo = fresh_layer_memo
         spec = get_model_spec("alexnet")
@@ -523,16 +520,14 @@ class TestPeFastPath:
     def test_run_matches_reference(self, kernel, out_w, p, with_imap, seed):
         rng = np.random.default_rng(seed)
         tile_h, tile_w = kernel, kernel + out_w - 1
-        instructions = generate_tile_instructions(tile_h, tile_w, kernel, out_w)
+        instructions = tile_schedule(tile_h, tile_w, kernel, out_w)
         omap = (rng.random(out_w) < p).astype(np.uint8)
         imap = (
             (rng.random(tile_h * tile_w) < 0.7).astype(np.uint8)
             if with_imap
             else None
         )
-        tags = tag_instructions(instructions, omap, imap)
-        ref_tags = tag_instructions_reference(instructions, omap, imap)
-        np.testing.assert_array_equal(tags, ref_tags)
+        tags = tile_tags(instructions, omap, imap)
 
         inputs = rng.normal(size=tile_h * tile_w)
         weights = rng.normal(size=kernel * kernel)
@@ -540,7 +535,7 @@ class TestPeFastPath:
         fast_pe.load_tile(inputs, weights, out_w)
         ref_pe.load_tile(inputs, weights, out_w)
         fast = fast_pe.run(instructions, tags)
-        ref = ref_pe.run_reference(instructions, ref_tags)
+        ref = ref_pe.run_reference(instructions, tags)
         np.testing.assert_array_equal(fast, ref)
         assert fast_pe.cycles == ref_pe.cycles
         assert fast_pe.macs_executed == ref_pe.macs_executed

@@ -4,12 +4,14 @@ dual-module processing "can also save memory access of FC and RNN layers")."""
 import numpy as np
 import pytest
 
-from repro.models import FCSpec, get_model_spec
+from repro.models import get_model_spec
+from repro.models.layer_spec import FCSpec
 from repro.sim import DuetAccelerator
 from repro.sim.config import stage_config
 from repro.sim.executor import ExecutorModel
 from repro.sim.speculator import SpeculatorModel
-from repro.workloads import FcLayerWorkload, SparsityModel, cnn_workloads
+from repro.workloads import SparsityModel, cnn_workloads
+from repro.workloads.sparsity import FcLayerWorkload
 
 
 @pytest.fixture

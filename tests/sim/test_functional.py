@@ -8,7 +8,7 @@ equivalence and cycle trends are checked end to end.
 import numpy as np
 import pytest
 
-from repro.models import ConvSpec
+from repro.models.layer_spec import ConvSpec
 from repro.nn.layers import Conv2d
 from repro.sim.config import DuetConfig
 from repro.sim.functional import FunctionalExecutorArray

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.sim.pe import PE, generate_tile_instructions, tag_instructions
+from repro.sim.pe import PE
+from tests.conftest import tile_schedule, tile_tags
 
 
 @pytest.fixture
@@ -11,7 +12,7 @@ def tile_setup(rng):
     """The paper's Fig. 6 example: 3x5 input tile, 3x3 filter, 1x3 outputs."""
     inputs = rng.normal(size=(3, 5))
     weights = rng.normal(size=(3, 3))
-    instructions = generate_tile_instructions(tile_h=3, tile_w=5, kernel=3, out_w=3)
+    instructions = tile_schedule(tile_h=3, tile_w=5, kernel=3, out_w=3)
     return inputs, weights, instructions
 
 
@@ -20,48 +21,6 @@ def reference_conv_row(inputs, weights, out_w):
     return np.array(
         [np.sum(inputs[:, x : x + 3] * weights) for x in range(out_w)]
     )
-
-
-class TestInstructionGeneration:
-    def test_count_matches_fig6(self, tile_setup):
-        _, _, instructions = tile_setup
-        assert len(instructions) == 27  # 3 outputs x 9 MACs (paper Fig. 6)
-
-    def test_indices_in_range(self, tile_setup):
-        _, _, instructions = tile_setup
-        assert all(0 <= i.ia < 15 for i in instructions)
-        assert all(0 <= i.w < 9 for i in instructions)
-        assert all(0 <= i.oa < 3 for i in instructions)
-
-    def test_tile_too_small(self):
-        with pytest.raises(ValueError, match="too small"):
-            generate_tile_instructions(tile_h=2, tile_w=3, kernel=3, out_w=3)
-
-
-class TestTagging:
-    def test_omap_only(self, tile_setup):
-        _, _, instructions = tile_setup
-        omap = np.array([1, 0, 1], dtype=np.uint8)
-        tags = tag_instructions(instructions, omap)
-        assert tags.sum() == 18  # two live outputs x 9 MACs
-
-    def test_omap_and_imap(self, tile_setup):
-        _, _, instructions = tile_setup
-        omap = np.array([1, 0, 0], dtype=np.uint8)
-        imap = np.ones(15, dtype=np.uint8)
-        imap[0] = 0  # kill one input of the first receptive field
-        tags = tag_instructions(instructions, omap, imap)
-        assert tags.sum() == 8  # 9 MACs minus the dead input
-
-    def test_fig6_scenario(self, tile_setup):
-        """Paper Fig. 6: OMap keeps 1 of 3 outputs (9 MACs); an IMap with
-        2/3 zeros cuts roughly 6 more."""
-        _, _, instructions = tile_setup
-        omap = np.array([1, 0, 0], dtype=np.uint8)
-        rng = np.random.default_rng(0)
-        imap = (rng.random(15) > 2 / 3).astype(np.uint8)
-        tags = tag_instructions(instructions, omap, imap)
-        assert tags.sum() <= 9
 
 
 class TestPEExecution:
@@ -81,7 +40,7 @@ class TestPEExecution:
         omap = np.array([1, 0, 1], dtype=np.uint8)
         pe = PE()
         pe.load_tile(inputs, weights, psum_size=3)
-        psums = pe.run(instructions, tag_instructions(instructions, omap))
+        psums = pe.run(instructions, tile_tags(instructions, omap))
         ref = reference_conv_row(inputs, weights, 3)
         np.testing.assert_allclose(psums[[0, 2]], ref[[0, 2]])
         assert psums[1] == 0.0
@@ -91,7 +50,7 @@ class TestPEExecution:
         omap = np.array([1, 0, 0], dtype=np.uint8)
         pe = PE()
         pe.load_tile(inputs, weights, psum_size=3)
-        pe.run(instructions, tag_instructions(instructions, omap))
+        pe.run(instructions, tile_tags(instructions, omap))
         assert pe.cycles == 9
         assert pe.macs_skipped == 18
 
@@ -104,7 +63,7 @@ class TestPEExecution:
         omap = np.ones(3, dtype=np.uint8)
         pe = PE()
         pe.load_tile(masked_inputs, weights, psum_size=3)
-        psums = pe.run(instructions, tag_instructions(instructions, omap, imap))
+        psums = pe.run(instructions, tile_tags(instructions, omap, imap))
         ref = reference_conv_row(masked_inputs.reshape(3, 5), weights, 3)
         np.testing.assert_allclose(psums, ref)
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.models import ConvSpec, RNNSpec
+from repro.models.layer_spec import ConvSpec, RNNSpec
 from repro.sim.config import DuetConfig, stage_config
 from repro.sim.executor import ExecutorModel
 from repro.sim.speculator import SpeculatorModel

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.models import ConvSpec, RNNSpec
+from repro.models.layer_spec import ConvSpec, RNNSpec
 from repro.sim.config import DuetConfig
 from repro.sim.energy import EnergyModel
 from repro.sim.speculator import SpeculatorModel

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.models import ConvSpec, get_model_spec
+from repro.models import get_model_spec
+from repro.models.layer_spec import ConvSpec
 from repro.sim.tiling import TilingChoice, candidate_tiles, choose_tiling
 
 

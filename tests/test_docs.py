@@ -1,5 +1,6 @@
 """Documentation smoke tests: the README's code actually runs."""
 
+import ast
 import pathlib
 import re
 
@@ -32,6 +33,21 @@ class TestReadme:
     def test_docs_exist(self):
         for name in ("algorithm.md", "architecture.md", "api.md"):
             assert (REPO_ROOT / "docs" / name).exists()
+
+
+class TestDocImports:
+    @pytest.mark.parametrize(
+        "doc", sorted((REPO_ROOT / "docs").glob("*.md")), ids=lambda p: p.name
+    )
+    def test_python_block_imports_resolve(self, doc):
+        """Every ``from repro... import ...`` in a docs/ python block imports;
+        the rest of the block is not run."""
+        for block in python_blocks(doc.read_text()):
+            for node in ast.walk(ast.parse(block)):
+                if isinstance(node, ast.ImportFrom) and (
+                    node.module or ""
+                ).startswith("repro"):
+                    exec(compile(ast.Module([node], []), doc.name, "exec"), {})  # noqa: S102
 
 
 class TestExperimentsDoc:

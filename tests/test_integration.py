@@ -7,7 +7,7 @@ These exercise complete paper flows: train -> distill -> switch -> trace
 import numpy as np
 import pytest
 
-from repro.baselines import eyeriss, predict_cnvlutin, single_module
+from repro.baselines import eyeriss, predict_cnvlutin
 from repro.models import get_model_spec
 from repro.models.dualize import DualizedCNN, DualizedLanguageModel
 from repro.models.layer_spec import ModelSpec
@@ -21,7 +21,7 @@ from repro.models.proxies import (
 )
 from repro.nn.data import GaussianMixtureImages, ZipfTokenStream
 from repro.sim import DuetAccelerator
-from repro.sim.config import STAGES
+from repro.sim.config import STAGES, stage_config
 from repro.workloads import cnn_workloads, rnn_workloads, trace_cnn_workloads
 
 
@@ -99,7 +99,9 @@ class TestRnnEndToEnd:
         mean_sensitive = float(
             np.mean([w.sensitive_fraction for w in wl])
         )
-        base = single_module().run(spec, workloads=wl)
+        base = DuetAccelerator(config=stage_config("BASE")).run(
+            spec, workloads=wl
+        )
         duet = DuetAccelerator(stage="DUET").run(spec, workloads=wl)
         dram_ratio = sum(l.dram_bytes for l in duet.layers) / sum(
             l.dram_bytes for l in base.layers

@@ -1,40 +1,8 @@
-"""Tests for the table-rendering utilities."""
+"""Tests for the percentage renderer."""
 
-import pytest
-
-from repro.reporting import format_ratio_row, format_table
+from repro.reporting import format_percent
 
 
-class TestFormatTable:
-    def test_alignment_and_formatting(self):
-        table = format_table(
-            ["name", "cycles", "ratio"],
-            [["conv1", 12345, 1.5], ["fc", 7, 0.25]],
-            precision=2,
-        )
-        lines = table.splitlines()
-        assert len(lines) == 4
-        assert "12,345" in lines[2]
-        assert "1.50" in lines[2]
-        assert lines[2].startswith("conv1")
-
-    def test_header_wider_than_values(self):
-        table = format_table(["a_long_header"], [["x"]])
-        assert "a_long_header" in table
-
-    def test_row_length_mismatch(self):
-        with pytest.raises(ValueError, match="entries"):
-            format_table(["a", "b"], [["only-one"]])
-
-    def test_empty_rows(self):
-        table = format_table(["a"], [])
-        assert "a" in table
-
-
-class TestRatioRow:
-    def test_with_paper(self):
-        row = format_ratio_row("speedup", 2.59, paper=2.24)
-        assert "2.59x" in row and "2.24x" in row
-
-    def test_without_paper(self):
-        assert format_ratio_row("speedup", 2.0) == "speedup: 2.00x"
+def test_format_percent():
+    assert format_percent(0.034) == "3.4%"
+    assert format_percent(0.5, precision=0) == "50%"

@@ -23,17 +23,19 @@ from repro.serving import (
     AdmissionConfig,
     AutoscalerPolicy,
     BatchPolicy,
+    FleetConfig,
+    ServerConfig,
+)
+from repro.serving.faulttol import (
     BreakerPolicy,
     FaultTolerancePolicy,
-    FleetConfig,
     HealthPolicy,
     HedgePolicy,
-    OverloadPolicy,
-    QualityPolicy,
     RetryPolicy,
-    ServerConfig,
-    SloClass,
 )
+from repro.serving.overload import OverloadPolicy
+from repro.serving.quality import QualityPolicy
+from repro.serving.fleet import SloClass
 from repro.serving.loadgen import ClosedLoopConfig, TraceConfig
 from repro.sim.batching import ServiceModel, WorkerPool
 from repro.sim.config import DuetConfig

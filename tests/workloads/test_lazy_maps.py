@@ -16,8 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.models import ConvSpec, get_model_spec
-from repro.workloads import CnnLayerWorkload, SparsityModel
+from repro.models import get_model_spec
+from repro.models.layer_spec import ConvSpec
+from repro.workloads import SparsityModel
+from repro.workloads.sparsity import CnnLayerWorkload
 
 conv_specs = st.builds(
     lambda c_in, c_out, k, hw: ConvSpec("c", c_in, c_out, k, 1, k // 2, hw, hw),

@@ -3,14 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.models import ConvSpec, RNNSpec, get_model_spec
-from repro.workloads import (
-    CnnLayerWorkload,
-    RnnLayerWorkload,
-    SparsityModel,
-    cnn_workloads,
-    rnn_workloads,
-)
+from repro.models import get_model_spec
+from repro.models.layer_spec import ConvSpec, RNNSpec
+from repro.workloads import SparsityModel, cnn_workloads, rnn_workloads
+from repro.workloads.sparsity import CnnLayerWorkload, RnnLayerWorkload
 
 
 @pytest.fixture

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.models import ConvSpec
+from repro.models.layer_spec import ConvSpec
 from repro.models.dualize import DualizedCNN
 from repro.models.proxies import proxy_alexnet, train_classifier
 from repro.nn.data import GaussianMixtureImages
-from repro.workloads import trace_cnn_workloads, workload_from_maps
+from repro.workloads import trace_cnn_workloads
+from repro.workloads.traces import workload_from_maps
 
 
 @pytest.fixture(scope="module")
