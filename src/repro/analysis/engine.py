@@ -9,9 +9,9 @@ then run once over the same model.  Raw findings from both passes are
 filtered through inline suppressions and the committed baseline last;
 the incremental cache only ever sees raw findings, which is what makes
 a cache hit byte-identical to a cold run.  Rules are pure functions of
-their inputs -- all repo-wide context (the fast-path equivalence test,
-``docs/api.md``) goes through the :class:`Project` so the whole engine
-can be pointed at a fixture tree in tests.
+their inputs -- all repo-wide context (the fast-path equivalence test)
+goes through the :class:`Project` so the whole engine can be pointed at
+a fixture tree in tests.
 """
 
 from __future__ import annotations

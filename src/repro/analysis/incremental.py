@@ -19,8 +19,8 @@ Correctness model -- why a hit is always byte-identical to a cold run:
   ``repro.analysis`` package's own sources -- so editing any rule, the
   engine, or this file orphans every prior entry;
 - per-module keys mix the module's source bytes and the contents of all
-  active per-file rules' declared ``context_files`` (``docs/api.md``,
-  the parity suites, ...), so context edits invalidate too;
+  active per-file rules' declared ``context_files`` (the parity
+  suite), so context edits invalidate too;
 - whole-program (project-rule) results key on a digest of *every*
   module's source in the program plus the project rules' context files.
 

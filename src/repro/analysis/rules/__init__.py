@@ -160,7 +160,6 @@ def resolve_target(module: ParsedModule, node: ast.AST) -> str | None:
 # the base classes -- keep them after the per-file rules so the bases
 # above are defined by the time they load.
 from repro.analysis.rules import (  # noqa: E402,F401
-    configdoc,
     conventions,
     deadcode,
     determinism,

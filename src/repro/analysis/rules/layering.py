@@ -1,21 +1,19 @@
 """LAY001: the package layering DAG holds -- no upward imports, no cycles.
 
 The repo's architecture is a strict ladder (see the layering-contract
-table in ``docs/architecture.md``, which this rule keeps in sync with):
-leaf utilities at the bottom, the CLI at the top, and every import
-pointing downward or sideways.  ``repro.analysis`` sits at layer 0 on
+table in ``docs/architecture.md``, which ``tools/check_docs.py`` holds
+equal to :data:`LAYERS`): leaf utilities at the bottom, the CLI at the
+top, and every import pointing downward or sideways.  ``repro.analysis`` sits at layer 0 on
 purpose: the linter imports no other ``repro`` package -- not even its
 layer-0 siblings -- so a layering violation can never break the tool
 that reports it.
 
-Three finding shapes:
+Two finding shapes besides load-time cycles:
 
 - an *upward* import (lower layer importing a higher one) at the import
   statement;
 - a top-level package missing from the layer table (the contract must
-  stay exhaustive as the tree grows);
-- a drifted ``docs/architecture.md`` table (the prose contract and the
-  enforced one must be the same table).
+  stay exhaustive as the tree grows).
 
 ``if TYPE_CHECKING:`` imports are exempt -- they are erased at runtime.
 Function-scope lazy imports are *not* exempt: lazy loading fixes import
@@ -25,7 +23,6 @@ order, not architecture.  Load-time cycles are separately reported via
 
 from __future__ import annotations
 
-import re
 from typing import Iterator
 
 from repro.analysis.engine import Project
@@ -37,7 +34,7 @@ from repro.analysis.rules import ProjectRule, register
 #: (packages, plus the top-level modules ``cli``/``reporting``/
 #: ``__main__``).  Lower layers must not import higher ones; equal
 #: layers may import each other.  Mirrored by the table in
-#: :data:`_DOC_FILE` -- LAY001 itself flags any drift between the two.
+#: :data:`_DOC_FILE`, which ``tools/check_docs.py`` holds equal to it.
 LAYERS: dict[str, int] = {
     "nn": 0,
     "quant": 0,
@@ -62,9 +59,6 @@ LAYERS: dict[str, int] = {
 #: where the human-readable copy of the contract lives.
 _DOC_FILE = "docs/architecture.md"
 
-#: one table row: ``| 4 | `sim` |`` (packages backticked, comma-separated).
-_DOC_ROW = re.compile(r"^\|\s*(\d+)\s*\|([^|]*)\|")
-
 
 def _top_level(module_name: str) -> str | None:
     """``sim`` for ``repro.sim.batching``; None outside ``repro.``."""
@@ -75,67 +69,22 @@ def _top_level(module_name: str) -> str | None:
     return module_name.split(".")[1]
 
 
-def doc_layer_table(text: str) -> dict[str, int]:
-    """Parse the layering table out of ``docs/architecture.md`` text.
-
-    Rows look like ``| 4 | `sim` |``; multiple packages per row are
-    comma-separated.  Returns package -> layer (empty when no table).
-    """
-    layers: dict[str, int] = {}
-    for line in text.splitlines():
-        match = _DOC_ROW.match(line.strip())
-        if match is None:
-            continue
-        layer = int(match.group(1))
-        for name in re.findall(r"`([A-Za-z_][\w.]*)`", match.group(2)):
-            layers[name.removeprefix("repro.")] = layer
-    return layers
-
-
 @register
 class LayeringRule(ProjectRule):
     """LAY001: imports respect the package layering DAG."""
 
     code = "LAY001"
     title = "package imports follow the layering contract (no upward edges)"
-    context_files = (_DOC_FILE,)
 
     def check_program(
         self, program: ProgramModel, project: Project
     ) -> Iterator[Finding]:
-        # fixture trees without the real root package skip the checks
-        # that only make sense against the exhaustive contract (doc sync
-        # and unlisted packages); direction and cycles always run.
+        # fixture trees without the real root package skip the check
+        # that only makes sense against the exhaustive contract (unlisted
+        # packages); direction and cycles always run.
         is_real_tree = "src/repro/__init__.py" in program.by_path
-        if is_real_tree:
-            yield from self._check_doc(program, project)
         yield from self._check_edges(program, is_real_tree)
         yield from self._check_cycles(program)
-
-    # -- the three finding shapes -----------------------------------------
-
-    def _check_doc(self, program: ProgramModel, project: Project):
-        root_init = program.by_path["src/repro/__init__.py"]
-        doc_text = project.read_text(_DOC_FILE)
-        documented = doc_layer_table(doc_text) if doc_text is not None else {}
-        if documented == LAYERS:
-            return
-        if doc_text is None:
-            message = (
-                f"layering contract has no documented copy: {_DOC_FILE} "
-                "is missing (LAY001 enforces the table it should carry)"
-            )
-        else:
-            drift = sorted(
-                set(documented.items()) ^ set(LAYERS.items())
-            )
-            message = (
-                f"layering table in {_DOC_FILE} disagrees with the "
-                f"enforced contract (drifted entries: "
-                f"{', '.join(f'{name}={layer}' for name, layer in drift)}); "
-                "update the doc table or the LAY001 layer map together"
-            )
-        yield self.finding(root_init.parsed, root_init.parsed.tree, message)
 
     def _check_edges(self, program: ProgramModel, is_real_tree: bool):
         for name in sorted(program.modules):

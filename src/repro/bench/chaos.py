@@ -7,7 +7,7 @@ and every fault rate of the sweep, sharded across processes via
 :mod:`repro.parallel`, and writes a ``duet-chaos/1`` document:
 
 - per cell: the fault model, the policy name, and the full
-  :class:`~repro.serving.ChaosSummary` account -- goodput, latency
+  :class:`~repro.serving.faulttol.ChaosSummary` account -- goodput, latency
   percentiles, retry/hedge/breaker/respawn counters, and the two
   conservation invariants (``duplicates`` and ``lost``, both required
   to be 0 in **every** cell, including the mechanism-free baseline).

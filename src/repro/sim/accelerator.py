@@ -40,7 +40,7 @@ class DuetAccelerator:
             order of magnitude fewer parameters than the accurate layers).
         sparsity: workload sparsity statistics (used when ``run`` is given
             a bare model spec rather than explicit workloads).
-        reliability: optional :class:`repro.reliability.ReliabilityContext`
+        reliability: optional :class:`repro.reliability.context.ReliabilityContext`
             threaded through to the pipelines -- faults, guards, and
             graceful degradation for the run.
     """
@@ -110,7 +110,7 @@ class DuetAccelerator:
         *every* accelerator field -- including ``reliability``, which a
         previous hand-rolled reconstruction silently dropped, detaching
         active fault campaigns and guards from batched runs.  An attached
-        :class:`~repro.reliability.ReliabilityContext` now threads through
+        :class:`~repro.reliability.context.ReliabilityContext` now threads through
         the whole batch in sample order (one machine, one campaign).
 
         Returns:

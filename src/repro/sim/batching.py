@@ -20,7 +20,7 @@ memory-bound RNNs of Fig. 12(d).
 Per-sample reports are memoized on ``(model, stage, workload_seed)``:
 the simulator is deterministic, so a seed that repeats across the
 campaign costs one simulation.  Memoization is disabled when a
-:class:`~repro.reliability.ReliabilityContext` is attached -- fault
+:class:`~repro.reliability.context.ReliabilityContext` is attached -- fault
 campaigns are stateful (injection budgets, monotone degradation), so
 every sample must really run.
 """

@@ -75,7 +75,7 @@ class _Pipeline:
         config: hardware/feature configuration (base stage).
         energy_model: per-event energy costs.
         reduction: Speculator workload-reduction factor.
-        reliability: optional :class:`repro.reliability.ReliabilityContext`;
+        reliability: optional :class:`repro.reliability.context.ReliabilityContext`;
             when given, each layer runs at the context's current degradation
             stage, its workload passes through the fault injector and
             guards, and the finished report carries the reliability account.

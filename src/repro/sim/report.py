@@ -59,7 +59,7 @@ class ModelReport:
         config: the hardware/feature configuration used.
         layers: per-layer reports in execution order.
         reliability: the run's fault/guard/degradation account when the
-            pipeline ran under a :class:`repro.reliability.ReliabilityContext`
+            pipeline ran under a :class:`repro.reliability.context.ReliabilityContext`
             (None for ordinary runs).
     """
 

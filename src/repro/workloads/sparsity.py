@@ -16,8 +16,10 @@ The same model generates RNN gate maps (saturation-driven, no channel
 structure -- the paper's RNN dataflow has no imbalance by construction).
 
 Defaults are calibrated against the paper's reported operating points
-(e.g. AlexNet CONV5 at 65.5% computation sparsity under OS) and validated
-against measured proxy-model maps in the test suite.
+(e.g. AlexNet CONV5 at 65.5% computation sparsity under OS).  The test
+suite does not fit them to measured maps: its only check on traced
+proxy-model maps (``tests/workloads/test_traces.py``) is that their mean
+sensitive fraction lies in (0.2, 0.8).
 """
 
 from __future__ import annotations
@@ -709,7 +711,9 @@ class SparsityModel:
             (saturation regions cover most of sigmoid/tanh mass; the
             paper's RNN weight-fetch latency drops from 0.65 to 0.30 ms,
             i.e. roughly half the rows are fetched).
-        rnn_step_std: relative std-dev of the per-step sensitive fraction.
+        rnn_step_std: absolute std-dev of the per-step sensitive fraction
+            (the normal draw around ``rnn_sensitive_mean``, before
+            clipping to [0, 1]).
         seed: base RNG seed; per-layer streams derive from it.
 
     Construction validates every numeric field and raises ``ValueError``

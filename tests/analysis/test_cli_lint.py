@@ -130,7 +130,7 @@ class TestDiscoverability:
         assert code == 0
         for rule in (
             "DET001", "DET002", "PAR001", "CLI001",
-            "SCH001", "EXC001", "NUM001", "CFG001",
+            "SCH001", "EXC001", "NUM001", "LAY001",
         ):
             assert rule in out
 

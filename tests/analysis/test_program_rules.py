@@ -100,11 +100,10 @@ class TestLayering:
 
     def test_fixture_trees_skip_real_tree_only_checks(self):
         # Neither fixture tree carries src/repro/__init__.py, so the
-        # doc-sync and unlisted-package checks must stay silent: every
-        # reported finding is a direction or cycle violation.
+        # unlisted-package check must stay silent: every reported
+        # finding is a direction or cycle violation.
         result = _lint("layering/violations", "LAY001")
         for finding in result.findings:
-            assert "layering table" not in finding.message
             assert "not in the layering contract" not in finding.message
 
 

@@ -31,7 +31,6 @@ class TestViolationsTree:
         assert grouped["src/repro/cli.py"] == Counter({"CLI001": 2})
         assert grouped["src/repro/bench/writer.py"] == Counter({"SCH001": 3})
         assert grouped["src/repro/sim/executor.py"] == Counter({"PAR001": 2})
-        assert grouped["src/repro/sim/config.py"] == Counter({"CFG001": 3})
         assert grouped["src/repro/serving/retrier.py"] == Counter({"REL003": 3})
 
         # No fixture file trips a rule it was not written to demonstrate.
@@ -43,7 +42,6 @@ class TestViolationsTree:
             "src/repro/cli.py",
             "src/repro/bench/writer.py",
             "src/repro/sim/executor.py",
-            "src/repro/sim/config.py",
             "src/repro/serving/retrier.py",
         }
 

@@ -27,27 +27,18 @@ def _run_tool(name, *args, cwd=None):
 
 
 class TestCheckLinks:
+    """The relative-link check of ``tools/check_docs.py``."""
+
     def test_repo_docs_are_clean(self):
-        proc = _run_tool("check_links.py")
-        assert proc.returncode == 0, proc.stderr
-
-    def test_dead_link_exits_one(self, tmp_path):
-        doc = tmp_path / "doc.md"
-        doc.write_text("see [missing](does-not-exist.md)\n")
-        proc = _run_tool("check_links.py", str(doc))
-        assert proc.returncode == 1
-        assert "dead link" in proc.stderr
-
-    def test_missing_input_exits_two(self, tmp_path):
-        proc = _run_tool("check_links.py", str(tmp_path / "absent.md"))
-        assert proc.returncode == 2
-        assert "error:" in proc.stderr
+        check_docs = _load("check_docs")
+        pages = [REPO_ROOT / "README.md", *sorted((REPO_ROOT / "docs").glob("*.md"))]
+        gaps = [gap for page in pages for gap in check_docs.link_gaps(REPO_ROOT, page)]
+        assert gaps == []
 
     def test_links_in_code_fences_ignored(self, tmp_path):
         doc = tmp_path / "doc.md"
         doc.write_text("```\n[fake](nope.md)\n```\n")
-        proc = _run_tool("check_links.py", str(doc))
-        assert proc.returncode == 0
+        assert _load("check_docs").link_gaps(tmp_path, doc) == []
 
 
 class TestLintChanged:
@@ -55,7 +46,7 @@ class TestLintChanged:
         lint_changed = _load("lint_changed")
         candidates = [
             "src/repro/cli.py",          # in-root .py -> kept
-            "tools/check_links.py",      # in-root .py -> kept
+            "tools/check_docs.py",       # in-root .py -> kept
             "tests/test_cli.py",         # tests/ is not a lint root
             "docs/linting.md",           # not python
             "src/repro/deleted_file.py", # not on disk
@@ -63,7 +54,7 @@ class TestLintChanged:
         ]
         assert lint_changed.lintable(candidates) == [
             "src/repro/cli.py",
-            "tools/check_links.py",
+            "tools/check_docs.py",
         ]
 
     def test_with_dependents_adds_the_reverse_import_closure(self):

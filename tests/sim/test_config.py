@@ -20,8 +20,17 @@ class TestDuetConfig:
         assert cfg.cycles_to_ms(1_000_000) == pytest.approx(1.0)
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="positive"):
-            DuetConfig(executor_rows=0)
+        """Every non-bool field rejects 0, naming itself: a new field left
+        out of ``check_range`` fails here."""
+        numeric = [
+            field.name
+            for field in dataclasses.fields(DuetConfig)
+            if not isinstance(field.default, bool)
+        ]
+        assert "executor_rows" in numeric and "clock_hz" in numeric
+        for name in numeric:
+            with pytest.raises(ValueError, match=rf"DuetConfig\.{name} "):
+                DuetConfig(**{name: 0})
         with pytest.raises(ValueError, match="positive"):
             DuetConfig(glb_bytes=-1)
 

@@ -1,12 +1,22 @@
-"""Documentation smoke tests: the README's code actually runs."""
+"""Documentation smoke tests: the README's code runs, docs imports resolve,
+the examples import."""
 
-import ast
+import importlib.util
 import pathlib
 import re
 
 import pytest
 
 REPO_ROOT = pathlib.Path(__file__).parent.parent
+
+
+def _load_check_docs():
+    spec = importlib.util.spec_from_file_location(
+        "check_docs", REPO_ROOT / "tools" / "check_docs.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def python_blocks(markdown: str) -> list[str]:
@@ -40,14 +50,21 @@ class TestDocImports:
         "doc", sorted((REPO_ROOT / "docs").glob("*.md")), ids=lambda p: p.name
     )
     def test_python_block_imports_resolve(self, doc):
-        """Every ``from repro... import ...`` in a docs/ python block imports;
-        the rest of the block is not run."""
-        for block in python_blocks(doc.read_text()):
-            for node in ast.walk(ast.parse(block)):
-                if isinstance(node, ast.ImportFrom) and (
-                    node.module or ""
-                ).startswith("repro"):
-                    exec(compile(ast.Module([node], []), doc.name, "exec"), {})  # noqa: S102
+        """Every ``from repro... import ...`` in a docs/ python block imports
+        (the import check of ``tools/check_docs.py``, one page per case)."""
+        assert _load_check_docs().import_gaps(REPO_ROOT, doc) == []
+
+
+class TestExamples:
+    @pytest.mark.parametrize(
+        "path", sorted((REPO_ROOT / "examples").glob("*.py")), ids=lambda p: p.stem
+    )
+    def test_example_imports(self, path):
+        """Import only: each example's ``__main__`` guard keeps its run for
+        CI, which executes every example end to end."""
+        spec = importlib.util.spec_from_file_location(f"example_{path.stem}", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
 
 
 class TestExperimentsDoc:

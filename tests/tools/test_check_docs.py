@@ -1,11 +1,13 @@
-"""Tests for the docs-coverage checker (`tools/check_docs.py`).
+"""Tests for the docs checker (`tools/check_docs.py`).
 
-Fixture trees exercise each coverage contract in isolation; the
-subprocess tests pin the 0/1/2 exit convention; and the live-tree tests
-are the actual gate — the committed docs must cover every registered
-subcommand and every committed bench schema.
+One table drives a minimal tree through each fault the checker owns:
+the tree is clean as built, and each case breaks exactly one contract,
+so ``check_tree`` must report exactly one gap.  The subprocess tests
+pin the 0/1/2 exit convention, and the live-tree test is the actual
+gate: the committed docs must hold every contract.
 """
 
+import dataclasses
 import importlib.util
 import json
 import subprocess
@@ -14,7 +16,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis.rules.layering import LAYERS
 from repro.cli import build_parser
+from repro.sim.config import DuetConfig
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -40,21 +44,79 @@ def _run_tool(*args):
     )
 
 
-def _make_tree(tmp_path, api_md, benchmarks_md, bench_files=()):
-    docs = tmp_path / "docs"
-    docs.mkdir()
-    (docs / "api.md").write_text(api_md)
-    (docs / "benchmarks.md").write_text(benchmarks_md)
-    for name, document in bench_files:
-        (tmp_path / name).write_text(json.dumps(document))
-    return tmp_path
-
-
-def _api_md_covering_all_commands():
-    rows = "\n".join(
+def _minimal_tree() -> dict[str, str]:
+    """relpath -> text of the smallest tree that holds every contract."""
+    commands = "\n".join(
         f"python -m repro {name}" for name in check_docs.registered_commands()
     )
-    return f"```bash\n{rows}\n```\n"
+    fields = "\n".join(f"| `{f.name}` |" for f in dataclasses.fields(DuetConfig))
+    layers = "\n".join(f"| {layer} | `{name}` |" for name, layer in LAYERS.items())
+    return {
+        "README.md": (
+            "See [the API](docs/api.md) and `repro.sim.DuetAccelerator`.\n\n"
+            "```\n[fenced, not a link](nowhere.md) `repro.nowhere`\n```\n"
+        ),
+        "docs/api.md": (
+            f"```bash\n{commands}\n```\n\n"
+            "```python\nfrom repro.sim.config import DuetConfig\n```\n\n"
+            f"{fields}\n"
+        ),
+        "docs/benchmarks.md": "`BENCH_x.json` (schema `duet-x/1`)\n",
+        "docs/architecture.md": f"| Layer | Packages |\n|---|---|\n{layers}\n",
+        "BENCH_x.json": json.dumps({"schema": "duet-x/1"}),
+        "src/repro/mod.py": '"""Wraps :class:`~repro.sim.config.DuetConfig`."""\n',
+    }
+
+
+def _write_tree(root: Path, files: dict[str, str]) -> Path:
+    for relpath, text in files.items():
+        path = root / relpath
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    return root
+
+
+# (case, file, text replaced, replacement, the one gap expected)
+FAULTS = [
+    ("missing-subcommand-row", "docs/api.md", "python -m repro simulate\n", "",
+     "docs/api.md: no `python -m repro simulate` row"),
+    ("stale-subcommand-row", "docs/api.md", "```bash\n",
+     "```bash\npython -m repro gone\n",
+     "docs/api.md: stale row `python -m repro gone`"),
+    ("undocumented-bench-schema", "docs/benchmarks.md", " (schema `duet-x/1`)", "",
+     "docs/benchmarks.md: schema `duet-x/1` of BENCH_x.json"),
+    ("unmentioned-bench-file", "docs/benchmarks.md", "`BENCH_x.json` ", "",
+     "docs/benchmarks.md: never mentions BENCH_x.json"),
+    ("dead-link", "README.md", "(docs/api.md)", "(docs/gone.md)",
+     "README.md:1: dead link -> docs/gone.md"),
+    ("failing-doc-import", "docs/api.md", "import DuetConfig", "import NoSuchConfig",
+     "docs/api.md: `from repro.sim.config import NoSuchConfig` fails"),
+    ("undocumented-config-field", "docs/api.md", "| `glb_bytes` |\n", "",
+     "docs/api.md: DuetConfig field `glb_bytes` is not documented"),
+    ("drifted-layer-table", "docs/architecture.md", "| 4 | `sim` |", "| 5 | `sim` |",
+     "docs/architecture.md: layering table disagrees"),
+    ("stale-prose-path", "README.md", "repro.sim.DuetAccelerator", "repro.sim.Gone",
+     "README.md:1: `repro.sim.Gone` does not resolve"),
+    ("stale-docstring-role", "src/repro/mod.py", "repro.sim.config.DuetConfig",
+     "repro.sim.Gone", "src/repro/mod.py:1: :class:`repro.sim.Gone` does not resolve"),
+]
+
+
+class TestCheckTree:
+    def test_minimal_tree_is_clean(self, tmp_path):
+        assert check_docs.check_tree(_write_tree(tmp_path, _minimal_tree())) == []
+
+    @pytest.mark.parametrize(
+        "relpath, old, new, expected", [case[1:] for case in FAULTS],
+        ids=[case[0] for case in FAULTS],
+    )
+    def test_one_fault_one_gap(self, tmp_path, relpath, old, new, expected):
+        files = _minimal_tree()
+        assert old in files[relpath]
+        files[relpath] = files[relpath].replace(old, new)
+        gaps = check_docs.check_tree(_write_tree(tmp_path, files))
+        assert len(gaps) == 1, gaps
+        assert expected in gaps[0]
 
 
 class TestCliCoverage:
@@ -65,56 +127,21 @@ class TestCliCoverage:
         assert "lint" in commands
         assert commands == sorted(commands)
 
-    def test_missing_command_row_is_a_gap(self):
-        gaps = check_docs.cli_gaps(["simulate", "fleet"], "python -m repro simulate\n")
-        assert len(gaps) == 1
-        assert "fleet" in gaps[0]
-
-    def test_stale_row_is_a_gap(self):
-        gaps = check_docs.cli_gaps(
-            ["simulate"], "python -m repro simulate\npython -m repro gone\n"
-        )
-        assert len(gaps) == 1
-        assert "stale" in gaps[0]
-        assert "gone" in gaps[0]
-
     def test_full_coverage_is_clean(self):
-        commands = check_docs.registered_commands()
-        assert check_docs.cli_gaps(commands, _api_md_covering_all_commands()) == []
+        assert check_docs.cli_gaps(_minimal_tree()["docs/api.md"]) == []
 
 
 class TestBenchCoverage:
-    def test_undocumented_file_and_schema_are_gaps(self, tmp_path):
-        root = _make_tree(
-            tmp_path,
-            api_md="",
-            benchmarks_md="nothing here\n",
-            bench_files=[("BENCH_x.json", {"schema": "duet-x/1"})],
-        )
-        gaps = check_docs.bench_gaps(root, (root / "docs" / "benchmarks.md").read_text())
-        assert len(gaps) == 2
-        assert any("BENCH_x.json" in gap for gap in gaps)
-        assert any("duet-x/1" in gap for gap in gaps)
-
     def test_documented_file_is_clean(self, tmp_path):
-        root = _make_tree(
-            tmp_path,
-            api_md="",
-            benchmarks_md="`BENCH_x.json` (schema `duet-x/1`)\n",
-            bench_files=[("BENCH_x.json", {"schema": "duet-x/1"})],
-        )
-        gaps = check_docs.bench_gaps(root, (root / "docs" / "benchmarks.md").read_text())
-        assert gaps == []
+        files = _minimal_tree()
+        root = _write_tree(tmp_path, files)
+        assert check_docs.bench_gaps(root, files["docs/benchmarks.md"]) == []
 
     def test_schema_less_bench_file_raises(self, tmp_path):
-        root = _make_tree(
-            tmp_path,
-            api_md="",
-            benchmarks_md="",
-            bench_files=[("BENCH_x.json", {"results": []})],
-        )
-        with pytest.raises(ValueError, match="no schema"):
-            check_docs.bench_gaps(root, "")
+        for document in ({"results": []}, [1, 2]):
+            (tmp_path / "BENCH_x.json").write_text(json.dumps(document))
+            with pytest.raises(ValueError, match="no schema"):
+                check_docs.bench_gaps(tmp_path, "")
 
 
 class TestExitConvention:
@@ -124,10 +151,10 @@ class TestExitConvention:
         assert "docs cover" in proc.stdout
 
     def test_coverage_gap_exits_one(self, tmp_path):
-        _make_tree(tmp_path, api_md="no rows here\n", benchmarks_md="")
+        _write_tree(tmp_path, {**_minimal_tree(), "docs/api.md": "no rows here\n"})
         proc = _run_tool("--root", str(tmp_path))
         assert proc.returncode == 1
-        assert "coverage gap" in proc.stderr
+        assert "docs gap(s)" in proc.stderr
 
     def test_missing_docs_page_exits_two(self, tmp_path):
         proc = _run_tool("--root", str(tmp_path))
@@ -135,10 +162,7 @@ class TestExitConvention:
         assert proc.stderr.startswith("error:")
 
     def test_unreadable_bench_file_exits_two(self, tmp_path):
-        _make_tree(
-            tmp_path, api_md=_api_md_covering_all_commands(), benchmarks_md=""
-        )
-        (tmp_path / "BENCH_broken.json").write_text("{not json")
+        _write_tree(tmp_path, {**_minimal_tree(), "BENCH_broken.json": "{not json"})
         proc = _run_tool("--root", str(tmp_path))
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:")

@@ -205,3 +205,12 @@ class TestCompare:
         a = _write(tmp_path, "a.json", {"schema": "duet-fleet/1"})
         assert compare_bench.main([a, str(tmp_path / "nope.json")]) == 2
         assert compare_bench.main([a]) == 2
+
+    def test_non_object_document_is_usage_error(
+        self, compare_bench, tmp_path, capsys
+    ):
+        a = _write(tmp_path, "a.json", [1, 2])
+        assert compare_bench.main([a, a]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert err.count("\n") == 1

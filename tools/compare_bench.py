@@ -179,6 +179,13 @@ def main(argv: list[str] | None = None) -> int:
         except (OSError, ValueError) as exc:
             print(f"error: cannot read {name}: {exc}", file=sys.stderr)
             return 2
+        if not isinstance(documents[-1], dict):
+            print(
+                f"error: {name} is not a bench document: its top level is "
+                f"a JSON {type(documents[-1]).__name__}, not an object",
+                file=sys.stderr,
+            )
+            return 2
     views = [deterministic_view(d) for d in documents]
     diff = _first_diff(*views)
     if diff is not None:

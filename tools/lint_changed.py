@@ -5,8 +5,8 @@ A pre-commit-style wrapper around duetlint: collects the files that
 differ from ``--base`` (default ``main``) -- committed, staged, and
 unstaged, including untracked files -- restricts them to the lint roots
 (``src/`` and ``tools/``), and runs the full rule set on just those
-files.  Whole-tree context rules (PAR001's test-file check, CFG001's
-doc check) still read the live tree, so findings match a full run.
+files.  Whole-tree context rules (PAR001's test-file check) still read
+the live tree, so findings match a full run.
 
 With ``--dependents`` the changed set is widened to its reverse-import
 closure over the whole-program graph (``repro.analysis.project``): every
