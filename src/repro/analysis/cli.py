@@ -21,7 +21,6 @@ from repro.analysis.baseline import (
     save_baseline,
 )
 from repro.analysis.engine import run_lint
-from repro.analysis.incremental import IncrementalCache
 from repro.analysis.rules import REGISTRY, get_rules
 from repro.analysis.schema import validate_schema
 
@@ -66,10 +65,6 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
         help="also write the JSON report document to PATH",
     )
     parser.add_argument(
-        "--no-cache", action="store_true",
-        help="skip the incremental result cache (.duet-cache/)",
-    )
-    parser.add_argument(
         "--graph-output", default=None, metavar="PATH",
         help="also write the whole-program import graph "
         "(duetlint-graph/1 JSON) to PATH",
@@ -107,9 +102,10 @@ def cmd_lint(args, out) -> int:
     """Run the lint per ``args``; returns the exit code (0/1).
 
     Raises:
-        ValueError: on usage errors (unknown rule, bad root/paths,
+        ValueError: on usage errors (unknown rule, bad root/paths, a
+            missing ``--output``/``--graph-output`` directory,
             ``--baseline update`` with a rule or path subset) -- mapped
-            to exit 2 by the caller.
+            to exit 2 by the caller, before any linting is done.
     """
     if args.list_rules:
         for code in sorted(REGISTRY):
@@ -127,11 +123,18 @@ def cmd_lint(args, out) -> int:
             "--baseline update rewrites the whole baseline: run it without "
             "--rule or paths"
         )
+    for flag, path in (
+        ("--output", args.output),
+        ("--graph-output", args.graph_output),
+    ):
+        if path and not Path(path).parent.is_dir():
+            raise ValueError(
+                f"{flag} directory does not exist: {Path(path).parent}"
+            )
     rules = get_rules(args.rule)
-    cache = IncrementalCache(root, enabled=not args.no_cache)
     baseline_path = root / DEFAULT_BASELINE_NAME
     if args.baseline == "update":
-        result = run_lint(root, rules=rules, cache=cache)
+        result = run_lint(root, rules=rules)
         save_baseline(baseline_path, result.findings)
         out.write(
             f"baseline updated: {len(result.findings)} finding(s) "
@@ -144,7 +147,6 @@ def cmd_lint(args, out) -> int:
         paths=args.paths or None,
         rules=rules,
         baseline_fingerprints=fingerprints,
-        cache=cache,
     )
     if args.graph_output:
         graph = result.program.graph_document()

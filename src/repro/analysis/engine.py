@@ -1,17 +1,16 @@
 """The duetlint engine: file discovery, parsing, rule running, filtering.
 
 The engine walks the lint roots (``src/`` and ``tools/`` by default),
-builds the :class:`~repro.analysis.project.ProgramModel` of the whole
-tree -- which parses every file once -- and hands each selected file's
-:class:`ParsedModule` to the registered per-file rules that claim it.
-The whole-program rules (:class:`~repro.analysis.rules.ProjectRule`)
-then run once over the same model.  Raw findings from both passes are
-filtered through inline suppressions and the committed baseline last;
-the incremental cache only ever sees raw findings, which is what makes
-a cache hit byte-identical to a cold run.  Rules are pure functions of
-their inputs -- all repo-wide context (the fast-path equivalence test)
-goes through the :class:`Project` so the whole engine can be pointed at
-a fixture tree in tests.
+builds the :class:`~repro.analysis.project.ProgramModel` of the
+shipping tree -- which parses and walks every file once -- and hands
+each selected file's :class:`ParsedModule` to the registered per-file
+rules that claim it.  The whole-program rules
+(:class:`~repro.analysis.rules.ProjectRule`) then run once over the
+same model.  Raw findings from both passes are filtered through inline
+suppressions and the committed baseline last.  Rules are pure
+functions of their inputs -- all repo-wide context (the test sources
+PAR001 and PRC001 search) goes through the :class:`Project` so the
+whole engine can be pointed at a fixture tree in tests.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.analysis.findings import Finding
-from repro.analysis.incremental import IncrementalCache, engine_digest
 
 __all__ = [
     "Project",
@@ -102,6 +100,8 @@ class ParsedModule:
         source: raw file contents.
         tree: parsed :mod:`ast` module node.
         lines: ``source.splitlines()``.
+        nodes: every node of ``tree`` in :func:`ast.walk` order, walked
+            once at parse time and shared by every rule.
         imports: the module's :class:`ModuleImports`.
     """
 
@@ -109,6 +109,7 @@ class ParsedModule:
     source: str
     tree: ast.Module
     lines: list[str] = field(default_factory=list)
+    nodes: list[ast.AST] = field(default_factory=list)
     imports: ModuleImports = field(default_factory=ModuleImports)
 
     @classmethod
@@ -116,6 +117,7 @@ class ParsedModule:
         tree = ast.parse(source)
         module = cls(relpath=relpath, source=source, tree=tree)
         module.lines = source.splitlines()
+        module.nodes = list(ast.walk(tree))
         module.imports.visit(tree)
         return module
 
@@ -180,10 +182,6 @@ class LintResult:
         suppressed: count removed by inline suppressions.
         baselined: count removed by the baseline file.
         files_scanned: number of files parsed and checked.
-        cache_hits: incremental-cache entries served from disk (0 when
-            uncached).  Excluded from the JSON report document: warm
-            and cold runs must serialize identically.
-        cache_misses: entries recomputed this run (ditto).
         program: the built :class:`~repro.analysis.project.ProgramModel`,
             for ``--graph-output``; never serialized.
     """
@@ -192,8 +190,6 @@ class LintResult:
     suppressed: int = 0
     baselined: int = 0
     files_scanned: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
     program: object | None = None
 
     @property
@@ -255,8 +251,7 @@ def _check_file(
 ) -> list[Finding]:
     """Raw findings of the per-file rules on one source file.
 
-    Pre-suppression, pre-baseline: this is the unit of work the
-    incremental cache stores.  ``module`` is the program model's parse
+    Pre-suppression, pre-baseline.  ``module`` is the program model's parse
     of the file; without one (a file outside the program roots, or one
     that failed to parse there) the file is parsed here, and an
     unparseable file produces a single ``parse-error`` finding.
@@ -283,24 +278,11 @@ def _check_file(
     return findings
 
 
-def _context_digest(project: Project, rules: list) -> str:
-    """Digest over the declared ``context_files`` of ``rules``."""
-    parts = sorted(
-        {
-            (ctx, project.read_text(ctx) or "<absent>")
-            for rule in rules
-            for ctx in rule.context_files
-        }
-    )
-    return IncrementalCache.content_digest(list(parts))
-
-
 def run_lint(
     root: str | Path,
     paths: list[str] | None = None,
     rules: list | None = None,
     baseline_fingerprints: set[str] | None = None,
-    cache: IncrementalCache | None = None,
 ) -> LintResult:
     """Lint ``paths`` under ``root`` with ``rules``.
 
@@ -315,8 +297,6 @@ def run_lint(
             :mod:`repro.analysis.rules`).
         baseline_fingerprints: fingerprints of grandfathered findings to
             filter out.
-        cache: an :class:`~repro.analysis.incremental.IncrementalCache`,
-            or None to lint cold.
 
     Returns:
         A :class:`LintResult`.  Unparseable files produce a single
@@ -330,55 +310,30 @@ def run_lint(
 
         rules = default_rules()
     project = Project(root)
-    if cache is None:
-        cache = IncrementalCache(project.root, enabled=False)
     baseline_fingerprints = baseline_fingerprints or set()
     selected = discover_files(project.root, paths)
     file_rules = [r for r in rules if not isinstance(r, ProjectRule)]
     project_rules = [r for r in rules if isinstance(r, ProjectRule)]
     program = ProgramModel.build(project)
-    engine = engine_digest() if cache.enabled else ""
 
     # per-file pass over the program model's parses
     raw: list[Finding] = []
     scanned = 0
-    file_codes = [r.code for r in file_rules]
-    context = _context_digest(project, file_rules)
     for relpath in selected:
         source = project.read_text(relpath)
         if source is None:
             continue
         scanned += 1
-        key = cache.module_key(engine, file_codes, context, relpath, source)
-        findings = cache.load(key)
-        if findings is None:
-            info = program.by_path.get(relpath)
-            module = info.parsed if info is not None else None
-            findings = _check_file(project, relpath, source, file_rules, module)
-            cache.store(key, findings)
-        raw.extend(findings)
+        info = program.by_path.get(relpath)
+        module = info.parsed if info is not None else None
+        raw.extend(_check_file(project, relpath, source, file_rules, module))
 
     # whole-program pass
-    if project_rules:
-        parts = [
-            (info.relpath, info.parsed.source) for info in program.modules.values()
-        ]
-        parts.extend(
-            (f"context:{ctx}", project.read_text(ctx) or "<absent>")
-            for rule in project_rules
-            for ctx in rule.context_files
+    selected_set = set(selected)
+    for rule in project_rules:
+        raw.extend(
+            f for f in rule.check_program(program, project) if f.path in selected_set
         )
-        key = cache.program_key(
-            engine, [r.code for r in project_rules], cache.content_digest(parts)
-        )
-        project_findings = cache.load(key)
-        if project_findings is None:
-            project_findings = []
-            for rule in project_rules:
-                project_findings.extend(rule.check_program(program, project))
-            cache.store(key, project_findings)
-        selected_set = set(selected)
-        raw.extend(f for f in project_findings if f.path in selected_set)
 
     # filtering: suppressions, then baseline
     findings: list[Finding] = []
@@ -403,7 +358,5 @@ def run_lint(
         suppressed=suppressed,
         baselined=baselined,
         files_scanned=scanned,
-        cache_hits=cache.hits,
-        cache_misses=cache.misses,
         program=program,
     )

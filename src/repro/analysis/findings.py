@@ -81,33 +81,3 @@ class Finding:
             "message": self.message,
             "fingerprint": self.fingerprint,
         }
-
-    def to_payload(self) -> dict:
-        """Lossless wire/cache representation (includes ``line_text``).
-
-        Unlike :meth:`as_dict` (the stable report schema), this carries
-        every field so :meth:`from_payload` reconstructs an identical
-        Finding -- the incremental cache round-trips through it.
-        """
-        return {
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "rule": self.rule,
-            "message": self.message,
-            "severity": self.severity,
-            "line_text": self.line_text,
-        }
-
-    @classmethod
-    def from_payload(cls, data: dict) -> "Finding":
-        """Rebuild a Finding from :meth:`to_payload` output."""
-        return cls(
-            path=data["path"],
-            line=data["line"],
-            col=data["col"],
-            rule=data["rule"],
-            message=data["message"],
-            severity=data["severity"],
-            line_text=data.get("line_text", ""),
-        )

@@ -9,10 +9,12 @@ The engine's per-file pass reuses the same parses: each selected file's
 :class:`~repro.analysis.engine.ParsedModule` comes from
 :attr:`ProgramModel.by_path`, so no file is parsed twice in one run.
 
-The model is deterministic by construction -- modules and edges are
-sorted, and :meth:`ProgramModel.graph_document` emits the canonical
-``duetlint-graph/1`` JSON document CI uploads as an artifact -- so a
-cold lint run and a warm (cached) one agree byte-for-byte.
+The model covers the shipping tree only: ``tests/`` is not parsed,
+because no cross-module rule needs a parsed test (DEAD001 does not
+count test callers, and PRC001 searches the test sources as text).
+It is deterministic by construction -- modules and edges are sorted,
+and :meth:`ProgramModel.graph_document` emits the canonical
+``duetlint-graph/1`` JSON document CI uploads as an artifact.
 """
 
 from __future__ import annotations
@@ -37,8 +39,8 @@ GRAPH_SCHEMA = "duetlint-graph/1"
 
 #: Roots the program model always covers (when present), regardless of
 #: which paths were selected for linting -- cross-module rules need the
-#: whole tree, and DEAD001 counts references from every root but tests.
-PROGRAM_ROOTS = ("src", "tools", "tests", "benchmarks", "examples", "perfbench")
+#: whole shipping tree, and DEAD001 counts references from every root.
+PROGRAM_ROOTS = ("src", "tools", "benchmarks", "examples", "perfbench")
 
 
 def module_name_for(relpath: str) -> str:
@@ -47,8 +49,8 @@ def module_name_for(relpath: str) -> str:
     ``src/`` is the import root (``src/repro/sim/batching.py`` ->
     ``repro.sim.batching``, packages drop ``__init__``); files outside
     ``src/`` get stable pseudo-names from their path
-    (``tools/lint_changed.py`` -> ``tools.lint_changed``) so scripts and
-    tests participate in the graph without colliding with real imports.
+    (``tools/lint_changed.py`` -> ``tools.lint_changed``) so scripts
+    participate in the graph without colliding with real imports.
     """
     parts = list(Path(relpath).with_suffix("").parts)
     if parts and parts[0] == "src":

@@ -5,7 +5,10 @@ A rule is a small class with a ``code`` (``DET001``), a scope predicate
 :class:`~repro.analysis.findings.Finding` objects for one parsed module.
 Rules register themselves with the :func:`register` decorator; the
 engine picks up every registered rule by default, and ``--rule`` selects
-a subset by code.  The catalogue with per-rule rationale lives in
+a subset by code.  A rule that scans a whole module iterates the
+``nodes`` list of its :class:`~repro.analysis.engine.ParsedModule` --
+the one :func:`ast.walk` the engine does per file -- instead of walking
+the tree again.  The catalogue with per-rule rationale lives in
 ``docs/linting.md``.
 """
 
@@ -32,16 +35,11 @@ class Rule:
         code: unique rule identifier (``AAA000`` convention).
         title: one-line summary shown in ``--list-rules``.
         severity: default severity of this rule's findings.
-        context_files: repo-relative files (beyond the linted module
-            itself) whose contents feed this rule's verdicts -- the
-            incremental cache invalidates cached module results when any
-            of them change.
     """
 
     code: str = ""
     title: str = ""
     severity: str = "error"
-    context_files: tuple[str, ...] = ()
 
     def applies_to(self, relpath: str) -> bool:
         """Whether this rule runs on ``relpath`` (default: ``src/**``)."""
@@ -63,9 +61,7 @@ class ProjectRule(Rule):
     A project rule runs once per lint invocation over the
     :class:`~repro.analysis.project.ProgramModel` rather than once per
     file; :meth:`applies_to` filters which *findings* survive (by the
-    path they are anchored at), not which files are visited.  Because
-    their verdicts depend on the entire tree, project-rule results are
-    cached against a whole-program fingerprint, never per module.
+    path they are anchored at), not which files are visited.
     """
 
     def check(self, module: ParsedModule, project: Project) -> Iterator[Finding]:

@@ -32,7 +32,7 @@ class CliConventionRule(Rule):
         return relpath.startswith("src/") and relpath.endswith("/cli.py")
 
     def check(self, module: ParsedModule, project: Project) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, ast.Call):
                 continue
             target = resolve_target(module, node.func)
@@ -95,7 +95,7 @@ class ExceptionSwallowRule(Rule):
     title = "no bare except / swallowed broad exceptions"
 
     def check(self, module: ParsedModule, project: Project) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, ast.ExceptHandler):
                 continue
             if node.type is None:
@@ -146,7 +146,7 @@ class SchemaStringRule(Rule):
                             "'name/major' convention (e.g. 'duet-bench/1')",
                         )
         # (a) inline "schema": "..." literals must reference a constant.
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, ast.Dict):
                 continue
             for key, value in zip(node.keys, node.values):
@@ -167,7 +167,7 @@ class SchemaStringRule(Rule):
         # must validate the document against the schema helper.
         if declares_schema_const:
             uses_json = calls_validate = False
-            for node in ast.walk(module.tree):
+            for node in module.nodes:
                 if not isinstance(node, ast.Call):
                     continue
                 target = resolve_target(module, node.func) or ""

@@ -5,7 +5,7 @@ A package ``__init__.py`` is the package's public API surface: its
 those names to the rest of the repo.  A module's top-level public
 ``def``s and ``class``es are the code it offers.  Either one with no
 caller is rot -- it inflates the surface the layering and pricing
-contracts must police.  DEAD001 walks the whole program (``src/``,
+contracts must police.  DEAD001 walks the whole program model (``src/``,
 ``tools/``, ``benchmarks/``, ``examples/``, ``perfbench/``) and flags:
 
 - a package export nobody outside the package's subtree references;
@@ -16,13 +16,15 @@ contracts must police.  DEAD001 walks the whole program (``src/``,
 A reference is a ``from mod import name`` (or ``import *``), an
 attribute use resolving to ``mod.name``, or -- for exports naming
 *submodules* -- any import of ``pkg.name`` or a deeper path.  Callers
-under ``tests/`` do not count: a test exercises code, it does not
-justify keeping it.  A deliberate exception (a tested oracle, a test
-hook) carries ``# duetlint: disable=DEAD001`` with its reason above it.
+under ``tests/`` do not count -- the program model does not parse them:
+a test exercises code, it does not justify keeping it.  A deliberate
+exception (a tested oracle, a test hook) carries
+``# duetlint: disable=DEAD001`` with its reason above it.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Iterator
 
 from repro.analysis.engine import Project
@@ -51,7 +53,7 @@ def _exports(info: ModuleInfo) -> list[tuple[str, int]]:
 def _attribute_refs(info: ModuleInfo) -> set[str]:
     """Absolute dotted paths of every attribute chain in ``info``."""
     refs: set[str] = set()
-    for node in ast.walk(info.parsed.tree):
+    for node in info.parsed.nodes:
         if isinstance(node, ast.Attribute):
             if dotted_name(node) is None:
                 continue
@@ -73,15 +75,17 @@ def _definitions(info: ModuleInfo) -> Iterator[ast.stmt]:
         yield node
 
 
-def _used_outside(info: ModuleInfo, definition: ast.stmt) -> bool:
-    """True when ``info`` names ``definition`` outside its own body."""
-    for node in info.parsed.tree.body:
-        if node is definition:
-            continue
-        for child in ast.walk(node):
-            if isinstance(child, ast.Name) and child.id == definition.name:
-                return True
-    return False
+def _used_outside(definition: ast.stmt, name_counts: Counter) -> bool:
+    """True when its module names ``definition`` outside its own body.
+
+    ``name_counts`` counts the module's ``Name`` ids; the definition's
+    own subtree is walked only when its name occurs at all.
+    """
+    total = name_counts[definition.name]
+    return total > 0 and total > sum(
+        isinstance(n, ast.Name) and n.id == definition.name
+        for n in ast.walk(definition)
+    )
 
 
 @register
@@ -94,11 +98,7 @@ class DeadExportRule(ProjectRule):
     def check_program(
         self, program: ProgramModel, project: Project
     ) -> Iterator[Finding]:
-        callers = [
-            info
-            for _, info in sorted(program.modules.items())
-            if not info.relpath.startswith("tests/")
-        ]
+        callers = [program.modules[name] for name in sorted(program.modules)]
         attribute_refs = {info.name: _attribute_refs(info) for info in callers}
         for info in callers:
             if not info.relpath.startswith("src/"):
@@ -106,8 +106,11 @@ class DeadExportRule(ProjectRule):
             if info.is_package:
                 yield from self._check_package(program, info, callers, attribute_refs)
             others = [other for other in callers if other is not info]
+            name_counts = Counter(
+                n.id for n in info.parsed.nodes if isinstance(n, ast.Name)
+            )
             for node in _definitions(info):
-                if _used_outside(info, node) or self._referenced(
+                if _used_outside(node, name_counts) or self._referenced(
                     program, info, node.name, others, attribute_refs
                 ):
                     continue

@@ -59,7 +59,7 @@ class GlobalEntropyRule(Rule):
     def check(self, module: ParsedModule, project: Project) -> Iterator[Finding]:
         in_bench = module.relpath.startswith("src/repro/bench/")
         imports = module.imports
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, ast.Call):
                 continue
             target = resolve_target(module, node.func)
@@ -147,7 +147,7 @@ class DeadSeedRule(Rule):
     title = "every seed parameter must be threaded"
 
     def check(self, module: ParsedModule, project: Project) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             args = node.args

@@ -80,7 +80,7 @@ class FloatEqualityRule(Rule):
         return relpath.startswith("src/") and "/tests/" not in relpath
 
     def check(self, module: ParsedModule, project: Project) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, ast.Compare):
                 continue
             if not any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops):

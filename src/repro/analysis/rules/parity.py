@@ -105,7 +105,6 @@ class FastSlowParityRule(Rule):
     """PAR001: fast kernels need a slow counterpart and test coverage."""
 
     code = "PAR001"
-    context_files = (_TEST_FILE,)
     title = "fast-path kernels keep a slow-path oracle and an equivalence test"
 
     def applies_to(self, relpath: str) -> bool:
@@ -114,7 +113,7 @@ class FastSlowParityRule(Rule):
     def check(self, module: ParsedModule, project: Project) -> Iterator[Finding]:
         defined = {
             node.name
-            for node in ast.walk(module.tree)
+            for node in module.nodes
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         }
         imported = set(module.imports.imported_names)

@@ -9,8 +9,9 @@ through the import graph, and demands two properties of each:
   the ``sim/`` cost models (:data:`_COST_MODULES`) -- an executor that
   cannot reach the pipeline cost model serves unpriced work;
 - a **parity reference**: the class name is word-mentioned somewhere
-  under ``tests/`` -- an executor no test names has no parity anchor
-  pinning it to the static model.
+  under ``tests/`` (a text search of the sources, which the program
+  model does not parse) -- an executor no test names has no parity
+  anchor pinning it to the static model.
 
 Lazy function-scope imports count for both reachability and pricing
 (they are real runtime paths); ``TYPE_CHECKING`` imports count for
@@ -23,7 +24,7 @@ import ast
 import re
 from typing import Iterator
 
-from repro.analysis.engine import Project
+from repro.analysis.engine import Project, discover_files
 from repro.analysis.findings import Finding
 from repro.analysis.project import ModuleInfo, ProgramModel
 from repro.analysis.rules import ProjectRule, register
@@ -84,11 +85,12 @@ class ExecutorPricingRule(ProjectRule):
         if not serving_roots:
             return  # no serving tier in this tree, nothing to price
         serving_reach = _forward_closure(program, serving_roots)
-        test_sources = [
-            program.modules[name].parsed.source
-            for name in sorted(program.modules)
-            if program.modules[name].relpath.startswith("tests/")
-        ]
+        test_sources = []
+        if project.exists("tests"):
+            test_sources = [
+                project.read_text(path) or ""
+                for path in discover_files(project.root, ["tests"])
+            ]
         for name in sorted(program.modules):
             info = program.modules[name]
             if not info.relpath.startswith("src/repro/"):

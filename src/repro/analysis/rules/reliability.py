@@ -1,14 +1,14 @@
-"""REL003: recovery code must be bounded, seeded, and event-clocked.
+"""REL003: recovery code must be bounded and event-clocked.
 
-The fault-tolerance tier (``serving/``, ``reliability/``) makes three
+The fault-tolerance tier (``serving/``, ``reliability/``) makes two
 promises the type system cannot enforce: retry/polling loops terminate
-(a retry budget, not ``while True`` + hope), waiting happens on the
+(a retry budget, not ``while True`` + hope), and waiting happens on the
 simulated event clock (a wall-clock ``sleep`` would freeze a
 discrete-event simulator and desynchronise real deployments from the
-model), and backoff jitter comes from an *injected seeded* RNG so a
-retry storm replays byte-identically under one seed.  DET001 already
-bans reading the wall clock; this rule bans stalling on it, plus the
-two recovery-specific hazards.
+model).  DET001 already bans reading the wall clock; this rule bans
+stalling on it, plus the unbounded recovery loop.  Seeded backoff
+jitter is SEED001's job: both recovery directories are always in its
+scope.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from repro.analysis.rules import Rule, dotted_name, register, resolve_target
 #: blocking wall-clock waits, banned everywhere in src/repro.
 _SLEEP_CALLS = {"time.sleep", "asyncio.sleep"}
 
-#: directories holding recovery machinery, where the loop/RNG checks run.
+#: directories holding recovery machinery, where the loop check runs.
 _RECOVERY_PREFIXES = ("src/repro/serving/", "src/repro/reliability/")
 
 
@@ -55,40 +55,25 @@ def _escapes(statements: list[ast.stmt], nested: bool) -> bool:
 
 @register
 class RecoveryHygieneRule(Rule):
-    """REL003: bounded retries, event-clock waits, seeded jitter."""
+    """REL003: bounded retries, event-clock waits."""
 
     code = "REL003"
-    title = "recovery loops bounded, no wall-clock sleeps, jitter RNGs seeded"
+    title = "recovery loops bounded, no wall-clock sleeps"
 
     def applies_to(self, relpath: str) -> bool:
         return relpath.startswith("src/repro/")
 
     def check(self, module: ParsedModule, project: Project) -> Iterator[Finding]:
         in_recovery = module.relpath.startswith(_RECOVERY_PREFIXES)
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if isinstance(node, ast.Call):
-                target = resolve_target(module, node.func)
-                if target in _SLEEP_CALLS:
+                if resolve_target(module, node.func) in _SLEEP_CALLS:
                     yield self.finding(
                         module,
                         node,
                         f"wall-clock sleep ({dotted_name(node.func)}): waits "
                         "must be scheduled on the simulated event clock "
                         "(push a timed event), never block the process",
-                    )
-                elif (
-                    in_recovery
-                    and target == "numpy.random.default_rng"
-                    and not node.args
-                    and not node.keywords
-                ):
-                    yield self.finding(
-                        module,
-                        node,
-                        "unseeded default_rng() in recovery code: backoff/"
-                        "hedge jitter must come from a seeded Generator "
-                        "injected by the caller, or retry storms stop "
-                        "replaying byte-identically per seed",
                     )
             elif (
                 in_recovery

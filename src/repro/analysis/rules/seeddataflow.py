@@ -20,9 +20,11 @@ or correlate across worker counts:
 
 Scope: a module is *worker-adjacent* when it imports a parallel
 execution primitive, imports ``repro.parallel`` (the campaign engine),
-or lives under ``src/repro/serving/`` (the serving simulators seed
-per-worker streams).  Within scope, any expression whose provenance is
-definitely :data:`~repro.analysis.dataflow.TAINTED` -- an unseeded
+or lives under ``src/repro/serving/`` or ``src/repro/reliability/``
+(the serving simulators seed per-worker streams, and the recovery
+policies draw backoff/hedge jitter that must replay per seed).  Within
+scope, any expression whose provenance is definitely
+:data:`~repro.analysis.dataflow.TAINTED` -- an unseeded
 generator, however indirectly constructed -- is reported.  UNKNOWN
 provenance stays silent: SEED001 only speaks when it can prove the
 entropy leak.
@@ -45,8 +47,9 @@ _PARALLEL_MODULES = ("multiprocessing", "concurrent.futures")
 #: internal package whose import marks a file as worker-adjacent.
 _CAMPAIGN_PACKAGE = "repro.parallel"
 
-#: path prefix always in scope (serving simulators spawn worker streams).
-_SERVING_PREFIX = "src/repro/serving/"
+#: path prefixes always in scope: serving simulators spawn worker
+#: streams, and recovery jitter must replay byte-identically per seed.
+_ALWAYS_IN_SCOPE = ("src/repro/serving/", "src/repro/reliability/")
 
 
 def _imports_any(edge: ImportEdge, modules: tuple[str, ...]) -> bool:
@@ -66,7 +69,7 @@ def _parallel_import(info: ModuleInfo) -> ImportEdge | None:
 def _worker_adjacent(info: ModuleInfo) -> bool:
     """Whether SEED001 watches ``info`` (see module docstring)."""
     return (
-        info.relpath.startswith(_SERVING_PREFIX)
+        info.relpath.startswith(_ALWAYS_IN_SCOPE)
         or _parallel_import(info) is not None
         or any(_imports_any(edge, (_CAMPAIGN_PACKAGE,)) for edge in info.edges)
     )
@@ -75,7 +78,7 @@ def _worker_adjacent(info: ModuleInfo) -> bool:
 def _reuses_parent_seed(info: ModuleInfo) -> bool:
     """Seeded RNG construction with no ``SeedSequence(...).spawn(...)``."""
     seeded = seed_sequence = spawn = False
-    for node in ast.walk(info.parsed.tree):
+    for node in info.parsed.nodes:
         if not isinstance(node, ast.Call):
             continue
         if isinstance(node.func, ast.Attribute) and node.func.attr == "spawn":

@@ -11,8 +11,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.incremental import CACHE_DIR_ENV
-
 collect_ignore = ["fixtures"]
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -27,12 +25,3 @@ def violations_root() -> Path:
 def clean_root() -> Path:
     return FIXTURES / "clean"
 
-
-@pytest.fixture(autouse=True)
-def _cache_outside_the_checkout(monkeypatch, tmp_path):
-    """Point the lint cache at the test's scratch directory.
-
-    A cached lint of a committed fixture tree (or the live repo) would
-    otherwise write ``.duet-cache/`` into the source tree.
-    """
-    monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / ".duet-cache"))

@@ -1,9 +1,6 @@
-"""REL003 bait: unbounded retry loop, wall-clock sleep, unseeded jitter."""
-# duetlint: disable-file=SEED001  (this fixture demonstrates its own rule only)
+"""REL003 bait: unbounded retry loop and wall-clock sleep."""
 
 import time
-
-import numpy as np
 
 
 def wait_for_worker(worker):
@@ -12,8 +9,3 @@ def wait_for_worker(worker):
         if worker.ready():
             worker.mark_healthy()
         time.sleep(0.05)
-
-
-def backoff_jitter_us(attempt):
-    rng = np.random.default_rng()
-    return 1_000.0 * (2.0 ** attempt) * float(rng.random())

@@ -4,6 +4,8 @@ import io
 import json
 from pathlib import Path
 
+import pytest
+
 from repro.analysis.cli import REPORT_SCHEMA, main as lint_main
 from repro.analysis.schema import parse_schema
 from repro.cli import build_parser, main
@@ -79,6 +81,14 @@ class TestJsonReport:
         document = json.loads(report.read_text())
         assert document["schema"] == REPORT_SCHEMA
         assert document["clean"] is True
+
+    @pytest.mark.parametrize("flag", ["--output", "--graph-output"])
+    def test_missing_output_directory_exits_two(self, flag, clean_root, tmp_path):
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = _run(["lint", "--root", str(clean_root), flag, str(target)])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {flag} directory does not exist: {target.parent}\n"
 
 
 class TestBaselineFlow:

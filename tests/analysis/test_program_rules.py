@@ -4,7 +4,9 @@ Each rule gets a ``violations/`` tree (the exact findings it must emit)
 and a mirrored ``clean/`` tree (the compliant idiom, zero findings).
 The SEED001 violation tree holds both of the rule's catches: a worker
 module that obtains the unseeded generator through a cross-module
-factory alias, and a parallel module that reuses the parent seed.
+factory alias, and a parallel module that reuses the parent seed.  It
+also holds unseeded backoff jitter under ``reliability/``, which only
+the rule's always-in-scope recovery prefix puts in reach.
 """
 
 from pathlib import Path
@@ -26,6 +28,7 @@ class TestSeedDataflow:
             ("src/repro/campaign/runner.py", 13, "SEED001"),
             ("src/repro/parallel_rng.py", 3, "SEED001"),
             ("src/repro/parallel_rng.py", 9, "SEED001"),
+            ("src/repro/reliability/jitter.py", 11, "SEED001"),
         ]
 
     def test_aliased_unseeded_generator_in_worker_module(self):

@@ -51,6 +51,16 @@ class TestModuleNaming:
         assert program.modules["repro.a"].package == "repro"
         assert program.modules["repro"].package == "repro"
 
+    def test_tests_directory_is_not_modelled(self, tmp_path):
+        program = build_tree(tmp_path, {
+            "src/repro/a.py": "def thing():\n    return 1\n",
+            "tests/test_a.py": "from repro.a import thing\n",
+            "tools/main.py": "from repro.a import thing\n",
+        })
+        assert set(program.modules) == {"repro.a", "tools.main"}
+        names = [m["name"] for m in program.graph_document()["modules"]]
+        assert names == ["repro.a", "tools.main"]
+
 
 class TestAliasResolution:
     def test_import_origin_resolves_as_aliases(self, tmp_path):

@@ -31,7 +31,7 @@ class TestViolationsTree:
         assert grouped["src/repro/cli.py"] == Counter({"CLI001": 2})
         assert grouped["src/repro/bench/writer.py"] == Counter({"SCH001": 3})
         assert grouped["src/repro/sim/executor.py"] == Counter({"PAR001": 2})
-        assert grouped["src/repro/serving/retrier.py"] == Counter({"REL003": 3})
+        assert grouped["src/repro/serving/retrier.py"] == Counter({"REL003": 2})
 
         # No fixture file trips a rule it was not written to demonstrate.
         assert set(grouped) == {

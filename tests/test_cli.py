@@ -448,7 +448,6 @@ PINNED_ACTIONS = {
         ("--no-baseline", "no_baseline", False, None, None),
         ("--strict", "strict", False, None, None),
         ("--output", "output", None, None, None),
-        ("--no-cache", "no_cache", False, None, None),
         ("--graph-output", "graph_output", None, None, None),
         ("--list-rules", "list_rules", False, None, None),
     ],
